@@ -13,8 +13,6 @@ from .attention import (
     attention_output,
     attention_scores,
     augment_q,
-    expand_k_dim,
-    group_share,
     init_attention_weights,
     naive_diffqkv_attention,
     project_qkv,
@@ -22,10 +20,8 @@ from .attention import (
 )
 from .config import (
     AttentionConfig,
-    AttentionMode,
     ModelConfig,
     PRESETS,
-    attention_mode,
     load_config_file,
     preset,
     toy_preset,
@@ -47,8 +43,6 @@ from .kernel import (
     ChunkPlan,
     combine_partials,
     flexhead_attention,
-    head_index_map,
-    merge_partials,
     split_attend,
 )
 from .kvcache import DifferentialKVCache, cache_new, kv_group_balance
@@ -58,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttentionConfig",
-    "AttentionMode",
     "AttentionPartial",
     "AttentionWeights",
     "ChunkPlan",
@@ -72,7 +65,6 @@ __all__ = [
     "SelectivePolicy",
     "ToyModel",
     "apply_rope",
-    "attention_mode",
     "attention_output",
     "attention_scores",
     "augment_q",
@@ -80,17 +72,13 @@ __all__ = [
     "combine_partials",
     "crossover_prefix",
     "decode",
-    "expand_k_dim",
     "flexhead_attention",
     "forward",
-    "group_share",
-    "head_index_map",
     "init_attention_weights",
     "init_model",
     "kv_cache_cost",
     "kv_group_balance",
     "load_config_file",
-    "merge_partials",
     "naive_diffqkv_attention",
     "preset",
     "project_qkv",

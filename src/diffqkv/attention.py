@@ -6,6 +6,13 @@ side effects, so any function may be called concurrently.  The composition
 path in the package (chunked kernel, incremental decode, selective V) is
 measured against.
 
+One attention core serves every path: ``attention_logits``/``attention_scores``
+and ``weighted_value_sum`` take K and V at their stored head counts and address
+them by viewing the n_q query rows as groups, one group per K (or V) head, so
+no head is ever duplicated.  In half-K mode the caller maps the rotated query
+into the stored K dimension with ``q @ w_k_expand.T`` (the expansion absorbed
+into the query), which is exact because rotary acts on K before expansion.
+
 Shapes follow the convention ``[batch, seq, heads, dim]``; weights are plain
 2-D matrices applied on the right (``x @ w``), bias-free throughout.
 """
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ValidatedConfig
-from .errors import ConfigError, DimensionError, DivisibilityError, ShapeError
+from .errors import ConfigError, DimensionError, ShapeError
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -165,66 +172,71 @@ def apply_rope(
     return _rotate(q, q_cos, q_sin), _rotate(k, k_cos, k_sin)
 
 
-def expand_k_dim(k: np.ndarray, w: AttentionWeights) -> np.ndarray:
-    """Map stored K vectors [..., d_k_head] up to [..., d_head]; single linear layer."""
-    if w.w_k_expand is None:
-        raise ConfigError("expand_k_dim called but d_k_head == d_head (no expansion layer)")
-    return k @ w.w_k_expand
+def _query_groups(rows: np.ndarray, n_src: int) -> np.ndarray:
+    """View query-side rows [b, n_q, ...] as [b, n_src, n_q // n_src, ...].
 
-
-def group_share(heads: np.ndarray, n_q: int) -> np.ndarray:
-    """Duplicate source heads in blocks so head i serves q heads [i*g, (i+1)*g).
-
-    Args:
-        heads: [b, t, n_src, d].
-    Returns:
-        [b, t, n_q, d] with each source head repeated n_q // n_src times.
+    Group i holds query heads [i*g, (i+1)*g), the block that K/V head i serves
+    (query head h reads source head floor(h * n_src / n_q)).  A view, never a
+    copy of the source heads.
     """
-    n_src = heads.shape[2]
+    b, n_q = rows.shape[:2]
     if n_q % n_src != 0:
-        raise DivisibilityError(f"n_q={n_q} is not a multiple of n_src={n_src}")
-    reps = n_q // n_src
-    if reps == 1:
-        return heads
-    return np.repeat(heads, reps, axis=2)
+        raise ShapeError(f"n_q={n_q} query heads cannot be grouped over {n_src} source heads")
+    return rows.reshape(b, n_src, n_q // n_src, *rows.shape[2:])
+
+
+def attention_logits(q: np.ndarray, k: np.ndarray, scale_dim: int) -> np.ndarray:
+    """Scaled dot products of queries [b, n_q, d] with keys [b, t, n_k, d] -> [b, n_q, t].
+
+    K stays at its native head count: each group of n_q / n_k query rows is
+    multiplied against its one K head.
+    """
+    b, n_q, d = q.shape
+    if k.shape[0] != b or k.shape[-1] != d:
+        raise ShapeError(f"q {q.shape} does not match k {k.shape}")
+    logits = np.matmul(_query_groups(q, k.shape[2]), k.transpose(0, 2, 3, 1))
+    logits = logits.reshape(b, n_q, k.shape[1])
+    logits /= np.sqrt(float(scale_dim))
+    return logits
 
 
 def attention_scores(
     q: np.ndarray,
-    k_shared: np.ndarray,
+    k: np.ndarray,
     scale_dim: int,
     causal_mask_len: int,
 ) -> np.ndarray:
     """Per-head softmax attention weights for one query position.
 
     Args:
-        q: [b, n_q, d] query vectors.
-        k_shared: [b, t, n_q, d] keys already group-shared (and expanded /
-            rotary-embedded where applicable).
+        q: [b, n_q, d] query vectors (rotary-embedded; in half-K mode already
+            mapped into the stored K dimension with ``q @ w_k_expand.T``).
+        k: [b, t, n_k, d] keys at their stored head count, n_k dividing n_q.
         scale_dim: dimension whose square root divides the logits.
         causal_mask_len: positions >= this index get weight exactly 0.
     Returns:
         alpha: [b, n_q, t]; each unmasked row sums to 1.
     """
-    if q.shape[0] != k_shared.shape[0] or q.shape[1:] != k_shared.shape[2:]:
-        raise ShapeError(f"q {q.shape} does not match k_shared {k_shared.shape}")
-    logits = np.einsum("bhd,bthd->bht", q, k_shared) / np.sqrt(float(scale_dim))
-    t = k_shared.shape[1]
-    if causal_mask_len < t:
+    logits = attention_logits(q, k, scale_dim)
+    if causal_mask_len < k.shape[1]:
         logits[:, :, causal_mask_len:] = -np.inf
     logits -= logits.max(axis=-1, keepdims=True)
     weights = np.exp(logits)
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def weighted_value_sum(alpha: np.ndarray, v_shared: np.ndarray) -> np.ndarray:
-    """Per-head convex combination of V rows: [b, n_q, t] x [b, t, n_q, d] -> [b, n_q, d]."""
-    return np.einsum("bht,bthd->bhd", alpha, v_shared)
+def weighted_value_sum(alpha: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-head combination of V rows: [b, n_q, t] x [b, t, n_v, d] -> [b, n_q, d].
+
+    V stays at its native head count n_v (a divisor of n_q).
+    """
+    out = np.matmul(_query_groups(alpha, v.shape[2]), v.transpose(0, 2, 1, 3))
+    return out.reshape(*alpha.shape[:2], v.shape[-1])
 
 
-def attention_output(alpha: np.ndarray, v_shared: np.ndarray, w_o: np.ndarray) -> np.ndarray:
+def attention_output(alpha: np.ndarray, v: np.ndarray, w_o: np.ndarray) -> np.ndarray:
     """Weighted V sum per head, heads concatenated in index order, then w_o."""
-    o = weighted_value_sum(alpha, v_shared)
+    o = weighted_value_sum(alpha, v)
     b = o.shape[0]
     return o.reshape(b, -1) @ w_o
 
@@ -234,25 +246,22 @@ def naive_diffqkv_attention(
 ) -> np.ndarray:
     """Full causal DiffQKV attention over a sequence, position by position.
 
-    project -> augmented Q -> rotary -> K expansion (half-K mode) -> group
-    sharing -> softmax scores -> weighted V sum -> output projection.  This is
-    the reference oracle for the chunked kernel and the incremental decode
-    path, so it stays deliberately simple.
+    project -> augmented Q -> rotary -> (half-K mode) K expansion absorbed
+    into the query -> grouped softmax scores against the stored K heads ->
+    weighted sum of the stored V heads -> output projection.  This is the
+    reference oracle for the chunked kernel and the incremental decode path,
+    so it stays deliberately simple.
     """
     b, s, _ = x.shape
     q, k, v = project_qkv(x, w, cfg)
     q, k = apply_rope(q, k, np.arange(s), cfg.rope_theta)
     if cfg.half_k:
-        k = expand_k_dim(k, w)
-    k_shared = group_share(k, cfg.n_q_heads)
-    v_shared = group_share(v, cfg.n_q_heads)
+        q = q @ w.w_k_expand.T
 
     out = np.empty((b, s, w.w_o.shape[1]))
     for t in range(s):
-        prefix_k = k_shared[:, : t + 1]
-        prefix_v = v_shared[:, : t + 1]
-        alpha = attention_scores(q[:, t], prefix_k, cfg.softmax_scale_dim, t + 1)
-        out[:, t] = attention_output(alpha, prefix_v, w.w_o)
+        alpha = attention_scores(q[:, t], k[:, : t + 1], cfg.softmax_scale_dim, t + 1)
+        out[:, t] = attention_output(alpha, v[:, : t + 1], w.w_o)
     return out
 
 
@@ -278,9 +287,9 @@ def select_top_k(alpha: np.ndarray, policy: SelectivePolicy) -> np.ndarray:
 
 def selective_v_attention(
     alpha: np.ndarray,
-    v_shared: np.ndarray,
+    v: np.ndarray,
     policy: SelectivePolicy,
     w_o: np.ndarray,
 ) -> np.ndarray:
     """Approximate attention output using only the top-k V rows per head."""
-    return attention_output(select_top_k(alpha, policy), v_shared, w_o)
+    return attention_output(select_top_k(alpha, policy), v, w_o)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
-from enum import Enum
 
 from .errors import (
     ConfigFileError,
@@ -27,8 +26,10 @@ class AttentionConfig:
     ``d_head`` is the dimension Q is attended in and the dimension of V heads;
     ``d_k_head`` is the dimension K is stored and cached in.  When
     ``d_k_head < d_head`` (half-K mode) a linear expansion layer maps cached K
-    vectors back up to ``d_head`` before scoring.  ``aug_q_dim`` is the total
-    intermediate dimension of the gated augmented-Q block; 0 disables it.
+    vectors up to ``d_head``; attention applies it to the query instead
+    (``q @ w_k_expand.T``), so the cache is scored without being expanded.
+    ``aug_q_dim`` is the total intermediate dimension of the gated augmented-Q
+    block; 0 disables it.
     """
 
     n_q_heads: int
@@ -79,13 +80,6 @@ class ModelConfig:
     max_seq_len: int
 
 
-class AttentionMode(Enum):
-    MHA = "mha"
-    MQA = "mqa"
-    GQA = "gqa"
-    DIFF_QKV = "diff_qkv"
-
-
 _POSITIVE_ATTN_FIELDS = (
     "n_q_heads",
     "n_k_heads",
@@ -105,7 +99,7 @@ def validate_config(
     Raises:
         ValueError: a field that must be positive is not, or aug_q_dim < 0.
         DivisibilityError: n_q_heads is not an exact multiple of n_k_heads
-            and n_v_heads (required by the head address map).
+            and n_v_heads (required by grouped K/V addressing).
         DimensionError: d_k_head > d_head, or (with a model config)
             n_q_heads * d_head != d_model.
     """
@@ -147,18 +141,6 @@ def validate_config(
 def validate_model_config(model: ModelConfig) -> ModelConfig:
     validate_config(model.attention, model)
     return model
-
-
-def attention_mode(cfg: ValidatedConfig) -> AttentionMode:
-    """Classify a validated config; exactly one mode applies."""
-    n_q, n_k, n_v = cfg.n_q_heads, cfg.n_k_heads, cfg.n_v_heads
-    if n_q == n_k == n_v:
-        return AttentionMode.MHA
-    if n_k == n_v == 1 and n_q > 1:
-        return AttentionMode.MQA
-    if n_k == n_v and 1 < n_k < n_q:
-        return AttentionMode.GQA
-    return AttentionMode.DIFF_QKV
 
 
 def _preset(

@@ -1,12 +1,15 @@
-"""Split/combine chunked attention with per-head address probing.
+"""Split/combine chunked attention over native K/V head counts.
 
-The split stage scores one query against a chunk of the KV sequence, keeping
-K and V at their native head counts and resolving which K/V head serves each
-query head through :func:`head_index_map` (``idx_i = floor(idx_q * n_i / n_q)``).
-Each chunk yields an :class:`AttentionPartial` — an unnormalized weighted V
-sum plus (max, sum-exp) row statistics.  The combine stage merges partials by
-a numerically stable log-sum-exp reduction that is mathematically identical
-to one-pass softmax attention, whatever the chunking.
+The split stage scores one query against a chunk of the KV sequence with the
+grouped core of :mod:`diffqkv.attention`: K and V stay at their stored head
+counts, and each block of n_q / n_i query heads is addressed against its one
+K/V head (``idx_i = floor(idx_q * n_i / n_q)``).  In half-K mode the K
+expansion is absorbed into the query (``q @ w_k_expand.T``), so chunks are
+scored in the stored K dimension and never expanded.  Each chunk yields an
+:class:`AttentionPartial` — an unnormalized weighted V sum plus (max, sum-exp)
+row statistics.  The combine stage merges partials by a numerically stable
+log-sum-exp reduction that is mathematically identical to one-pass softmax
+attention, whatever the chunking.
 
 Split calls over distinct chunks are independent; combine is a deterministic
 reduction whose result does not depend on grouping or order.
@@ -18,23 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionWeights, expand_k_dim
+from .attention import AttentionWeights, attention_logits, weighted_value_sum
 from .config import ValidatedConfig
-from .errors import ConfigError, DivisibilityError, EmptyInputError, ShapeError
+from .errors import ConfigError, EmptyInputError, ShapeError
 from .kvcache import DifferentialKVCache
-
-
-def head_index_map(idx_q: int, n_q: int, n_i: int) -> int:
-    """K/V head index serving query head ``idx_q``: floor(idx_q * n_i / n_q).
-
-    Floor division makes contiguous blocks of query heads share one source
-    head, matching the block layout of explicit group sharing.
-    """
-    if n_q % n_i != 0:
-        raise DivisibilityError(f"n_q={n_q} is not a multiple of n_i={n_i}")
-    if not 0 <= idx_q < n_q:
-        raise IndexError(f"idx_q={idx_q} out of range [0, {n_q})")
-    return (idx_q * n_i) // n_q
 
 
 @dataclass
@@ -93,23 +83,21 @@ def split_attend(
     """Score one query against one KV chunk held at native head counts.
 
     Args:
-        q: [n_q, d_head].
-        k_chunk: [c, n_k, d_head] keys for global positions chunk_range,
-            already rotary-embedded and (in half-K mode) dimension-expanded.
+        q: [n_q, d] queries in the key dimension (in half-K mode already
+            mapped with ``q @ w_k_expand.T``).
+        k_chunk: [c, n_k, d] rotary-embedded keys for global positions chunk_range.
         v_chunk: [c, n_v, d_head].
         chunk_range: (start, end) global positions of the chunk rows.
         causal_limit: only positions < causal_limit contribute.
     """
-    n_q, d_head = q.shape
+    n_q, d = q.shape
     start, end = chunk_range
     if k_chunk.shape[0] != end - start or v_chunk.shape[0] != end - start:
         raise ShapeError(
             f"chunk rows {k_chunk.shape[0]}/{v_chunk.shape[0]} do not match range {chunk_range}"
         )
-    if k_chunk.shape[-1] != d_head:
-        raise ShapeError(f"k_chunk dim {k_chunk.shape[-1]} != d_head {d_head}")
-    n_k = k_chunk.shape[1]
-    n_v = v_chunk.shape[1]
+    if k_chunk.shape[-1] != d:
+        raise ShapeError(f"k_chunk dim {k_chunk.shape[-1]} != query dim {d}")
 
     valid = min(end, causal_limit) - start
     if valid <= 0:
@@ -120,37 +108,11 @@ def split_attend(
             row_sumexp=np.zeros(n_q),
         )
 
-    # Address probing: each query head fetches its K/V head through the index
-    # map instead of materializing duplicated heads.
-    scale = np.sqrt(float(scale_dim))
-    logits = np.empty((n_q, valid))
-    for h in range(n_q):
-        logits[h] = k_chunk[:valid, head_index_map(h, n_q, n_k), :] @ q[h] / scale
-
+    logits = attention_logits(q[None], k_chunk[None, :valid], scale_dim)[0]
     row_max = logits.max(axis=1)
     expw = np.exp(logits - row_max[:, None])
-    row_sumexp = expw.sum(axis=1)
-
-    out = np.empty((n_q, v_chunk.shape[-1]))
-    for h in range(n_q):
-        out[h] = expw[h] @ v_chunk[:valid, head_index_map(h, n_q, n_v), :]
-    return AttentionPartial(out_partial=out, row_max=row_max, row_sumexp=row_sumexp)
-
-
-def merge_partials(a: AttentionPartial, b: AttentionPartial) -> AttentionPartial:
-    """Pairwise log-sum-exp merge; lets combine run as a tree reduction."""
-    if a.empty:
-        return b
-    if b.empty:
-        return a
-    row_max = np.maximum(a.row_max, b.row_max)
-    wa = np.exp(a.row_max - row_max)
-    wb = np.exp(b.row_max - row_max)
-    return AttentionPartial(
-        out_partial=a.out_partial * wa[:, None] + b.out_partial * wb[:, None],
-        row_max=row_max,
-        row_sumexp=a.row_sumexp * wa + b.row_sumexp * wb,
-    )
+    out = weighted_value_sum(expw[None], v_chunk[None, :valid])[0]
+    return AttentionPartial(out_partial=out, row_max=row_max, row_sumexp=expw.sum(axis=1))
 
 
 def combine_partials(partials: list[AttentionPartial]) -> np.ndarray:
@@ -179,22 +141,22 @@ def flexhead_attention(
 ) -> np.ndarray:
     """Chunked attention of one query [n_q, d_head] over a KV cache.
 
-    In half-K mode the cache holds unexpanded d_k_head vectors; each chunk is
-    expanded with ``w.w_k_expand`` as it is loaded.  Output equals the naive
-    group-shared attention over the same data for every chunking.
+    In half-K mode the cache holds unexpanded d_k_head vectors; the query is
+    mapped once with ``q @ w.w_k_expand.T`` and scored against them directly.
+    Output equals the naive attention over the same data for every chunking.
     """
     if plan.length != cache.len:
         raise ShapeError(f"plan covers {plan.length} positions, cache holds {cache.len}")
-    if cfg.half_k and (w is None or w.w_k_expand is None):
-        raise ConfigError("half-K config needs weights with w_k_expand to load chunks")
+    if cfg.half_k:
+        if w is None or w.w_k_expand is None:
+            raise ConfigError("half-K config needs weights with w_k_expand to score the cache")
+        q = q @ w.w_k_expand.T
     if causal_limit is None:
         causal_limit = cache.len
     k_store, v_store = cache.view()
     partials = []
     for start, end in plan.boundaries:
         k_chunk = k_store[batch_index, start:end]
-        if cfg.half_k:
-            k_chunk = expand_k_dim(k_chunk, w)
         v_chunk = v_store[batch_index, start:end]
         partials.append(
             split_attend(q, k_chunk, v_chunk, (start, end), cfg.softmax_scale_dim, causal_limit)

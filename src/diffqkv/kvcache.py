@@ -84,16 +84,6 @@ class DifferentialKVCache:
         v_elements = self.batch * self.len * self.cfg.n_v_heads * self.cfg.d_head
         return CacheFootprint(k_elements, v_elements, k_elements + v_elements)
 
-    def footprint_csv_row(self, config_name: str, bytes_per_element: int = 8) -> str:
-        fp = self.footprint()
-        return (
-            f"{config_name},{self.batch},{self.len},"
-            f"{fp.k_elements},{fp.v_elements},{fp.total},{fp.total * bytes_per_element}"
-        )
-
-
-FOOTPRINT_CSV_HEADER = "config,batch,len,k_elements,v_elements,total_elements,bytes"
-
 
 def cache_new(cfg: ValidatedConfig, batch: int, capacity: int) -> DifferentialKVCache:
     return DifferentialKVCache(cfg, batch, capacity)

@@ -4,9 +4,11 @@ One block = RMS pre-norm -> DiffQKV attention -> residual -> RMS pre-norm ->
 gated (SiLU) FFN -> residual.  Rotary embedding inside attention, untied
 embedding and output head, greedy decoding only.  The plain-numpy ``forward``
 is the inference/recompute path; ``forward_incremental`` drives per-layer
-differential KV caches and must agree with it token for token;
-``train_step`` runs the same architecture through the autodiff graph and
-applies a plain gradient-descent update.
+differential KV caches and must agree with it token for token.  Both attend
+with the grouped attention core over the stored K/V head counts, the half-K
+expansion absorbed into the query, so K/V are never duplicated to n_q heads
+or expanded.  ``train_step`` runs the same architecture through the autodiff
+graph and applies a plain gradient-descent update.
 
 ``forward``/``decode`` are pure given the model and cache ownership;
 ``train_step`` mutates the model in place and is single-threaded per model.
@@ -24,8 +26,6 @@ from .attention import (
     apply_rope,
     attention_output,
     attention_scores,
-    expand_k_dim,
-    group_share,
     init_attention_weights,
     naive_diffqkv_attention,
     project_qkv,
@@ -163,16 +163,12 @@ def forward_incremental(
             h = _rms_norm(x, blk.norm_attn)
             q, k, v = project_qkv(h, blk.attn, acfg)
             q, k = apply_rope(q, k, [pos], acfg.rope_theta)
-            cache.append(k, v)  # half-K mode caches the unexpanded vectors
-            k_view, v_view = cache.view()
             if acfg.half_k:
-                k_view = expand_k_dim(k_view, blk.attn)
-            k_shared = group_share(k_view, acfg.n_q_heads)
-            v_shared = group_share(v_view, acfg.n_q_heads)
-            alpha = attention_scores(
-                q[:, 0], k_shared, acfg.softmax_scale_dim, cache.len
-            )
-            x = x + attention_output(alpha, v_shared, blk.attn.w_o)[:, None, :]
+                q = q @ blk.attn.w_k_expand.T  # score the stored d_k keys directly
+            cache.append(k, v)
+            k_view, v_view = cache.view()
+            alpha = attention_scores(q[:, 0], k_view, acfg.softmax_scale_dim, cache.len)
+            x = x + attention_output(alpha, v_view, blk.attn.w_o)[:, None, :]
             x = x + _ffn(_rms_norm(x, blk.norm_ffn), blk)
         logits[:, i] = (_rms_norm(x, model.norm_final) @ model.head)[:, 0]
     return logits

@@ -22,12 +22,14 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import DiffQKVError
+
 MAGIC = b"DQKV"
 VERSION = 1
 
 
-class ContainerFormatError(ValueError):
-    pass
+class ContainerFormatError(DiffQKVError, ValueError):
+    """The file is not a well-formed tensor container."""
 
 
 def write_tensors(path, tensors: Mapping[str, np.ndarray], config_text: str = "") -> None:

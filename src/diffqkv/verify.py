@@ -21,7 +21,6 @@ from .attention import (
     SelectivePolicy,
     apply_rope,
     attention_scores,
-    group_share,
     init_attention_weights,
     naive_diffqkv_attention,
     project_qkv,
@@ -166,7 +165,7 @@ def check_degenerate_mha(instances: int = 50, seed: int = 7) -> PropertyResult:
 
 
 def check_grouped_duplication(instances: int = 50, seed: int = 11) -> PropertyResult:
-    """Group-shared attention equals a reference built by explicit duplication."""
+    """Grouped attention equals a reference built by explicit head duplication."""
     rng = np.random.default_rng(seed)
     max_err = 0.0
     for i in range(instances):
@@ -219,7 +218,7 @@ def check_selective_v(instances: int = 100, seed: int = 13) -> PropertyResult:
 
 
 def check_group_balance(instances: int = 30, seed: int = 17) -> PropertyResult:
-    """Balanced (duplicated) stores attend identically to group sharing."""
+    """Balanced (duplicated) stores attend identically to the native-head stores."""
     rng = np.random.default_rng(seed)
     max_err = 0.0
     for i in range(instances):
@@ -233,8 +232,7 @@ def check_group_balance(instances: int = 30, seed: int = 17) -> PropertyResult:
             k_bal, v_bal = kv_group_balance(k, v)
 
         def attend(kk, vv):
-            alpha = attention_scores(q, group_share(kk, n_q), d, t)
-            return weighted_value_sum(alpha, group_share(vv, n_q))
+            return weighted_value_sum(attention_scores(q, kk, d, t), vv)
 
         err = float(np.max(np.abs(attend(k, v) - attend(k_bal, v_bal))))
         max_err = max(max_err, err)
@@ -389,8 +387,7 @@ def check_incremental_matches_direct(instances: int = 20, seed: int = 29) -> Pro
         k_view, v_view = cache.view()
 
         def attend(kk, vv):
-            alpha = attention_scores(q, group_share(kk, cfg.n_q_heads), cfg.d_head, t)
-            return weighted_value_sum(alpha, group_share(vv, cfg.n_q_heads))
+            return weighted_value_sum(attention_scores(q, kk, cfg.d_head, t), vv)
 
         direct = attend(k, v)
         incremental = attend(k_view, v_view)

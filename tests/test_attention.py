@@ -10,9 +10,8 @@ from diffqkv.attention import (
     apply_rope,
     attention_output,
     attention_scores,
+    attention_logits,
     augment_q,
-    expand_k_dim,
-    group_share,
     init_attention_weights,
     naive_diffqkv_attention,
     project_qkv,
@@ -21,7 +20,7 @@ from diffqkv.attention import (
     weighted_value_sum,
 )
 from diffqkv.config import AttentionConfig, PRESETS, validate_config
-from diffqkv.errors import ConfigError, DimensionError, DivisibilityError, ShapeError
+from diffqkv.errors import ConfigError, DimensionError, ShapeError
 from diffqkv.reference import vanilla_mha_attention
 
 from oracles import brute_force_diffqkv
@@ -126,42 +125,101 @@ class TestRope:
             assert_allclose(norms_after, norms_before, atol=1e-12)
 
 
+class TestGroupedCore:
+    """The core addresses K/V at native head counts; compare explicit duplication."""
+
+    @pytest.mark.parametrize("n_q,n_k,n_v", [(32, 4, 16), (32, 16, 4), (8, 1, 8), (8, 8, 1)])
+    def test_matches_repeat_reference(self, n_q, n_k, n_v):
+        rng = np.random.default_rng(n_q * 100 + n_k * 10 + n_v)
+        b, t, limit, d, d_v = 2, 11, 7, 6, 5
+        q = rng.normal(size=(b, n_q, d))
+        k = rng.normal(size=(b, t, n_k, d))
+        v = rng.normal(size=(b, t, n_v, d_v))
+        k_rep = np.repeat(k, n_q // n_k, axis=2)
+        v_rep = np.repeat(v, n_q // n_v, axis=2)
+        logits = np.einsum("bhd,bthd->bht", q, k_rep) / math.sqrt(d)
+        logits[..., limit:] = -np.inf
+        want_alpha = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        want_alpha /= want_alpha.sum(axis=-1, keepdims=True)
+
+        alpha = attention_scores(q, k, d, limit)
+        assert_allclose(alpha, want_alpha, rtol=0, atol=1e-12)
+        assert_allclose(
+            weighted_value_sum(alpha, v),
+            np.einsum("bht,bthd->bhd", want_alpha, v_rep),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_half_k_absorption_matches_expanded_keys(self):
+        cfg = make_cfg(d_k_head=2)
+        w = init_attention_weights(cfg, 32, seed=3)
+        x = np.random.default_rng(3).normal(size=(2, 9, 32))
+        q, k, _ = project_qkv(x, w, cfg)
+        q, k = apply_rope(q, k, np.arange(9), cfg.rope_theta)
+        for pos in (0, 4, 8):
+            absorbed = attention_logits(q[:, pos] @ w.w_k_expand.T, k, cfg.softmax_scale_dim)
+            expanded = attention_logits(q[:, pos], k @ w.w_k_expand, cfg.softmax_scale_dim)
+            assert_allclose(absorbed, expanded, rtol=0, atol=1e-12)
+
+
+
 class TestExpandK:
+    """Half-K keys are scored by absorbing w_k_expand into the query."""
+
     def test_hand_product(self):
         cfg = make_cfg(d_head=2, d_k_head=1)
         w = init_attention_weights(cfg, 16, seed=0)
         w.w_k_expand = np.array([[2.0, 3.0]])
-        assert_array_equal(expand_k_dim(np.array([5.0])[None], w), [[10.0, 15.0]])
+        q = np.array([[[1.0, -1.0]]])  # [b=1, n_q=1, d_head=2]
+        k = np.array([[[[5.0]]]])  # [b=1, t=1, n_k=1, d_k_head=1]; expands to [10, 15]
+        assert_array_equal(attention_logits(q @ w.w_k_expand.T, k, 1), [[[-5.0]]])
 
     def test_zero_k(self):
         cfg = make_cfg(d_head=4, d_k_head=2)
         w = init_attention_weights(cfg, 32, seed=0)
-        assert not expand_k_dim(np.zeros((1, 3, 2, 2)), w).any()
+        q = np.random.default_rng(0).normal(size=(1, 8, 4))
+        alpha = attention_scores(q @ w.w_k_expand.T, np.zeros((1, 3, 2, 2)), cfg.softmax_scale_dim, 3)
+        assert_allclose(alpha, np.full((1, 8, 3), 1.0 / 3.0), rtol=0, atol=1e-15)
 
     def test_full_dim_has_no_layer(self):
-        w = init_attention_weights(make_cfg(), 32, seed=0)
-        with pytest.raises(ConfigError):
-            expand_k_dim(np.zeros((1, 1, 2, 4)), w)
+        cfg = make_cfg()
+        w = init_attention_weights(cfg, 32, seed=0)
+        assert w.w_k_expand is None
+        x = np.random.default_rng(0).normal(size=(1, 3, 32))
+        assert np.isfinite(naive_diffqkv_attention(x, w, cfg)).all()
 
 
 class TestGroupShare:
+    """Query head h reads K/V head floor(h * n_src / n_q) without duplicating it."""
+
     def test_block_duplication(self):
+        alpha = np.ones((1, 4, 1))  # [b=1, n_q=4, t=1]
         heads = np.array([[[[1.0], [2.0]]]])  # [b=1, t=1, n_src=2, d=1]
-        shared = group_share(heads, 4)
-        assert_array_equal(shared[0, 0, :, 0], [1.0, 1.0, 2.0, 2.0])
+        assert_array_equal(weighted_value_sum(alpha, heads)[0, :, 0], [1.0, 1.0, 2.0, 2.0])
 
     def test_identity_when_counts_match(self):
-        heads = np.random.default_rng(0).normal(size=(1, 2, 4, 3))
-        assert group_share(heads, 4) is heads
+        rng = np.random.default_rng(0)
+        alpha = rng.random((1, 4, 2))
+        heads = rng.normal(size=(1, 2, 4, 3))
+        assert_allclose(
+            weighted_value_sum(alpha, heads),
+            np.einsum("bht,bthd->bhd", alpha, heads),
+            rtol=0,
+            atol=1e-15,
+        )
 
     def test_eight_way_blocks(self):
+        # unit queries read each K head's single coordinate as their logit
+        q = np.ones((1, 32, 1))
         heads = np.arange(4.0).reshape(1, 1, 4, 1)
-        shared = group_share(heads, 32)
-        assert_array_equal(shared[0, 0, :, 0], np.repeat(np.arange(4.0), 8))
+        assert_array_equal(attention_logits(q, heads, 1)[0, :, 0], np.repeat(np.arange(4.0), 8))
 
     def test_divisibility(self):
-        with pytest.raises(DivisibilityError):
-            group_share(np.zeros((1, 1, 3, 2)), 8)
+        with pytest.raises(ShapeError):
+            attention_scores(np.zeros((1, 8, 3)), np.zeros((1, 4, 3, 3)), 3, 4)
+        with pytest.raises(ShapeError):
+            weighted_value_sum(np.zeros((1, 8, 1)), np.zeros((1, 1, 3, 2)))
 
 
 class TestScoresAndOutput:
@@ -224,7 +282,8 @@ class TestNaiveAttention:
         w = init_attention_weights(cfg, 32, seed=7)
         x = np.random.default_rng(7).normal(size=(1, 1, 32))
         _, _, v = project_qkv(x, w, cfg)
-        expected = group_share(v, cfg.n_q_heads)[0, 0].reshape(1, -1) @ w.w_o
+        v_rep = np.repeat(v, cfg.n_q_heads // cfg.n_v_heads, axis=2)
+        expected = v_rep[0, 0].reshape(1, -1) @ w.w_o
         assert_allclose(naive_diffqkv_attention(x, w, cfg)[0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("kwargs", [

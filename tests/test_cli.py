@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-import diffqkv.kernel
+import diffqkv.attention
 from diffqkv.cli import main
 from diffqkv.config import format_config_text, toy_preset
 
@@ -17,16 +18,16 @@ class TestVerifyCommand:
         assert "unknown suite" in capsys.readouterr().err
 
     def test_corrupted_head_map_fails_equivalence(self, monkeypatch, capsys):
-        real = diffqkv.kernel.head_index_map
+        real = diffqkv.attention._query_groups
 
-        def corrupted(idx_q, n_q, n_i):
-            value = real(idx_q, n_q, n_i)
-            return (value + 1) % n_i if n_i > 1 else value
+        def corrupted(rows, n_src):
+            # Serve each block of query heads from the next K/V head.
+            return np.roll(real(rows, n_src), 1, axis=1)
 
-        monkeypatch.setattr(diffqkv.kernel, "head_index_map", corrupted)
+        monkeypatch.setattr(diffqkv.attention, "_query_groups", corrupted)
         assert main(["verify", "--suite", "equivalence", "--instances", "8"]) == 1
         out = capsys.readouterr().out
-        assert "[FAIL] flexhead_attention == naive reference" in out
+        assert "[FAIL] grouped-attention duplication equivalence" in out
 
 
 class TestCostCommand:
@@ -87,6 +88,12 @@ class TestTrainAndDecode:
         ckpt = tmp_path / "toy.ckpt"
         main(["train-toy", "--steps", "1", "--batch", "2", "--seq-len", "6", "--out", str(ckpt)])
         assert main(["decode", "--checkpoint", str(ckpt), "--prompt", "abc", "--n", "2"]) == 2
+
+    def test_decode_bad_magic_exit_1(self, tmp_path, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(b"NOPE" + bytes(12))
+        assert main(["decode", "--checkpoint", str(ckpt), "--prompt", "1 2", "--n", "2"]) == 1
+        assert "error: bad magic" in capsys.readouterr().err
 
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         def run():

@@ -2,10 +2,8 @@ import pytest
 
 from diffqkv.config import (
     AttentionConfig,
-    AttentionMode,
     ModelConfig,
     PRESETS,
-    attention_mode,
     format_config_text,
     parse_config_text,
     resolve_config,
@@ -81,30 +79,6 @@ class TestValidate:
         cfg = attn(8, 2, 4, d_head=6)
         assert cfg.d_k_head == 6
         assert cfg.softmax_scale_dim == 6
-
-
-class TestAttentionMode:
-    @pytest.mark.parametrize("heads,mode", [
-        ((32, 32, 32), AttentionMode.MHA),
-        ((32, 1, 1), AttentionMode.MQA),
-        ((32, 16, 16), AttentionMode.GQA),
-        ((32, 4, 16), AttentionMode.DIFF_QKV),
-        ((1, 1, 1), AttentionMode.MHA),
-        ((32, 4, 4), AttentionMode.GQA),
-        ((32, 16, 4), AttentionMode.DIFF_QKV),
-        ((8, 8, 4), AttentionMode.DIFF_QKV),
-    ])
-    def test_classification(self, heads, mode):
-        assert attention_mode(validate_config(attn(*heads))) is mode
-
-    def test_partition(self):
-        # every valid head combination lands in exactly one mode
-        for n_q in (1, 2, 8, 32):
-            for n_k in (1, 2, 8, 32):
-                for n_v in (1, 2, 8, 32):
-                    if n_q % n_k or n_q % n_v:
-                        continue
-                    assert attention_mode(validate_config(attn(n_q, n_k, n_v))) in AttentionMode
 
 
 class TestConfigFiles:

@@ -7,20 +7,17 @@ from numpy.testing import assert_allclose, assert_array_equal
 from diffqkv.attention import (
     apply_rope,
     attention_scores,
-    group_share,
     init_attention_weights,
     project_qkv,
     weighted_value_sum,
 )
 from diffqkv.config import AttentionConfig, validate_config
-from diffqkv.errors import DivisibilityError, EmptyInputError, ShapeError
+from diffqkv.errors import EmptyInputError, ShapeError
 from diffqkv.kernel import (
     AttentionPartial,
     ChunkPlan,
     combine_partials,
     flexhead_attention,
-    head_index_map,
-    merge_partials,
     split_attend,
 )
 from diffqkv.kvcache import cache_new
@@ -41,42 +38,13 @@ def fill_cache(cfg, k, v):
 
 
 def naive_heads(q, k, v, cfg, causal_limit, w=None):
-    """Group-share reference for per-head outputs [n_q, d_head]."""
+    """Explicit-duplication reference for per-head outputs [n_q, d_head]."""
     if cfg.half_k:
         k = k @ w.w_k_expand
-    k_shared = group_share(k, cfg.n_q_heads)
-    v_shared = group_share(v, cfg.n_q_heads)
-    alpha = attention_scores(q[None], k_shared, cfg.softmax_scale_dim, causal_limit)
-    return weighted_value_sum(alpha, v_shared)[0]
-
-
-class TestHeadIndexMap:
-    @pytest.mark.parametrize("idx_q,n_q,n_i,expected", [
-        (8, 32, 4, 1),     # query head 8 of 32 maps to K head 1 of 4
-        (31, 32, 16, 15),  # floor(31 * 16 / 32) = 15
-        (0, 32, 4, 0),
-        (7, 32, 4, 0),
-        (3, 8, 8, 3),      # identity when counts match
-    ])
-    def test_values(self, idx_q, n_q, n_i, expected):
-        assert head_index_map(idx_q, n_q, n_i) == expected
-
-    def test_range_error(self):
-        with pytest.raises(IndexError):
-            head_index_map(32, 32, 4)
-        with pytest.raises(IndexError):
-            head_index_map(-1, 32, 4)
-
-    def test_divisibility_error(self):
-        with pytest.raises(DivisibilityError):
-            head_index_map(0, 32, 5)
-
-    @pytest.mark.parametrize("n_q,n_i", [(32, 4), (32, 16), (8, 1), (8, 8)])
-    def test_floor_semantics(self, n_q, n_i):
-        targets = [head_index_map(i, n_q, n_i) for i in range(n_q)]
-        assert targets == sorted(targets)  # non-decreasing
-        for head in range(n_i):
-            assert targets.count(head) == n_q // n_i
+    k_rep = np.repeat(k, cfg.n_q_heads // cfg.n_k_heads, axis=2)
+    v_rep = np.repeat(v, cfg.n_q_heads // cfg.n_v_heads, axis=2)
+    alpha = attention_scores(q[None], k_rep, cfg.softmax_scale_dim, causal_limit)
+    return weighted_value_sum(alpha, v_rep)[0]
 
 
 class TestChunkPlan:
@@ -192,9 +160,24 @@ class TestSplitCombine:
         base = combine_partials(parts)
         shuffled = [parts[i] for i in (2, 0, 3, 1)]
         assert_allclose(combine_partials(shuffled), base, atol=1e-9)
-        # tree reduction via pairwise merges
-        merged = merge_partials(merge_partials(parts[0], parts[1]), merge_partials(parts[2], parts[3]))
-        assert_allclose(combine_partials([merged]), base, atol=1e-9)
+
+    @pytest.mark.parametrize("n_q,n_k,n_v", [(32, 4, 16), (32, 16, 4), (8, 1, 8), (8, 8, 1)])
+    def test_partial_matches_repeat_reference(self, n_q, n_k, n_v):
+        rng = np.random.default_rng(n_q * 100 + n_k * 10 + n_v)
+        c, limit, d, d_v = 9, 6, 6, 5
+        q = rng.normal(size=(n_q, d))
+        k = rng.normal(size=(c, n_k, d))
+        v = rng.normal(size=(c, n_v, d_v))
+        k_rep = np.repeat(k[:limit], n_q // n_k, axis=1)
+        v_rep = np.repeat(v[:limit], n_q // n_v, axis=1)
+        logits = np.einsum("hd,thd->ht", q, k_rep) / math.sqrt(d)
+        row_max = logits.max(axis=1)
+        expw = np.exp(logits - row_max[:, None])
+
+        p = split_attend(q, k, v, (0, c), d, limit)
+        assert_allclose(p.row_max, row_max, rtol=0, atol=1e-12)
+        assert_allclose(p.row_sumexp, expw.sum(axis=1), rtol=0, atol=1e-12)
+        assert_allclose(p.out_partial, np.einsum("ht,thd->hd", expw, v_rep), rtol=0, atol=1e-12)
 
 
 class TestFlexheadAttention:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from diffqkv.attention import attention_scores, group_share, weighted_value_sum
+from diffqkv.attention import attention_scores, weighted_value_sum
 from diffqkv.config import AttentionConfig, PRESETS, validate_config
 from diffqkv.errors import (
     CapacityError,
@@ -13,7 +13,7 @@ from diffqkv.errors import (
     DivisibilityError,
     ShapeError,
 )
-from diffqkv.kvcache import FOOTPRINT_CSV_HEADER, cache_new, kv_group_balance
+from diffqkv.kvcache import cache_new, kv_group_balance
 
 SIGMA = PRESETS["sigma-1.5b"].attention
 GQA16 = PRESETS["gqa-16"].attention
@@ -132,14 +132,6 @@ class TestFootprint:
             ratio = Fraction(sigma.footprint().total, gqa.footprint().total)
             assert ratio == Fraction(5, 8)
 
-    def test_csv_row(self):
-        cfg = SIGMA
-        cache = cache_new(cfg, batch=1, capacity=4)
-        cache.append(np.zeros((1, 1, 4, 64)), np.zeros((1, 1, 16, 64)))
-        row = cache.footprint_csv_row("sigma-1.5b")
-        assert FOOTPRINT_CSV_HEADER.count(",") == row.count(",")
-        assert row == "sigma-1.5b,1,1,256,1024,1280,10240"
-
 
 class TestIncrementalConsistency:
     def test_view_attention_bit_identical_to_direct(self):
@@ -155,8 +147,9 @@ class TestIncrementalConsistency:
         k_view, v_view = cache.view()
 
         def attend(kk, vv):
-            alpha = attention_scores(q, group_share(kk, 8), cfg.softmax_scale_dim, t)
-            return weighted_value_sum(alpha, group_share(vv, 8))
+            k_rep = np.repeat(kk, 8 // kk.shape[2], axis=2)
+            alpha = attention_scores(q, k_rep, cfg.softmax_scale_dim, t)
+            return weighted_value_sum(alpha, np.repeat(vv, 8 // vv.shape[2], axis=2))
 
         assert_array_equal(attend(k_view, v_view), attend(k, v))
 
@@ -202,7 +195,8 @@ class TestGroupBalance:
             k_bal, v_bal = kv_group_balance(k, v)
 
         def attend(kk, vv):
-            alpha = attention_scores(q, group_share(kk, 8), cfg.softmax_scale_dim, t)
-            return weighted_value_sum(alpha, group_share(vv, 8))
+            k_rep = np.repeat(kk, 8 // kk.shape[2], axis=2)
+            alpha = attention_scores(q, k_rep, cfg.softmax_scale_dim, t)
+            return weighted_value_sum(alpha, np.repeat(vv, 8 // vv.shape[2], axis=2))
 
         assert_allclose(attend(k_bal, v_bal), attend(k, v), atol=1e-12)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,26 @@ class TestDecode:
         caches = make_caches(model, batch=1, capacity=9)
         incremental = forward_incremental(model, tokens, caches, start_pos=0)
         assert_allclose(incremental, forward(model, tokens), atol=1e-10)
+
+    def test_decode_step_does_not_reinflate_cache(self):
+        # 32/4/16 heads in half-K mode: duplicating K/V to 32 heads, or expanding
+        # K to d_head, would allocate several times the cache's own bytes.
+        attn = AttentionConfig(n_q_heads=32, n_k_heads=4, n_v_heads=16, d_head=16, d_k_head=8)
+        cfg = ModelConfig(
+            attention=attn, n_layers=1, d_model=512, d_ffn=512, vocab_size=64, max_seq_len=1024
+        )
+        model = init_model(cfg, seed=7)
+        prompt = np.random.default_rng(7).integers(0, 64, size=(1, 512))
+        caches = make_caches(model, batch=1, capacity=513)
+        forward_incremental(model, prompt, caches, start_pos=0)
+        tracemalloc.start()
+        try:
+            forward_incremental(model, np.array([[3]]), caches, start_pos=512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cache_bytes = sum(c.footprint().total for c in caches) * 8
+        assert peak <= cache_bytes, f"decode step peak {peak} B > cache {cache_bytes} B"
 
 
 class TestTraining:
