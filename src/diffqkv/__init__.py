@@ -13,6 +13,7 @@ from .attention import (
     attention_output,
     attention_scores,
     augment_q,
+    cached_attention,
     init_attention_weights,
     naive_diffqkv_attention,
     project_qkv,
@@ -69,6 +70,7 @@ __all__ = [
     "attention_scores",
     "augment_q",
     "cache_new",
+    "cached_attention",
     "combine_partials",
     "crossover_prefix",
     "decode",

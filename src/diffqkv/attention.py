@@ -1,17 +1,17 @@
-"""Reference implementation of DiffQKV attention as pure functions.
-
-Everything here operates on plain float64 ``numpy`` arrays and is free of
-side effects, so any function may be called concurrently.  The composition
-``naive_diffqkv_attention`` is the correctness oracle every other attention
-path in the package (chunked kernel, incremental decode, selective V) is
-measured against.
+"""Reference implementation of DiffQKV attention over plain float64 arrays.
 
 One attention core serves every path: ``attention_logits``/``attention_scores``
 and ``weighted_value_sum`` take K and V at their stored head counts and address
 them by viewing the n_q query rows as groups, one group per K (or V) head, so
-no head is ever duplicated.  In half-K mode the caller maps the rotated query
-into the stored K dimension with ``q @ w_k_expand.T`` (the expansion absorbed
-into the query), which is exact because rotary acts on K before expansion.
+no head is ever duplicated.  One composition, ``cached_attention``, projects
+new positions, rotates them, writes their K/V rows to a differential cache and
+attends over the cached prefix with that core; in half-K mode it maps the
+rotated query into the stored K dimension with ``q @ w_k_expand.T`` (the
+expansion absorbed into the query), which is exact because rotary acts on K
+before expansion.  The model's full forward, its incremental decode and the
+oracle ``naive_diffqkv_attention`` (``cached_attention`` over a throwaway cache,
+the reference for the chunked kernel) all run on it.  Apart from the cache a
+caller passes in, every function is free of side effects.
 
 Shapes follow the convention ``[batch, seq, heads, dim]``; weights are plain
 2-D matrices applied on the right (``x @ w``), bias-free throughout.
@@ -25,11 +25,19 @@ import numpy as np
 
 from .config import ValidatedConfig
 from .errors import ConfigError, DimensionError, ShapeError
+from .kvcache import DifferentialKVCache
+
+RMS_NORM_EPS = 1e-6
 
 
 def silu(x: np.ndarray) -> np.ndarray:
     """Sigmoid-weighted linear unit, x * sigmoid(x)."""
     return x / (1.0 + np.exp(-x))
+
+
+def _inverse_rms(x: np.ndarray) -> np.ndarray:
+    """1 / RMS over the last axis: the RMS-norm formula of the model and its autodiff twin."""
+    return 1.0 / np.sqrt(np.mean(x**2, axis=-1, keepdims=True) + RMS_NORM_EPS)
 
 
 @dataclass
@@ -72,6 +80,22 @@ class SelectivePolicy:
             raise ValueError(f"k_top must be >= 1, got {self.k_top}")
 
 
+def attention_weight_shapes(cfg: ValidatedConfig, d_model: int) -> dict[str, tuple[int, int]]:
+    """Shape of every projection one layer has, in ``AttentionWeights`` field order."""
+    q_heads, aug = cfg.n_q_heads * cfg.d_head, cfg.aug_q_dim
+    shapes = {
+        "w_q": (d_model, d_model if cfg.has_aug_q else q_heads),
+        "w_k": (d_model, cfg.n_k_heads * cfg.d_k_head),
+        "w_v": (d_model, cfg.n_v_heads * cfg.d_head),
+        "w_o": (q_heads, d_model),
+    }
+    if cfg.has_aug_q:
+        shapes.update(w_q_gate=(d_model, aug), w_q_up=(d_model, aug), w_q_down=(aug, q_heads))
+    if cfg.half_k:
+        shapes["w_k_expand"] = (cfg.d_k_head, cfg.d_head)
+    return shapes
+
+
 def init_attention_weights(
     cfg: ValidatedConfig, d_model: int | None = None, seed: int | np.random.Generator = 0
 ) -> AttentionWeights:
@@ -79,24 +103,8 @@ def init_attention_weights(
     if d_model is None:
         d_model = cfg.n_q_heads * cfg.d_head
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-    def w(rows, cols):
-        return rng.normal(0.0, 0.02, size=(rows, cols))
-
-    q_out = d_model if cfg.has_aug_q else cfg.n_q_heads * cfg.d_head
-    weights = AttentionWeights(
-        w_q=w(d_model, q_out),
-        w_k=w(d_model, cfg.n_k_heads * cfg.d_k_head),
-        w_v=w(d_model, cfg.n_v_heads * cfg.d_head),
-        w_o=w(cfg.n_q_heads * cfg.d_head, d_model),
-    )
-    if cfg.has_aug_q:
-        weights.w_q_gate = w(d_model, cfg.aug_q_dim)
-        weights.w_q_up = w(d_model, cfg.aug_q_dim)
-        weights.w_q_down = w(cfg.aug_q_dim, cfg.n_q_heads * cfg.d_head)
-    if cfg.half_k:
-        weights.w_k_expand = w(cfg.d_k_head, cfg.d_head)
-    return weights
+    shapes = attention_weight_shapes(cfg, d_model)
+    return AttentionWeights(**{name: rng.normal(0.0, 0.02, s) for name, s in shapes.items()})
 
 
 def augment_q(q_base: np.ndarray, w: AttentionWeights) -> np.ndarray:
@@ -241,28 +249,40 @@ def attention_output(alpha: np.ndarray, v: np.ndarray, w_o: np.ndarray) -> np.nd
     return o.reshape(b, -1) @ w_o
 
 
+def cached_attention(
+    x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig, cache: DifferentialKVCache
+) -> np.ndarray:
+    """Causal DiffQKV attention of s new positions, x [b, s, d_model] -> [b, s, d_model].
+
+    The new positions are ``cache.len .. cache.len + s - 1``: project ->
+    augmented Q -> rotary -> (half-K mode) K expansion absorbed into the query
+    -> one append of all s K/V rows to ``cache`` -> per query, grouped softmax
+    over the stored K heads up to its own position -> weighted sum of the
+    stored V heads -> output projection.
+    """
+    start = cache.len
+    q, k, v = project_qkv(x, w, cfg)
+    s = q.shape[1]
+    q, k = apply_rope(q, k, np.arange(start, start + s), cfg.rope_theta)
+    if cfg.half_k:
+        q = q @ w.w_k_expand.T
+    cache.append(k, v)
+    k_all, v_all = cache.view()
+
+    out = np.empty((q.shape[0], s, w.w_o.shape[1]))
+    for i in range(s):
+        end = start + i + 1
+        alpha = attention_scores(q[:, i], k_all[:, :end], cfg.softmax_scale_dim, end)
+        out[:, i] = attention_output(alpha, v_all[:, :end], w.w_o)
+    return out
+
+
 def naive_diffqkv_attention(
     x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig
 ) -> np.ndarray:
-    """Full causal DiffQKV attention over a sequence, position by position.
-
-    project -> augmented Q -> rotary -> (half-K mode) K expansion absorbed
-    into the query -> grouped softmax scores against the stored K heads ->
-    weighted sum of the stored V heads -> output projection.  This is the
-    reference oracle for the chunked kernel and the incremental decode path,
-    so it stays deliberately simple.
-    """
-    b, s, _ = x.shape
-    q, k, v = project_qkv(x, w, cfg)
-    q, k = apply_rope(q, k, np.arange(s), cfg.rope_theta)
-    if cfg.half_k:
-        q = q @ w.w_k_expand.T
-
-    out = np.empty((b, s, w.w_o.shape[1]))
-    for t in range(s):
-        alpha = attention_scores(q[:, t], k[:, : t + 1], cfg.softmax_scale_dim, t + 1)
-        out[:, t] = attention_output(alpha, v[:, : t + 1], w.w_o)
-    return out
+    """Causal attention over a whole sequence: the oracle for the chunked kernel."""
+    b, s = x.shape[:2]
+    return cached_attention(x, w, cfg, DifferentialKVCache(cfg, b, max(s, 1)))
 
 
 def select_top_k(alpha: np.ndarray, policy: SelectivePolicy) -> np.ndarray:

@@ -1,15 +1,18 @@
 """Small reverse-mode automatic differentiation over float64 numpy arrays.
 
 Just enough machinery for the toy causal LM: broadcast-aware add/mul, batched
-matmul, reshapes/transposes, head repetition, SiLU, RMS normalization, last-
-axis softmax, rotary embedding, embedding lookup and a fused shifted
-cross-entropy.  Nodes form an implicit DAG; ``backward`` walks it once in
-reverse topological order and accumulates gradients on leaves.
+matmul, reshapes/transposes, SiLU, RMS normalization, last-axis softmax,
+rotary embedding, embedding lookup and a fused shifted cross-entropy.  RMS
+normalization and rotary reuse the numpy formulas of :mod:`diffqkv.attention`.
+Nodes form an implicit DAG; ``backward`` walks it once in reverse topological
+order and accumulates gradients on leaves.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .attention import _inverse_rms, _rotate
 
 
 class Tensor:
@@ -143,22 +146,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     )
 
 
-def repeat_heads(a: Tensor, reps: int, axis: int) -> Tensor:
-    """np.repeat along ``axis`` (block head duplication for group sharing)."""
-    if reps == 1:
-        return a
-    out = np.repeat(a.data, reps, axis=axis)
-    n_src = a.data.shape[axis]
-
-    def vjp(g):
-        folded = g.reshape(
-            a.data.shape[:axis] + (n_src, reps) + a.data.shape[axis + 1 :]
-        )
-        return (folded.sum(axis=axis + 1),)
-
-    return Tensor(out, parents=(a,), vjp=vjp)
-
-
 def silu(a: Tensor) -> Tensor:
     sig = 1.0 / (1.0 + np.exp(-a.data))
     out = a.data * sig
@@ -170,13 +157,10 @@ def silu(a: Tensor) -> Tensor:
     )
 
 
-RMS_NORM_EPS = 1e-6
-
-
-def rms_norm(x: Tensor, scale: Tensor, eps: float = RMS_NORM_EPS) -> Tensor:
+def rms_norm(x: Tensor, scale: Tensor) -> Tensor:
     """Scale-only RMS normalization over the last axis."""
     d = x.data.shape[-1]
-    inv = 1.0 / np.sqrt(np.mean(x.data**2, axis=-1, keepdims=True) + eps)
+    inv = _inverse_rms(x.data)
     out = x.data * inv * scale.data
 
     def vjp(g):
@@ -203,22 +187,13 @@ def softmax_last(a: Tensor) -> Tensor:
 
 
 def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotary embedding of [..., s, n, d] given [s, d/2] angle tables."""
-    c = cos[:, None, :]
-    s = sin[:, None, :]
-    even, odd = x.data[..., 0::2], x.data[..., 1::2]
-    out = np.empty_like(x.data)
-    out[..., 0::2] = even * c - odd * s
-    out[..., 1::2] = even * s + odd * c
+    """Rotary embedding of [..., s, n, d] given [s, d/2] angle tables.
 
-    def vjp(g):
-        ge, go = g[..., 0::2], g[..., 1::2]
-        gx = np.empty_like(g)
-        gx[..., 0::2] = ge * c + go * s  # rotation transpose = rotate by -angle
-        gx[..., 1::2] = -ge * s + go * c
-        return (gx,)
-
-    return Tensor(out, parents=(x,), vjp=vjp)
+    The VJP is the transposed rotation, i.e. the rotation by -angle.
+    """
+    return Tensor(
+        _rotate(x.data, cos, sin), parents=(x,), vjp=lambda g: (_rotate(g, cos, -sin),)
+    )
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

@@ -98,8 +98,7 @@ class _ConfigFixture:
         k_t = rng.normal(size=(1, 1, cfg.n_k_heads, cfg.d_k_head))
         v_t = rng.normal(size=(1, 1, cfg.n_v_heads, cfg.d_head))
         self.k_t, self.v_t = k_t, v_t
-        for _ in range(max_s):
-            self.cache.append(k_t, v_t)
+        self.cache.append(np.repeat(k_t, max_s, axis=1), np.repeat(v_t, max_s, axis=1))
         self.k_buf = np.empty_like(self.cache._k)
         self.v_buf = np.empty_like(self.cache._v)
         self.q = rng.normal(size=(cfg.n_q_heads, cfg.d_head))

@@ -147,13 +147,18 @@ def _cmd_train_toy(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    model = load_checkpoint(args.checkpoint)
+    if args.n < 0:
+        raise UsageError(f"--n must be >= 0, got {args.n}")
     try:
         prompt = [int(tok) for tok in args.prompt.replace(",", " ").split()]
     except ValueError as exc:
         raise UsageError(f"prompt must be token ids, got {args.prompt!r}") from exc
     if not prompt:
         raise UsageError("prompt must contain at least one token id")
+    try:
+        model = load_checkpoint(args.checkpoint)
+    except OSError as exc:
+        raise UsageError(f"cannot read checkpoint: {exc}") from exc
     tokens = decode(model, prompt, args.n)
     print(" ".join(str(t) for t in tokens))
     return 0

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .errors import (
+    ConfigError,
     ConfigFileError,
     DimensionError,
     DivisibilityError,
@@ -97,7 +98,7 @@ def validate_config(
     """Check every structural invariant and return the config untouched.
 
     Raises:
-        ValueError: a field that must be positive is not, or aug_q_dim < 0.
+        ConfigError: a field that must be positive is not, or aug_q_dim < 0.
         DivisibilityError: n_q_heads is not an exact multiple of n_k_heads
             and n_v_heads (required by grouped K/V addressing).
         DimensionError: d_k_head > d_head, or (with a model config)
@@ -106,11 +107,11 @@ def validate_config(
     for name in _POSITIVE_ATTN_FIELDS:
         value = getattr(cfg, name)
         if not isinstance(value, int) or value <= 0:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
     if not isinstance(cfg.aug_q_dim, int) or cfg.aug_q_dim < 0:
-        raise ValueError(f"aug_q_dim must be a non-negative integer, got {cfg.aug_q_dim!r}")
+        raise ConfigError(f"aug_q_dim must be a non-negative integer, got {cfg.aug_q_dim!r}")
     if not cfg.rope_theta > 0:
-        raise ValueError(f"rope_theta must be positive, got {cfg.rope_theta!r}")
+        raise ConfigError(f"rope_theta must be positive, got {cfg.rope_theta!r}")
 
     if cfg.n_q_heads % cfg.n_k_heads != 0:
         raise DivisibilityError(
@@ -129,7 +130,7 @@ def validate_config(
         for name in _POSITIVE_MODEL_FIELDS:
             value = getattr(model, name)
             if not isinstance(value, int) or value <= 0:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if cfg.n_q_heads * cfg.d_head != model.d_model:
             raise DimensionError(
                 f"n_q_heads * d_head = {cfg.n_q_heads * cfg.d_head} "
@@ -155,24 +156,8 @@ def _preset(
     vocab_size: int = 128_256,
     max_seq_len: int = 4096,
 ) -> ModelConfig:
-    n_q, n_k, n_v = heads
-    attn = AttentionConfig(
-        n_q_heads=n_q,
-        n_k_heads=n_k,
-        n_v_heads=n_v,
-        d_head=d_head,
-        d_k_head=d_k_head,
-        aug_q_dim=aug_q_dim,
-        rope_theta=rope_theta,
-    )
-    return ModelConfig(
-        attention=attn,
-        n_layers=n_layers,
-        d_model=d_model,
-        d_ffn=d_ffn,
-        vocab_size=vocab_size,
-        max_seq_len=max_seq_len,
-    )
+    attn = AttentionConfig(*heads, d_head, d_k_head, aug_q_dim, rope_theta=rope_theta)
+    return ModelConfig(attn, n_layers, d_model, d_ffn, vocab_size, max_seq_len)
 
 
 # Named configurations.  The four head-count baselines use the 22-layer /
@@ -222,16 +207,13 @@ def toy_preset(name: str, half_k: bool = False) -> ModelConfig:
     """Desk-scale variant of a named preset, preserving its head pattern."""
     if name not in _TOY_HEADS:
         raise ConfigFileError(f"unknown preset {name!r}")
-    full = PRESETS[name]
-    n_q, n_k, n_v = _TOY_HEADS[name]
+    full = PRESETS[name].attention
     attn = AttentionConfig(
-        n_q_heads=n_q,
-        n_k_heads=n_k,
-        n_v_heads=n_v,
+        *_TOY_HEADS[name],
         d_head=4,
         d_k_head=2 if half_k else None,
-        aug_q_dim=48 if full.attention.has_aug_q else 0,
-        rope_theta=full.attention.rope_theta,
+        aug_q_dim=48 if full.has_aug_q else 0,
+        rope_theta=full.rope_theta,
     )
     return ModelConfig(
         attention=attn, n_layers=2, d_model=32, d_ffn=96, vocab_size=64, max_seq_len=512

@@ -47,6 +47,11 @@ class LengthError(DiffQKVError, ValueError):
     """A token sequence is longer than the model's max_seq_len."""
 
 
+class PositionError(DiffQKVError, ValueError):
+    """An incremental pass was given a start position other than the number of
+    positions its caches already hold."""
+
+
 class ConfigFileError(ConfigError):
     """A config file contains an unknown key, a malformed line, or is missing
     a required field."""

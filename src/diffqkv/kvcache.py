@@ -3,9 +3,10 @@
 K and V live in separate contiguous regions because their per-token sizes
 differ: K holds [b, len, n_k, d_k_head] and V holds [b, len, n_v, d_head].
 Capacity is reserved up front so element accounting is exact and deterministic.
-A cache has a single writer; the views handed out by :meth:`view` are
-read-only snapshots of the written prefix and stay valid across later appends
-(appended positions never mutate earlier ones).
+One append writes any number of new positions (a whole prompt, or one decode
+step) in a single copy per store.  A cache has a single writer; the views
+handed out by :meth:`view` are read-only snapshots of the written prefix and
+stay valid across later appends (appended positions never mutate earlier ones).
 """
 
 from __future__ import annotations
@@ -46,29 +47,25 @@ class DifferentialKVCache:
         self._k = np.zeros((batch, capacity, cfg.n_k_heads, cfg.d_k_head))
         self._v = np.zeros((batch, capacity, cfg.n_v_heads, cfg.d_head))
 
-    @property
-    def k_shape(self) -> tuple[int, ...]:
-        return (self.batch, self.len, self.cfg.n_k_heads, self.cfg.d_k_head)
+    def append(self, k: np.ndarray, v: np.ndarray) -> None:
+        """Store s positions at [len, len + s); k [b, s, n_k, d_k_head], v [b, s, n_v, d_head].
 
-    @property
-    def v_shape(self) -> tuple[int, ...]:
-        return (self.batch, self.len, self.cfg.n_v_heads, self.cfg.d_head)
-
-    def append(self, k_t: np.ndarray, v_t: np.ndarray) -> None:
-        """Store one position; k_t [b, 1, n_k, d_k_head], v_t [b, 1, n_v, d_head]."""
-        if self.len >= self.capacity:
+        A rejected append (bad shapes, or past capacity) leaves the cache unchanged.
+        """
+        s = k.shape[1] if k.ndim == 4 else -1
+        want_k = (self.batch, s, self.cfg.n_k_heads, self.cfg.d_k_head)
+        want_v = (self.batch, s, self.cfg.n_v_heads, self.cfg.d_head)
+        if k.shape != want_k:
+            raise ShapeError(f"k has shape {k.shape}, expected {want_k}")
+        if v.shape != want_v:
+            raise ShapeError(f"v has shape {v.shape}, expected {want_v}")
+        if self.len + s > self.capacity:
             raise CapacityExceededError(
-                f"cache is full (capacity {self.capacity})"
+                f"appending {s} positions to {self.len} exceeds capacity {self.capacity}"
             )
-        want_k = (self.batch, 1, self.cfg.n_k_heads, self.cfg.d_k_head)
-        want_v = (self.batch, 1, self.cfg.n_v_heads, self.cfg.d_head)
-        if k_t.shape != want_k:
-            raise ShapeError(f"k_t has shape {k_t.shape}, expected {want_k}")
-        if v_t.shape != want_v:
-            raise ShapeError(f"v_t has shape {v_t.shape}, expected {want_v}")
-        self._k[:, self.len] = k_t[:, 0]
-        self._v[:, self.len] = v_t[:, 0]
-        self.len += 1
+        self._k[:, self.len : self.len + s] = k
+        self._v[:, self.len : self.len + s] = v
+        self.len += s
 
     def view(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only views of the stored prefix: K [b, len, ...], V [b, len, ...]."""

@@ -2,13 +2,15 @@
 
 One block = RMS pre-norm -> DiffQKV attention -> residual -> RMS pre-norm ->
 gated (SiLU) FFN -> residual.  Rotary embedding inside attention, untied
-embedding and output head, greedy decoding only.  The plain-numpy ``forward``
-is the inference/recompute path; ``forward_incremental`` drives per-layer
-differential KV caches and must agree with it token for token.  Both attend
-with the grouped attention core over the stored K/V head counts, the half-K
-expansion absorbed into the query, so K/V are never duplicated to n_q heads
-or expanded.  ``train_step`` runs the same architecture through the autodiff
-graph and applies a plain gradient-descent update.
+embedding and output head, greedy decoding only.  One numpy block pass runs
+every layer's attention through :func:`diffqkv.attention.cached_attention`
+over that layer's differential KV cache: ``forward`` is the pass over fresh
+caches, and ``forward_incremental`` feeds it one position at a time, agreeing
+with ``forward`` token for token.  K/V stay at their stored head counts and
+the half-K expansion is absorbed into the query, so the cache is never
+duplicated to n_q heads or expanded.  ``train_step`` runs the same
+architecture through the autodiff graph, which also attends at native head
+counts, and applies a plain gradient-descent update.
 
 ``forward``/``decode`` are pure given the model and cache ownership;
 ``train_step`` mutates the model in place and is single-threaded per model.
@@ -23,20 +25,24 @@ import numpy as np
 from . import autodiff as ad
 from .attention import (
     AttentionWeights,
-    apply_rope,
-    attention_output,
-    attention_scores,
-    init_attention_weights,
-    naive_diffqkv_attention,
-    project_qkv,
+    _inverse_rms,
+    attention_weight_shapes,
+    cached_attention,
     rope_angles,
     silu,
 )
-from .autodiff import RMS_NORM_EPS
 from .config import ModelConfig, format_config_text, parse_config_text, validate_model_config
-from .errors import CapacityExceededError, LengthError, TokenRangeError
+from .errors import (
+    CapacityExceededError,
+    LengthError,
+    PositionError,
+    ShapeError,
+    TokenRangeError,
+)
 from .kvcache import DifferentialKVCache
-from .tensorio import read_tensors, write_tensors
+from .tensorio import ContainerFormatError, read_tensors, write_tensors
+
+_BLOCK_TENSORS = ("w_ffn_gate", "w_ffn_up", "w_ffn_down", "norm_attn", "norm_ffn")
 
 
 @dataclass
@@ -60,57 +66,60 @@ class ToyModel:
     def named_tensors(self) -> dict[str, np.ndarray]:
         out = {"embedding": self.embedding}
         for i, blk in enumerate(self.blocks):
-            prefix = f"blocks.{i}."
-            out.update(blk.attn.named_tensors(prefix + "attn."))
-            out[prefix + "w_ffn_gate"] = blk.w_ffn_gate
-            out[prefix + "w_ffn_up"] = blk.w_ffn_up
-            out[prefix + "w_ffn_down"] = blk.w_ffn_down
-            out[prefix + "norm_attn"] = blk.norm_attn
-            out[prefix + "norm_ffn"] = blk.norm_ffn
-        out["norm_final"] = self.norm_final
-        out["head"] = self.head
+            out.update(blk.attn.named_tensors(f"blocks.{i}.attn."))
+            out.update((f"blocks.{i}.{name}", getattr(blk, name)) for name in _BLOCK_TENSORS)
+        out.update(norm_final=self.norm_final, head=self.head)
         return out
+
+
+def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter, in the order ``init_model`` draws them."""
+    d, f = cfg.d_model, cfg.d_ffn
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i in range(cfg.n_layers):
+        attn = attention_weight_shapes(cfg.attention, d)
+        shapes.update((f"blocks.{i}.attn.{name}", shape) for name, shape in attn.items())
+        block = zip(_BLOCK_TENSORS, ((d, f), (d, f), (f, d), (d,), (d,)))
+        shapes.update((f"blocks.{i}.{name}", shape) for name, shape in block)
+    shapes.update(embedding=(cfg.vocab_size, d), norm_final=(d,), head=(d, cfg.vocab_size))
+    return shapes
+
+
+def _assemble(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> ToyModel:
+    """Build a model around the named arrays of ``_tensor_shapes(cfg)`` (no copies)."""
+
+    def block(i: int) -> TransformerBlock:
+        attn = attention_weight_shapes(cfg.attention, cfg.d_model)
+        return TransformerBlock(
+            AttentionWeights(**{name: tensors[f"blocks.{i}.attn.{name}"] for name in attn}),
+            *(tensors[f"blocks.{i}.{name}"] for name in _BLOCK_TENSORS),
+        )
+
+    blocks = [block(i) for i in range(cfg.n_layers)]
+    return ToyModel(cfg, tensors["embedding"], blocks, tensors["norm_final"], tensors["head"])
 
 
 def init_model(cfg: ModelConfig, seed: int = 0) -> ToyModel:
     """Seeded init: projections and embeddings N(0, 0.02), norm scales 1."""
-    validate_model_config(cfg)
     rng = np.random.default_rng(seed)
-    d, f = cfg.d_model, cfg.d_ffn
-    blocks = []
-    for _ in range(cfg.n_layers):
-        blocks.append(
-            TransformerBlock(
-                attn=init_attention_weights(cfg.attention, d, rng),
-                w_ffn_gate=rng.normal(0.0, 0.02, (d, f)),
-                w_ffn_up=rng.normal(0.0, 0.02, (d, f)),
-                w_ffn_down=rng.normal(0.0, 0.02, (f, d)),
-                norm_attn=np.ones(d),
-                norm_ffn=np.ones(d),
-            )
-        )
-    return ToyModel(
-        config=cfg,
-        embedding=rng.normal(0.0, 0.02, (cfg.vocab_size, d)),
-        blocks=blocks,
-        norm_final=np.ones(d),
-        head=rng.normal(0.0, 0.02, (d, cfg.vocab_size)),
-    )
+    shapes = _tensor_shapes(validate_model_config(cfg))
+    # The norm scales are the only vectors.
+    draw = {n: np.ones(s) if len(s) == 1 else rng.normal(0.0, 0.02, s) for n, s in shapes.items()}
+    return _assemble(cfg, draw)
 
 
 def _rms_norm(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    inv = 1.0 / np.sqrt(np.mean(x**2, axis=-1, keepdims=True) + RMS_NORM_EPS)
-    return x * inv * scale
+    return x * _inverse_rms(x) * scale
 
 
 def _ffn(x: np.ndarray, blk: TransformerBlock) -> np.ndarray:
     return (silu(x @ blk.w_ffn_gate) * (x @ blk.w_ffn_up)) @ blk.w_ffn_down
 
 
-def _check_tokens(model: ToyModel, tokens: np.ndarray) -> np.ndarray:
+def _check_tokens(model: ToyModel, tokens) -> np.ndarray:
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
-        raise ValueError(f"tokens must be [batch, seq], got shape {tokens.shape}")
+        raise ShapeError(f"tokens must be [batch, seq], got shape {tokens.shape}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= model.config.vocab_size):
         raise TokenRangeError(
             f"token ids must lie in [0, {model.config.vocab_size})"
@@ -122,15 +131,20 @@ def _check_tokens(model: ToyModel, tokens: np.ndarray) -> np.ndarray:
     return tokens
 
 
+def _block_pass(model: ToyModel, x: np.ndarray, caches: list[DifferentialKVCache]) -> np.ndarray:
+    """Embedded inputs [b, s, d_model] at the caches' next positions -> logits [b, s, vocab]."""
+    acfg = model.config.attention
+    for blk, cache in zip(model.blocks, caches):
+        x = x + cached_attention(_rms_norm(x, blk.norm_attn), blk.attn, acfg, cache)
+        x = x + _ffn(_rms_norm(x, blk.norm_ffn), blk)
+    return _rms_norm(x, model.norm_final) @ model.head
+
+
 def forward(model: ToyModel, tokens) -> np.ndarray:
     """Full-context causal forward pass; tokens [b, s] -> logits [b, s, vocab]."""
     tokens = _check_tokens(model, tokens)
-    acfg = model.config.attention
-    x = model.embedding[tokens]
-    for blk in model.blocks:
-        x = x + naive_diffqkv_attention(_rms_norm(x, blk.norm_attn), blk.attn, acfg)
-        x = x + _ffn(_rms_norm(x, blk.norm_ffn), blk)
-    return _rms_norm(x, model.norm_final) @ model.head
+    b, s = tokens.shape
+    return _block_pass(model, model.embedding[tokens], make_caches(model, b, max(s, 1)))
 
 
 def make_caches(model: ToyModel, batch: int, capacity: int) -> list[DifferentialKVCache]:
@@ -146,31 +160,20 @@ def forward_incremental(
     caches: list[DifferentialKVCache],
     start_pos: int,
 ) -> np.ndarray:
-    """Process tokens one position at a time through the per-layer caches.
+    """Feed tokens [b, s] through the block pass one position at a time.
 
     Each position appends exactly one (k_t, v_t) pair to every layer's cache;
-    caches must already hold ``start_pos`` positions.  Returns logits for the
-    supplied positions only.
+    the caches must hold exactly ``start_pos`` positions.  Returns logits for
+    the supplied positions only.
     """
-    tokens = np.asarray(tokens)
-    acfg = model.config.attention
-    b, s_new = tokens.shape
-    logits = np.empty((b, s_new, model.config.vocab_size))
-    for i in range(s_new):
-        pos = start_pos + i
+    tokens = _check_tokens(model, tokens)
+    held = sorted({cache.len for cache in caches})
+    if held != [start_pos]:
+        raise PositionError(f"start_pos {start_pos} does not match the caches' length {held}")
+    logits = np.empty((*tokens.shape, model.config.vocab_size))
+    for i in range(tokens.shape[1]):
         x = model.embedding[tokens[:, i : i + 1]]  # [b, 1, d_model]
-        for blk, cache in zip(model.blocks, caches):
-            h = _rms_norm(x, blk.norm_attn)
-            q, k, v = project_qkv(h, blk.attn, acfg)
-            q, k = apply_rope(q, k, [pos], acfg.rope_theta)
-            if acfg.half_k:
-                q = q @ blk.attn.w_k_expand.T  # score the stored d_k keys directly
-            cache.append(k, v)
-            k_view, v_view = cache.view()
-            alpha = attention_scores(q[:, 0], k_view, acfg.softmax_scale_dim, cache.len)
-            x = x + attention_output(alpha, v_view, blk.attn.w_o)[:, None, :]
-            x = x + _ffn(_rms_norm(x, blk.norm_ffn), blk)
-        logits[:, i] = (_rms_norm(x, model.norm_final) @ model.head)[:, 0]
+        logits[:, i] = _block_pass(model, x, caches)[:, 0]
     return logits
 
 
@@ -188,10 +191,10 @@ def decode(
     _check_tokens(model, prompt)
     if n_new == 0:
         return prompt[0].copy()
+    if prompt.shape[1] + n_new > model.config.max_seq_len:
+        raise LengthError(f"prompt + n_new exceeds max_seq_len {model.config.max_seq_len}")
     if caches is None:
         caches = make_caches(model, 1, prompt.shape[1] + n_new)
-    if caches[0].len != 0:
-        raise ValueError("decode expects freshly created (empty) caches")
     if prompt.shape[1] + n_new > caches[0].capacity:
         raise CapacityExceededError(
             f"prompt ({prompt.shape[1]}) + n_new ({n_new}) exceeds cache capacity "
@@ -229,39 +232,41 @@ def as_parameter_tensors(model: ToyModel) -> dict[str, ad.Tensor]:
 def attention_graph(h: ad.Tensor, w: dict[str, ad.Tensor], acfg) -> ad.Tensor:
     """Causal DiffQKV attention over autodiff tensors; h is [b, s, d_model].
 
-    The full-matrix twin of :func:`diffqkv.attention.naive_diffqkv_attention`;
-    its forward values agree with the numpy reference, and its reverse pass
-    supplies the analytic gradients that finite differences are checked
-    against.
+    The autodiff twin of :func:`diffqkv.attention.naive_diffqkv_attention`,
+    at native head counts too: the query heads are reshaped into one group
+    per K (V) head and multiplied against that head alone, and in half-K mode
+    the K expansion is absorbed into the query.  Its forward values agree
+    with the numpy path, and its reverse pass supplies the analytic gradients
+    that finite differences are checked against.
     """
     b, s, _ = h.data.shape
+    n_q, n_k, n_v = acfg.n_q_heads, acfg.n_k_heads, acfg.n_v_heads
+    d, d_k = acfg.d_head, acfg.d_k_head
     positions = np.arange(s)
-    cos_q, sin_q = rope_angles(positions, acfg.d_head, acfg.rope_theta)
-    cos_k, sin_k = rope_angles(positions, acfg.d_k_head, acfg.rope_theta)
-    causal_mask = np.triu(np.full((s, s), -np.inf), k=1)
     inv_scale = 1.0 / np.sqrt(float(acfg.softmax_scale_dim))
 
     q_flat = h @ w["w_q"]
     if acfg.has_aug_q:
         gated = ad.silu(q_flat @ w["w_q_gate"]) * (q_flat @ w["w_q_up"])
         q_flat = gated @ w["w_q_down"]
-    q = ad.rope(ad.reshape(q_flat, (b, s, acfg.n_q_heads, acfg.d_head)), cos_q, sin_q)
-    k = ad.rope(
-        ad.reshape(h @ w["w_k"], (b, s, acfg.n_k_heads, acfg.d_k_head)), cos_k, sin_k
-    )
+    q = ad.rope(ad.reshape(q_flat, (b, s, n_q, d)), *rope_angles(positions, d, acfg.rope_theta))
     if acfg.half_k:
-        k = k @ w["w_k_expand"]
-    v = ad.reshape(h @ w["w_v"], (b, s, acfg.n_v_heads, acfg.d_head))
+        q = q @ ad.transpose(w["w_k_expand"], (1, 0))
+    k = ad.rope(
+        ad.reshape(h @ w["w_k"], (b, s, n_k, d_k)), *rope_angles(positions, d_k, acfg.rope_theta)
+    )
+    v = ad.reshape(h @ w["w_v"], (b, s, n_v, d))
 
-    k_shared = ad.repeat_heads(k, acfg.n_q_heads // acfg.n_k_heads, axis=2)
-    v_shared = ad.repeat_heads(v, acfg.n_q_heads // acfg.n_v_heads, axis=2)
-    q_t = ad.transpose(q, (0, 2, 1, 3))  # [b, h, s, d]
-    k_t = ad.transpose(k_shared, (0, 2, 3, 1))  # [b, h, d, s]
-    v_t = ad.transpose(v_shared, (0, 2, 1, 3))
-    scores = (q_t @ k_t) * inv_scale + causal_mask
-    alpha = ad.softmax_last(scores)
-    ctx = ad.transpose(alpha @ v_t, (0, 2, 1, 3))  # [b, s, h, d]
-    return ad.reshape(ctx, (b, s, acfg.n_q_heads * acfg.d_head)) @ w["w_o"]
+    # The rows of each group's query heads [b, n_k, n_q/n_k * s, d_k] against its keys,
+    # with one causal [s, s] mask per query head of the group.
+    q_rows = ad.reshape(ad.transpose(q, (0, 2, 1, 3)), (b, n_k, n_q // n_k * s, d_k))
+    k_t = ad.transpose(k, (0, 2, 3, 1))  # [b, n_k, d_k, s]
+    causal_mask = np.tile(np.triu(np.full((s, s), -np.inf), k=1), (n_q // n_k, 1))
+    scores = (q_rows @ k_t) * inv_scale + causal_mask
+    alpha = ad.reshape(ad.softmax_last(scores), (b, n_v, n_q // n_v * s, s))
+    v_t = ad.transpose(v, (0, 2, 1, 3))  # [b, n_v, s, d]
+    ctx = ad.transpose(ad.reshape(alpha @ v_t, (b, n_q, s, d)), (0, 2, 1, 3))  # [b, s, h, d]
+    return ad.reshape(ctx, (b, s, n_q * d)) @ w["w_o"]
 
 
 def forward_graph(params: dict[str, ad.Tensor], cfg: ModelConfig, tokens) -> ad.Tensor:
@@ -326,11 +331,21 @@ def save_checkpoint(model: ToyModel, path) -> None:
 
 
 def load_checkpoint(path) -> ToyModel:
+    """Load a ``save_checkpoint`` file around the arrays read from it.
+
+    A malformed file raises a DiffQKVError; a missing, unexpected or
+    mis-shaped tensor (shape None: absent) raises ContainerFormatError.
+    """
     config_text, tensors = read_tensors(path)
     cfg = parse_config_text(config_text)
     if not isinstance(cfg, ModelConfig):
-        raise ValueError("checkpoint config echo lacks the model block")
-    model = init_model(cfg, seed=0)
-    for name, arr in model.named_tensors().items():
-        arr[...] = tensors[name]
-    return model
+        raise ContainerFormatError("checkpoint config echo lacks the model block")
+    expected = _tensor_shapes(cfg)
+    found = {name: arr.shape for name, arr in tensors.items()}
+    for name in sorted(expected.keys() | found.keys()):
+        if found.get(name) != expected.get(name):
+            raise ContainerFormatError(
+                f"tensor {name!r}: the file has shape {found.get(name)}, "
+                f"its config needs {expected.get(name)}"
+            )
+    return _assemble(cfg, tensors)

@@ -17,6 +17,8 @@ Used both for standalone attention weights and toy-model checkpoints.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import Mapping
 
@@ -51,36 +53,51 @@ def write_tensors(path, tensors: Mapping[str, np.ndarray], config_text: str = ""
 
 
 def read_tensors(path) -> tuple[str, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise ContainerFormatError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    offset = 4
-    (version,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    if version != VERSION:
-        raise ContainerFormatError(f"unsupported container version {version}")
-    (echo_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    config_text = blob[offset : offset + echo_len].decode("utf-8")
-    offset += echo_len
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    """Read a container; every malformed file raises ContainerFormatError.
 
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        dims = struct.unpack_from(f"<{rank}Q", blob, offset)
-        offset += 8 * rank
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-        offset += 8 * size
-        tensors[name] = data.reshape(dims).astype(np.float64)
-    if offset != len(blob):
-        raise ContainerFormatError(f"{len(blob) - offset} trailing bytes")
+    Each tensor is read straight into its own float64 array.  Every declared
+    length is checked against the bytes left in the file before it is read or
+    allocated, and every value must be finite.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def need(n: int) -> None:
+            if n > size - fh.tell():
+                raise ContainerFormatError(
+                    f"truncated: {n} bytes needed at byte {fh.tell()} of {size}"
+                )
+
+        def unpack(fmt: str) -> tuple:
+            need(struct.calcsize(fmt))
+            return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
+
+        def text(length_fmt: str) -> str:
+            (n,) = unpack(length_fmt)
+            need(n)
+            try:
+                return fh.read(n).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ContainerFormatError(f"text field is not UTF-8: {exc}") from None
+
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise ContainerFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        (version,) = unpack("<I")
+        if version != VERSION:
+            raise ContainerFormatError(f"unsupported container version {version}")
+        config_text = text("<I")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(*unpack("<I")):
+            name = text("<H")
+            if name in tensors:
+                raise ContainerFormatError(f"tensor {name!r} appears twice")
+            dims = unpack(f"<{unpack('<B')[0]}Q")
+            need(8 * math.prod(dims))
+            tensors[name] = arr = np.empty(dims, dtype="<f8")
+            fh.readinto(arr)
+            if not np.isfinite(arr).all():
+                raise ContainerFormatError(f"tensor {name!r} holds non-finite values")
+        if fh.tell() != size:
+            raise ContainerFormatError(f"{size - fh.tell()} trailing bytes")
     return config_text, tensors

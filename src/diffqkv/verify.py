@@ -98,17 +98,7 @@ _EQUIV_CONFIGS = [
 
 
 def _make_config(heads, d_head, d_k_head, aug_q_dim) -> AttentionConfig:
-    n_q, n_k, n_v = heads
-    return validate_config(
-        AttentionConfig(
-            n_q_heads=n_q,
-            n_k_heads=n_k,
-            n_v_heads=n_v,
-            d_head=d_head,
-            d_k_head=d_k_head,
-            aug_q_dim=aug_q_dim,
-        )
-    )
+    return validate_config(AttentionConfig(*heads, d_head, d_k_head, aug_q_dim))
 
 
 def check_flexhead_vs_naive(instances: int = 200, seed: int = 42) -> PropertyResult:
@@ -131,8 +121,7 @@ def check_flexhead_vs_naive(instances: int = 200, seed: int = 42) -> PropertyRes
             q, k, v = project_qkv(x, w, cfg)
             q, k = apply_rope(q, k, np.arange(t), cfg.rope_theta)
             cache = DifferentialKVCache(cfg, 1, t)
-            for j in range(t):
-                cache.append(k[:, j : j + 1], v[:, j : j + 1])
+            cache.append(k, v)
 
             for chunk_size in (1, 3, 64, t):
                 plan = kernel.ChunkPlan.for_length(t, chunk_size)
@@ -261,17 +250,9 @@ GRADCHECK_VARIANTS = {
 
 
 def _gradcheck_model_config(heads, d_k_head, aug) -> ModelConfig:
-    n_q = heads[0]
-    attn = AttentionConfig(
-        n_q_heads=heads[0],
-        n_k_heads=heads[1],
-        n_v_heads=heads[2],
-        d_head=4,
-        d_k_head=d_k_head,
-        aug_q_dim=aug,
-    )
+    attn = AttentionConfig(*heads, d_head=4, d_k_head=d_k_head, aug_q_dim=aug)
     return ModelConfig(
-        attention=attn, n_layers=2, d_model=n_q * 4, d_ffn=24, vocab_size=16, max_seq_len=64
+        attention=attn, n_layers=2, d_model=heads[0] * 4, d_ffn=24, vocab_size=16, max_seq_len=64
     )
 
 
@@ -350,11 +331,10 @@ def check_footprint_accounting(instances: int = 50, seed: int = 23) -> PropertyR
         b = int(rng.integers(1, 4))
         m = int(rng.integers(0, 40))
         cache = DifferentialKVCache(cfg, b, max(m, 1))
-        for _ in range(m):
-            cache.append(
-                np.zeros((b, 1, cfg.n_k_heads, cfg.d_k_head)),
-                np.zeros((b, 1, cfg.n_v_heads, cfg.d_head)),
-            )
+        cache.append(
+            np.zeros((b, m, cfg.n_k_heads, cfg.d_k_head)),
+            np.zeros((b, m, cfg.n_v_heads, cfg.d_head)),
+        )
         fp = cache.footprint()
         if fp.total != b * m * cfg.cache_bracket or fp.total != fp.k_elements + fp.v_elements:
             return PropertyResult("cache footprint accounting", instances, np.inf, False)
@@ -382,8 +362,7 @@ def check_incremental_matches_direct(instances: int = 20, seed: int = 29) -> Pro
         v = rng.normal(size=(b, t, cfg.n_v_heads, cfg.d_head))
         q = rng.normal(size=(b, cfg.n_q_heads, cfg.d_head))
         cache = DifferentialKVCache(cfg, b, t)
-        for j in range(t):
-            cache.append(k[:, j : j + 1], v[:, j : j + 1])
+        cache.append(k, v)
         k_view, v_view = cache.view()
 
         def attend(kk, vv):

@@ -12,6 +12,7 @@ from diffqkv.attention import (
     attention_scores,
     attention_logits,
     augment_q,
+    cached_attention,
     init_attention_weights,
     naive_diffqkv_attention,
     project_qkv,
@@ -21,7 +22,8 @@ from diffqkv.attention import (
 )
 from diffqkv.config import AttentionConfig, PRESETS, validate_config
 from diffqkv.errors import ConfigError, DimensionError, ShapeError
-from diffqkv.reference import vanilla_mha_attention
+from diffqkv.kvcache import DifferentialKVCache
+from diffqkv.reference import grouped_attention_by_duplication, vanilla_mha_attention
 
 from oracles import brute_force_diffqkv
 
@@ -316,6 +318,41 @@ class TestNaiveAttention:
         w = init_attention_weights(cfg, 32, seed=10)
         x = 50.0 * np.random.default_rng(10).normal(size=(1, 8, 32))
         assert np.isfinite(naive_diffqkv_attention(x, w, cfg)).all()
+
+
+class TestCachedAttention:
+    @pytest.mark.parametrize("n_q,n_k,n_v", [(32, 4, 16), (32, 16, 4), (8, 1, 8), (8, 8, 1)])
+    @pytest.mark.parametrize(
+        "extras", [{}, {"d_k_head": 2, "aug_q_dim": 24}], ids=["plain", "halfk-augq"]
+    )
+    def test_prefix_then_suffix_at_every_cut(self, n_q, n_k, n_v, extras):
+        cfg = make_cfg(n_q, n_k, n_v, **extras)
+        rng = np.random.default_rng(n_q * 100 + n_k * 10 + n_v)
+        d_model = n_q * cfg.d_head
+        w = init_attention_weights(cfg, d_model, rng)
+        s = 7
+        x = rng.normal(size=(2, s, d_model))
+        expected = grouped_attention_by_duplication(x, w, cfg)
+        for a in range(s + 1):
+            cache = DifferentialKVCache(cfg, 2, s)
+            prefix = cached_attention(x[:, :a], w, cfg, cache)
+            assert cache.len == a
+            suffix = cached_attention(x[:, a:], w, cfg, cache)
+            assert cache.len == s
+            got = np.concatenate([prefix, suffix], axis=1)
+            assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_writes_unexpanded_rotated_keys(self):
+        cfg = make_cfg(d_k_head=2)
+        w = init_attention_weights(cfg, 32, seed=3)
+        x = np.random.default_rng(3).normal(size=(1, 5, 32))
+        cache = DifferentialKVCache(cfg, 1, 5)
+        cached_attention(x, w, cfg, cache)
+        q, k, v = project_qkv(x, w, cfg)
+        _, k = apply_rope(q, k, np.arange(5), cfg.rope_theta)
+        k_view, v_view = cache.view()
+        assert_array_equal(k_view, k)
+        assert_array_equal(v_view, v)
 
 
 class TestSelectiveV:

@@ -61,10 +61,6 @@ def test_reshape_transpose():
     )
 
 
-def test_repeat_heads():
-    fd_check(lambda a: ad.repeat_heads(a, 3, axis=1), [RNG.normal(size=(2, 2, 4))])
-
-
 def test_silu():
     fd_check(ad.silu, [RNG.normal(size=(3, 5))])
 

@@ -95,6 +95,33 @@ class TestTrainAndDecode:
         assert main(["decode", "--checkpoint", str(ckpt), "--prompt", "1 2", "--n", "2"]) == 1
         assert "error: bad magic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case,args,code",
+        [
+            ("ok", ["--prompt", "1 2", "--n", "2"], 0),
+            ("zero new tokens", ["--prompt", "1 2", "--n", "0"], 0),
+            ("no file", ["--checkpoint", "missing.ckpt", "--prompt", "1", "--n", "1"], 2),
+            ("negative n", ["--prompt", "1 2", "--n", "-3"], 2),
+            ("bad prompt", ["--prompt", "abc", "--n", "2"], 2),
+            ("truncated checkpoint", ["--checkpoint", "truncated", "--prompt", "1", "--n", "2"], 1),
+            ("token out of range", ["--prompt", "1 999", "--n", "2"], 1),
+            ("past max_seq_len", ["--prompt", "1", "--n", "600"], 1),
+        ],
+    )
+    def test_decode_exit_codes(self, tmp_path, capsys, case, args, code):
+        ckpt = tmp_path / "toy.ckpt"
+        main(["train-toy", "--steps", "1", "--batch", "2", "--seq-len", "6", "--out", str(ckpt)])
+        truncated = tmp_path / "truncated.ckpt"
+        truncated.write_bytes(ckpt.read_bytes()[:-100])
+        paths = {"missing.ckpt": str(tmp_path / "missing.ckpt"), "truncated": str(truncated)}
+        args = [paths.get(a, a) for a in args]
+        if "--checkpoint" not in args:
+            args = ["--checkpoint", str(ckpt), *args]
+        capsys.readouterr()
+        assert main(["decode", *args]) == code, case
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") if code else err == ""
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         def run():
             main(["train-toy", "--steps", "2", "--batch", "2", "--seq-len", "6"])

@@ -30,10 +30,8 @@ def make_cfg(n_q=8, n_k=2, n_v=4, d_head=4, **kw):
 
 
 def fill_cache(cfg, k, v):
-    t = k.shape[1]
-    cache = cache_new(cfg, batch=1, capacity=t)
-    for j in range(t):
-        cache.append(k[:, j : j + 1], v[:, j : j + 1])
+    cache = cache_new(cfg, batch=1, capacity=k.shape[1])
+    cache.append(k, v)
     return cache
 
 

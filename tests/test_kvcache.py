@@ -103,23 +103,59 @@ class TestCacheBasics:
         assert_array_equal(v3[:, :2], v2)
 
 
+class TestMultiPositionAppend:
+    def test_rows_land_after_the_written_prefix(self):
+        cfg = toy_cfg()
+        rng = np.random.default_rng(8)
+        cache = cache_new(cfg, batch=2, capacity=10)
+        first = (rng.normal(size=(2, 3, 2, 4)), rng.normal(size=(2, 3, 4, 4)))
+        second = (rng.normal(size=(2, 4, 2, 4)), rng.normal(size=(2, 4, 4, 4)))
+        cache.append(*first)
+        cache.append(*second)
+        assert cache.len == 7
+        k_view, v_view = cache.view()
+        assert_array_equal(k_view, np.concatenate([first[0], second[0]], axis=1))
+        assert_array_equal(v_view, np.concatenate([first[1], second[1]], axis=1))
+
+    def test_zero_rows_is_a_no_op(self):
+        cfg = toy_cfg()
+        cache = cache_new(cfg, batch=1, capacity=2)
+        cache.append(np.zeros((1, 0, 2, 4)), np.zeros((1, 0, 4, 4)))
+        assert cache.len == 0
+
+    def test_overflow_leaves_cache_unchanged(self):
+        cfg = toy_cfg()
+        rng = np.random.default_rng(9)
+        cache = cache_new(cfg, batch=1, capacity=5)
+        cache.append(rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
+        k_before, v_before = cache._k.copy(), cache._v.copy()
+        with pytest.raises(CapacityExceededError):
+            cache.append(rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
+        assert cache.len == 3
+        assert_array_equal(cache._k, k_before)
+        assert_array_equal(cache._v, v_before)
+
+    def test_k_v_row_count_mismatch(self):
+        cfg = toy_cfg()
+        cache = cache_new(cfg, batch=1, capacity=5)
+        with pytest.raises(ShapeError):
+            cache.append(np.zeros((1, 2, 2, 4)), np.zeros((1, 3, 4, 4)))
+        assert cache.len == 0
+
+
 class TestFootprint:
     def test_sigma_thousand_positions(self):
         # 1000 * 4 * 64 = 256000 K elements, 1000 * 16 * 64 = 1024000 V elements
         cfg = SIGMA
         cache = cache_new(cfg, batch=1, capacity=1000)
-        zeros = (np.zeros((1, 1, 4, 64)), np.zeros((1, 1, 16, 64)))
-        for _ in range(1000):
-            cache.append(*zeros)
+        cache.append(np.zeros((1, 1000, 4, 64)), np.zeros((1, 1000, 16, 64)))
         assert cache.footprint() == (256_000, 1_024_000, 1_280_000)
 
     @pytest.mark.parametrize("b,m", [(1, 1), (2, 17), (3, 40)])
     def test_closed_form(self, b, m):
         cfg = toy_cfg()
         cache = cache_new(cfg, batch=b, capacity=m)
-        pair = (np.zeros((b, 1, 2, 4)), np.zeros((b, 1, 4, 4)))
-        for _ in range(m):
-            cache.append(*pair)
+        cache.append(np.zeros((b, m, 2, 4)), np.zeros((b, m, 4, 4)))
         fp = cache.footprint()
         assert fp.total == b * m * cfg.cache_bracket
         assert fp.total == fp.k_elements + fp.v_elements
@@ -142,8 +178,7 @@ class TestIncrementalConsistency:
         v = rng.normal(size=(b, t, 4, 4))
         q = rng.normal(size=(b, 8, 4))
         cache = cache_new(cfg, batch=b, capacity=t)
-        for j in range(t):
-            cache.append(k[:, j : j + 1], v[:, j : j + 1])
+        cache.append(k, v)
         k_view, v_view = cache.view()
 
         def attend(kk, vv):

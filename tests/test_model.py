@@ -6,7 +6,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from diffqkv.config import AttentionConfig, ModelConfig, toy_preset
-from diffqkv.errors import CapacityExceededError, LengthError, TokenRangeError
+from diffqkv.errors import (
+    CapacityExceededError,
+    DiffQKVError,
+    LengthError,
+    PositionError,
+    TokenRangeError,
+)
+from diffqkv.tensorio import ContainerFormatError, read_tensors, write_tensors
 from diffqkv.model import (
     as_parameter_tensors,
     copy_task_batch,
@@ -61,6 +68,10 @@ class TestForward:
         model = init_model(toy_cfg(), seed=0)
         with pytest.raises(LengthError):
             forward(model, np.zeros((1, 513), dtype=int))
+
+    def test_empty_sequence(self):
+        model = init_model(toy_cfg(), seed=0)
+        assert forward(model, np.zeros((1, 0), dtype=int)).shape == (1, 0, 64)
 
     def test_mha_degenerate_matches_vanilla_decoder(self):
         cfg = toy_cfg(n_q=8, n_k=8, n_v=8)
@@ -120,6 +131,23 @@ class TestDecode:
         caches = make_caches(model, batch=1, capacity=9)
         incremental = forward_incremental(model, tokens, caches, start_pos=0)
         assert_allclose(incremental, forward(model, tokens), atol=1e-10)
+
+    def test_incremental_rejects_out_of_range_token(self):
+        model = init_model(toy_cfg(), seed=4)
+        caches = make_caches(model, batch=1, capacity=4)
+        with pytest.raises(TokenRangeError):
+            forward_incremental(model, np.array([[3, -1]]), caches, start_pos=0)
+        assert all(c.len == 0 for c in caches)
+
+    def test_incremental_start_pos_must_match_caches(self):
+        model = init_model(toy_cfg(), seed=4)
+        caches = make_caches(model, batch=1, capacity=8)
+        forward_incremental(model, np.array([[1, 2]]), caches, start_pos=0)
+        for wrong in (5, 1):
+            with pytest.raises(PositionError):
+                forward_incremental(model, np.array([[3]]), caches, start_pos=wrong)
+        assert all(c.len == 2 for c in caches)
+        forward_incremental(model, np.array([[3]]), caches, start_pos=2)
 
     def test_decode_step_does_not_reinflate_cache(self):
         # 32/4/16 heads in half-K mode: duplicating K/V to 32 heads, or expanding
@@ -198,3 +226,72 @@ class TestCheckpoints:
         assert loaded.config == cfg
         tokens = rng.integers(0, cfg.vocab_size, size=(1, 6))
         assert_array_equal(forward(loaded, tokens), forward(model, tokens))
+
+    def test_load_holds_one_copy_of_the_weights(self, tmp_path):
+        cfg = toy_cfg(aug_q_dim=48, d_k_head=2, vocab=512)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(cfg, seed=12), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * size, f"load peak {peak} B for a {size} B checkpoint"
+
+    @pytest.mark.parametrize("change", ["missing", "extra", "shape"])
+    def test_tensor_set_must_match_config(self, tmp_path, change):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(toy_cfg(), seed=13), path)
+        config_text, tensors = read_tensors(path)
+        if change == "missing":
+            del tensors["blocks.1.w_ffn_up"]
+        elif change == "extra":
+            tensors["blocks.2.w_ffn_up"] = tensors["blocks.1.w_ffn_up"]
+        else:
+            tensors["blocks.1.w_ffn_up"] = tensors["blocks.1.w_ffn_up"][:, :-1]
+        write_tensors(path, tensors, config_text)
+        name = "blocks.2.w_ffn_up" if change == "extra" else "blocks.1.w_ffn_up"
+        with pytest.raises(ContainerFormatError, match=name):
+            load_checkpoint(path)
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        model = init_model(toy_cfg(), seed=14)
+        model.head[3, 5] = np.nan
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(ContainerFormatError, match="head"):
+            load_checkpoint(path)
+
+    def test_fuzzed_checkpoints_load_or_raise_typed_errors(self, tmp_path):
+        # Every truncation of a small valid checkpoint, then seeded single-byte
+        # flips: each either loads or raises a DiffQKVError, never a raw
+        # struct/Unicode/Key/Memory/numpy error.
+        attn = AttentionConfig(n_q_heads=1, n_k_heads=1, n_v_heads=1, d_head=4, d_k_head=2,
+                               aug_q_dim=2)
+        cfg = ModelConfig(attention=attn, n_layers=1, d_model=4, d_ffn=2, vocab_size=3,
+                          max_seq_len=16)
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(init_model(cfg, seed=15), good)
+        blob = good.read_bytes()
+        path = tmp_path / "fuzz.ckpt"
+
+        def outcome(data: bytes) -> str:
+            path.write_bytes(data)
+            try:
+                load_checkpoint(path)
+            except DiffQKVError:
+                return "error"
+            return "loaded"
+
+        assert outcome(blob) == "loaded"
+        assert all(outcome(blob[:n]) == "error" for n in range(len(blob)))
+        rng = np.random.default_rng(16)
+        seen = set()
+        for _ in range(200):
+            flipped = bytearray(blob)
+            at = int(rng.integers(len(blob)))
+            flipped[at] ^= int(rng.integers(1, 256))
+            seen.add(outcome(bytes(flipped)))
+        assert seen == {"error", "loaded"}

@@ -60,3 +60,47 @@ def test_header_layout(tmp_path):
     assert int.from_bytes(blob[4:8], "little") == 1  # version
     assert int.from_bytes(blob[8:12], "little") == 3  # echo length
     assert blob[12:15] == b"cfg"
+
+
+def test_truncated_file_rejected(tmp_path):
+    path = tmp_path / "short.bin"
+    write_tensors(path, {"a": np.arange(6.0)}, "echo")
+    blob = path.read_bytes()
+    for cut in (6, 10, 14, len(blob) - 1):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ContainerFormatError, match="truncated"):
+            read_tensors(path)
+
+
+def test_oversized_declared_shape_rejected_before_allocating(tmp_path):
+    path = tmp_path / "huge.bin"
+    write_tensors(path, {"a": np.zeros(2)}, "")
+    blob = bytearray(path.read_bytes())
+    dims_at = len(blob) - 16 - 8  # the one u64 dim sits just before the data
+    blob[dims_at : dims_at + 8] = (2**60).to_bytes(8, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ContainerFormatError, match="truncated"):
+        read_tensors(path)
+
+
+def test_non_finite_and_repeated_tensors_rejected(tmp_path):
+    path = tmp_path / "bad.bin"
+    write_tensors(path, {"a": np.array([1.0, np.inf])}, "")
+    with pytest.raises(ContainerFormatError, match="non-finite"):
+        read_tensors(path)
+    write_tensors(path, {"a": np.zeros(1)}, "")
+    blob = path.read_bytes()
+    header, entry = blob[:16], blob[16:]  # magic, version, empty echo, count
+    path.write_bytes(header[:12] + (2).to_bytes(4, "little") + entry + entry)
+    with pytest.raises(ContainerFormatError, match="twice"):
+        read_tensors(path)
+
+
+def test_non_utf8_echo_rejected(tmp_path):
+    path = tmp_path / "echo.bin"
+    write_tensors(path, {}, "ab")
+    blob = bytearray(path.read_bytes())
+    blob[12] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ContainerFormatError, match="UTF-8"):
+        read_tensors(path)
