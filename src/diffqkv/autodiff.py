@@ -6,6 +6,15 @@ rotary embedding, embedding lookup and a fused shifted cross-entropy.  RMS
 normalization and rotary reuse the numpy formulas of :mod:`diffqkv.attention`.
 Nodes form an implicit DAG; ``backward`` walks it once in reverse topological
 order and accumulates gradients on leaves.
+
+Gradient ownership: a node adopts its first gradient contribution as-is, with
+no zero-filled buffer, and sums later ones out of place.  A VJP may therefore
+hand back the incoming gradient itself or a view of it (``add`` passes it
+through, ``reshape``/``transpose`` return views), so the same array can be a
+gradient of several nodes and no gradient array is ever mutated in place.  An
+interior node's gradient is released once its VJP has run; the root and the
+leaves keep theirs.  An operand with ``requires_grad=False`` (a constant such
+as a mask or a scale) gets no gradient computed: its VJP slot is ``None``.
 """
 
 from __future__ import annotations
@@ -74,9 +83,9 @@ class Tensor:
             for parent, pgrad in zip(node._parents, node._vjp(node.grad)):
                 if not parent.requires_grad or pgrad is None:
                     continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += pgrad
+                parent.grad = pgrad if parent.grad is None else parent.grad + pgrad
+            if node is not self:
+                node.grad = None
 
 
 def as_tensor(x) -> Tensor:
@@ -96,37 +105,51 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
     return Tensor(
-        out,
+        a.data + b.data,
         parents=(a, b),
-        vjp=lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
+        vjp=lambda g: (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        ),
     )
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
     return Tensor(
-        out,
+        a.data * b.data,
         parents=(a, b),
         vjp=lambda g: (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         ),
     )
 
 
 def matmul(a, b) -> Tensor:
+    """Batched matmul; a 2-D right operand (a weight) runs as flat 2-D GEMMs."""
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data @ b.data
+    if b.data.ndim == 2:
+        # [..., d] @ [d, n]: fold the leading axes into rows, so the weight
+        # gradient is one GEMM instead of a batched product summed over the batch.
+        rows = a.data.reshape(-1, a.data.shape[-1])
+        out = (rows @ b.data).reshape(*a.data.shape[:-1], b.data.shape[1])
+
+        def vjp(g):
+            g_rows = g.reshape(-1, g.shape[-1])
+            ga = (g_rows @ b.data.T).reshape(a.data.shape) if a.requires_grad else None
+            gb = rows.T @ g_rows if b.requires_grad else None
+            return ga, gb
+
+        return Tensor(out, parents=(a, b), vjp=vjp)
 
     def vjp(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
+        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape) if b.requires_grad else None
         return ga, gb
 
-    return Tensor(out, parents=(a, b), vjp=vjp)
+    return Tensor(a.data @ b.data, parents=(a, b), vjp=vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -174,16 +197,26 @@ def rms_norm(x: Tensor, scale: Tensor) -> Tensor:
     return Tensor(out, parents=(x, scale), vjp=vjp)
 
 
-def softmax_last(a: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis (-inf entries get 0)."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    return Tensor(
-        y,
-        parents=(a,),
-        vjp=lambda g: (y * (g - np.sum(g * y, axis=-1, keepdims=True)),),
-    )
+def softmax_last(a: Tensor, bias: np.ndarray | None = None) -> Tensor:
+    """Numerically stable softmax of ``a + bias`` over the last axis.
+
+    ``bias`` is a constant additive mask (broadcast against ``a``); its -inf
+    entries get probability 0.  The forward pass and the VJP each work in one
+    buffer of ``a``'s size.
+    """
+    y = a.data.copy() if bias is None else a.data + bias
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        # y * (g - sum(g * y)), reusing the g * y buffer.
+        buf = g * y
+        np.subtract(g, buf.sum(axis=-1, keepdims=True), out=buf)
+        buf *= y
+        return (buf,)
+
+    return Tensor(y, parents=(a,), vjp=vjp)
 
 
 def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:

@@ -38,7 +38,7 @@ from .costmodel import (
     reduction_rate,
     total_cost_curve,
 )
-from .errors import DiffQKVError, UnknownSuiteError, UsageError
+from .errors import DiffQKVError, DivergenceError, UnknownSuiteError, UsageError
 from .model import (
     copy_task_batch,
     decode,
@@ -135,6 +135,8 @@ def _cmd_train_toy(args) -> int:
     for step in range(1, args.steps + 1):
         batch = make_batch(rng, args.batch, args.seq_len, cfg.vocab_size)
         loss = train_step(model, batch, args.lr)
+        if not np.isfinite(loss):
+            raise DivergenceError(f"step {step}: loss is {loss}; no checkpoint written")
         if first_loss is None:
             first_loss = loss
         if step == 1 or step % args.log_every == 0 or step == args.steps:

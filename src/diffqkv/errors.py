@@ -36,7 +36,8 @@ class DegenerateError(DiffQKVError, ZeroDivisionError):
 
 
 class EmptyInputError(DiffQKVError, ValueError):
-    """Combine called with no non-empty partials."""
+    """An operation was given nothing to work on: combine with no non-empty
+    partials, or decode with an empty prompt."""
 
 
 class TokenRangeError(DiffQKVError, ValueError):
@@ -50,6 +51,10 @@ class LengthError(DiffQKVError, ValueError):
 class PositionError(DiffQKVError, ValueError):
     """An incremental pass was given a start position other than the number of
     positions its caches already hold."""
+
+
+class DivergenceError(DiffQKVError, ArithmeticError):
+    """Training produced a non-finite loss."""
 
 
 class ConfigFileError(ConfigError):

@@ -34,6 +34,7 @@ from .attention import (
 from .config import ModelConfig, format_config_text, parse_config_text, validate_model_config
 from .errors import (
     CapacityExceededError,
+    EmptyInputError,
     LengthError,
     PositionError,
     ShapeError,
@@ -189,6 +190,8 @@ def decode(
     """
     prompt = np.asarray(prompt, dtype=np.int64).reshape(1, -1)
     _check_tokens(model, prompt)
+    if prompt.shape[1] == 0:
+        raise EmptyInputError("decode needs a prompt of at least one token")
     if n_new == 0:
         return prompt[0].copy()
     if prompt.shape[1] + n_new > model.config.max_seq_len:
@@ -258,12 +261,12 @@ def attention_graph(h: ad.Tensor, w: dict[str, ad.Tensor], acfg) -> ad.Tensor:
     v = ad.reshape(h @ w["w_v"], (b, s, n_v, d))
 
     # The rows of each group's query heads [b, n_k, n_q/n_k * s, d_k] against its keys,
-    # with one causal [s, s] mask per query head of the group.
-    q_rows = ad.reshape(ad.transpose(q, (0, 2, 1, 3)), (b, n_k, n_q // n_k * s, d_k))
+    # with one causal [s, s] mask per query head of the group.  The softmax scale goes
+    # on these rows, far smaller than the s x s scores, and the mask into the softmax.
+    q_rows = ad.reshape(ad.transpose(q, (0, 2, 1, 3)), (b, n_k, n_q // n_k * s, d_k)) * inv_scale
     k_t = ad.transpose(k, (0, 2, 3, 1))  # [b, n_k, d_k, s]
     causal_mask = np.tile(np.triu(np.full((s, s), -np.inf), k=1), (n_q // n_k, 1))
-    scores = (q_rows @ k_t) * inv_scale + causal_mask
-    alpha = ad.reshape(ad.softmax_last(scores), (b, n_v, n_q // n_v * s, s))
+    alpha = ad.reshape(ad.softmax_last(q_rows @ k_t, causal_mask), (b, n_v, n_q // n_v * s, s))
     v_t = ad.transpose(v, (0, 2, 1, 3))  # [b, n_v, s, d]
     ctx = ad.transpose(ad.reshape(alpha @ v_t, (b, n_q, s, d)), (0, 2, 1, 3))  # [b, s, h, d]
     return ad.reshape(ctx, (b, s, n_q * d)) @ w["w_o"]

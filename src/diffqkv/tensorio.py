@@ -35,6 +35,16 @@ class ContainerFormatError(DiffQKVError, ValueError):
 
 
 def write_tensors(path, tensors: Mapping[str, np.ndarray], config_text: str = "") -> None:
+    """Write a container that ``read_tensors`` accepts.
+
+    A tensor holding a non-finite value raises ContainerFormatError naming it,
+    before ``path`` is opened, so an existing file there stays as it was.
+    """
+    for name, tensor in tensors.items():
+        arr = np.asarray(tensor)
+        # min and max propagate NaN and reach +-inf without a temporary of arr's size.
+        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise ContainerFormatError(f"tensor {name!r} holds non-finite values; not written")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))

@@ -78,6 +78,14 @@ def test_softmax_with_masked_entries():
     fd_check(lambda a: ad.softmax_last(ad.add(a, mask)), [RNG.normal(size=(2, 5, 5))])
 
 
+def test_softmax_with_causal_bias():
+    bias = np.triu(np.full((5, 5), -np.inf), k=1)
+    fd_check(lambda a: ad.softmax_last(a, bias), [RNG.normal(size=(2, 3, 5, 5))])
+    y = ad.softmax_last(ad.Tensor(RNG.normal(size=(4, 5))), bias[:4]).data
+    assert_allclose(y.sum(axis=-1), 1.0)
+    assert (y[np.triu_indices(4, k=1, m=5)] == 0.0).all()
+
+
 def test_rope():
     from diffqkv.attention import rope_angles
 
@@ -132,3 +140,48 @@ def test_grad_accumulates_across_shared_nodes():
     y = x * x
     y.backward()
     assert_allclose(x.grad, [6.0])
+
+
+def test_fan_out_shared_gradient_is_not_mutated():
+    # The inner add hands the same gradient array to a and b; a then gets a
+    # second contribution through the mul, which must not leak into b.
+    fd_check(
+        lambda a, b, c: ad.add(ad.add(a, b), ad.mul(a, c)),
+        [RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4))],
+    )
+    fd_check(
+        lambda a, b, c: ad.add(ad.mul(a, c), ad.add(a, b)),
+        [RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4))],
+    )
+
+
+@pytest.mark.parametrize("op,shapes", [
+    (ad.add, [(3, 4), (4,)]),
+    (ad.mul, [(2, 3, 4), (1, 4)]),
+    (ad.matmul, [(2, 3, 4), (4, 5)]),
+    (ad.matmul, [(2, 3, 4), (2, 4, 5)]),
+])
+@pytest.mark.parametrize("const_at", [0, 1])
+def test_constant_operand_gets_no_gradient(op, shapes, const_at):
+    tensors = [ad.Tensor(RNG.normal(size=shape), requires_grad=True) for shape in shapes]
+    tensors[const_at] = ad.Tensor(tensors[const_at].data)
+    out = op(*tensors)
+    grads = out._vjp(np.ones_like(out.data))
+    assert grads[const_at] is None
+    assert grads[1 - const_at].shape == shapes[1 - const_at]
+    total = ad.Tensor(out.data.sum(), parents=(out,), vjp=lambda g: (np.full_like(out.data, g),))
+    total.backward()
+    assert tensors[const_at].grad is None
+    assert tensors[1 - const_at].grad is not None
+
+
+def test_backward_keeps_root_and_leaf_gradients_only():
+    x = ad.Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    w = ad.Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
+    hidden = ad.silu(x @ w)
+    logits = ad.reshape(hidden, (1, 3, 2))
+    loss = ad.cross_entropy_next_token(logits, np.array([[0, 1, 1]]))
+    loss.backward()
+    assert loss.grad is not None
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    assert hidden.grad is None and logits.grad is None

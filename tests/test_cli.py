@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import diffqkv.attention
+import diffqkv.cli
 from diffqkv.cli import main
 from diffqkv.config import format_config_text, toy_preset
 
@@ -77,6 +78,23 @@ class TestTrainAndDecode:
         tokens = capsys.readouterr().out.split()
         assert len(tokens) == 9
         assert tokens[:4] == ["3", "1", "4", "1"]
+
+    def test_train_stops_at_non_finite_loss(self, tmp_path, capsys, monkeypatch):
+        real = diffqkv.cli.train_step
+        steps = []
+
+        def diverging(model, batch, lr):
+            steps.append(len(steps) + 1)
+            return float("nan") if len(steps) == 3 else real(model, batch, lr)
+
+        monkeypatch.setattr(diffqkv.cli, "train_step", diverging)
+        ckpt = tmp_path / "toy.ckpt"
+        code = main(["train-toy", "--steps", "5", "--batch", "2", "--seq-len", "6",
+                     "--out", str(ckpt)])
+        assert code == 1
+        assert steps == [1, 2, 3]
+        assert capsys.readouterr().err.startswith("error: step 3")
+        assert not ckpt.exists()
 
     def test_train_accepts_config_file(self, tmp_path):
         cfg_path = tmp_path / "toy.cfg"

@@ -9,6 +9,7 @@ from diffqkv.config import AttentionConfig, ModelConfig, toy_preset
 from diffqkv.errors import (
     CapacityExceededError,
     DiffQKVError,
+    EmptyInputError,
     LengthError,
     PositionError,
     TokenRangeError,
@@ -149,6 +150,12 @@ class TestDecode:
         assert all(c.len == 2 for c in caches)
         forward_incremental(model, np.array([[3]]), caches, start_pos=2)
 
+    def test_empty_prompt_raises(self):
+        model = init_model(toy_cfg(), seed=4)
+        for n_new in (0, 3):
+            with pytest.raises(EmptyInputError):
+                decode(model, [], n_new)
+
     def test_decode_step_does_not_reinflate_cache(self):
         # 32/4/16 heads in half-K mode: duplicating K/V to 32 heads, or expanding
         # K to d_head, would allocate several times the cache's own bytes.
@@ -208,6 +215,23 @@ class TestTraining:
         for arr in model.named_tensors().values():
             assert np.isfinite(arr).all()
 
+    def test_train_step_peak_memory(self):
+        # Toy sigma-1.5b, batch 16 x 32: a reverse pass that zero-fills a buffer for
+        # every node's first gradient, keeps interior gradients alive, computes
+        # gradients for constants or scales and masks the s x s scores in extra
+        # nodes peaks near 40 MB; the lean pass stays near 17 MB.
+        cfg = toy_preset("sigma-1.5b")
+        model = init_model(cfg, seed=17)
+        batch = copy_task_batch(np.random.default_rng(17), 16, 32, cfg.vocab_size)
+        train_step(model, batch, lr=0.2)
+        tracemalloc.start()
+        try:
+            train_step(model, batch, lr=0.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6, f"train_step peak {peak} B > 24 MB"
+
     def test_copy_task_structure(self):
         batch = copy_task_batch(np.random.default_rng(10), 5, 9, 64)
         assert batch.shape == (5, 9)
@@ -257,12 +281,26 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_non_finite_weight_rejected(self, tmp_path):
+        # save_checkpoint refuses a NaN weight, so patch one into the bytes of a
+        # valid checkpoint: head [d_model, vocab] is the last tensor in the file.
+        model = init_model(toy_cfg(), seed=14)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        at = len(blob) - 8 * model.head.size + 8 * (3 * model.head.shape[1] + 5)
+        assert blob[at : at + 8] == model.head[3, 5].tobytes()
+        blob[at : at + 8] = np.array(np.nan, dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContainerFormatError, match="head"):
+            load_checkpoint(path)
+
+    def test_save_refuses_non_finite_weight(self, tmp_path):
         model = init_model(toy_cfg(), seed=14)
         model.head[3, 5] = np.nan
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
         with pytest.raises(ContainerFormatError, match="head"):
-            load_checkpoint(path)
+            save_checkpoint(model, path)
+        assert not path.exists()
 
     def test_fuzzed_checkpoints_load_or_raise_typed_errors(self, tmp_path):
         # Every truncation of a small valid checkpoint, then seeded single-byte

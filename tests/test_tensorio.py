@@ -85,7 +85,8 @@ def test_oversized_declared_shape_rejected_before_allocating(tmp_path):
 
 def test_non_finite_and_repeated_tensors_rejected(tmp_path):
     path = tmp_path / "bad.bin"
-    write_tensors(path, {"a": np.array([1.0, np.inf])}, "")
+    write_tensors(path, {"a": np.array([1.0, 2.0])}, "")
+    path.write_bytes(path.read_bytes()[:-8] + np.array(np.inf, dtype="<f8").tobytes())
     with pytest.raises(ContainerFormatError, match="non-finite"):
         read_tensors(path)
     write_tensors(path, {"a": np.zeros(1)}, "")
@@ -104,3 +105,16 @@ def test_non_utf8_echo_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ContainerFormatError, match="UTF-8"):
         read_tensors(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_refuses_non_finite_and_keeps_existing_file(tmp_path, bad):
+    path = tmp_path / "weights.bin"
+    write_tensors(path, {"a": np.arange(3.0)}, "echo")
+    before = path.read_bytes()
+    with pytest.raises(ContainerFormatError, match="'b'"):
+        write_tensors(path, {"a": np.zeros(2), "b": np.array([[0.0, bad]])}, "echo")
+    assert path.read_bytes() == before
+    with pytest.raises(ContainerFormatError, match="non-finite"):
+        write_tensors(tmp_path / "new.bin", {"b": np.array([bad])})
+    assert not (tmp_path / "new.bin").exists()
