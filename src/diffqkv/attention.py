@@ -1,17 +1,16 @@
 """Reference implementation of DiffQKV attention over plain float64 arrays.
 
-One attention core serves every path: ``attention_logits``/``attention_scores``
-and ``weighted_value_sum`` take K and V at their stored head counts and address
-them by viewing the n_q query rows as groups, one group per K (or V) head, so
-no head is ever duplicated.  One composition, ``cached_attention``, projects
-new positions, rotates them, writes their K/V rows to a differential cache and
-attends over the cached prefix with that core; in half-K mode it maps the
-rotated query into the stored K dimension with ``q @ w_k_expand.T`` (the
-expansion absorbed into the query), which is exact because rotary acts on K
-before expansion.  The model's full forward, its incremental decode and the
-oracle ``naive_diffqkv_attention`` (``cached_attention`` over a throwaway cache,
-the reference for the chunked kernel) all run on it.  Apart from the cache a
-caller passes in, every function is free of side effects.
+One attention core (``attention_logits``/``attention_scores`` and
+``weighted_value_sum``) takes K and V at their stored head counts: each K (or
+V) head multiplies the rows of its group of query heads, times an optional
+tile of consecutive query positions, in one product, so no head is ever
+duplicated.  ``cached_attention`` projects and rotates new positions, absorbs
+the half-K expansion into the query (``q @ w_k_expand.T``, exact because
+rotary acts on K before expansion), appends their K/V rows to a differential
+cache and attends over the cached prefix one query tile at a time.  The
+model's forward and decode and the kernel's oracle ``naive_diffqkv_attention``
+all run on it.  Apart from the cache a caller passes in, every function is
+free of side effects.
 
 Shapes follow the convention ``[batch, seq, heads, dim]``; weights are plain
 2-D matrices applied on the right (``x @ w``), bias-free throughout.
@@ -181,72 +180,73 @@ def apply_rope(
 
 
 def _query_groups(rows: np.ndarray, n_src: int) -> np.ndarray:
-    """View query-side rows [b, n_q, ...] as [b, n_src, n_q // n_src, ...].
+    """Query-side rows [b, n_q, (T,) m] as one row block per source head, [b, n_src, g*T, m].
 
-    Group i holds query heads [i*g, (i+1)*g), the block that K/V head i serves
-    (query head h reads source head floor(h * n_src / n_q)).  A view, never a
-    copy of the source heads.
+    Block i holds query heads [i*g, (i+1)*g), g = n_q // n_src, with their tile
+    rows: the heads K/V head i serves (head h reads floor(h * n_src / n_q)).
     """
     b, n_q = rows.shape[:2]
     if n_q % n_src != 0:
         raise ShapeError(f"n_q={n_q} query heads cannot be grouped over {n_src} source heads")
-    return rows.reshape(b, n_src, n_q // n_src, *rows.shape[2:])
+    return rows.reshape(b, n_src, -1, rows.shape[-1])
 
 
 def attention_logits(q: np.ndarray, k: np.ndarray, scale_dim: int) -> np.ndarray:
-    """Scaled dot products of queries [b, n_q, d] with keys [b, t, n_k, d] -> [b, n_q, t].
+    """Scaled dot products of queries [b, n_q, (T,) d] with keys [b, t, n_k, d] -> [b, n_q, (T,) t].
 
-    K stays at its native head count: each group of n_q / n_k query rows is
-    multiplied against its one K head.
+    K stays at its native head count: a group's g = n_q / n_k heads times the
+    T rows of an optional query tile form the g*T rows of one product per K head.
     """
-    b, n_q, d = q.shape
-    if k.shape[0] != b or k.shape[-1] != d:
+    if k.shape[0] != q.shape[0] or k.shape[-1] != q.shape[-1]:
         raise ShapeError(f"q {q.shape} does not match k {k.shape}")
     logits = np.matmul(_query_groups(q, k.shape[2]), k.transpose(0, 2, 3, 1))
-    logits = logits.reshape(b, n_q, k.shape[1])
+    logits = logits.reshape(*q.shape[:-1], k.shape[1])
     logits /= np.sqrt(float(scale_dim))
     return logits
 
 
-def attention_scores(
-    q: np.ndarray,
-    k: np.ndarray,
-    scale_dim: int,
-    causal_mask_len: int,
-) -> np.ndarray:
-    """Per-head softmax attention weights for one query position.
+def attention_scores(q: np.ndarray, k: np.ndarray, scale_dim: int, causal_mask_len: int) -> np.ndarray:
+    """Per-head softmax attention weights for one query position or a tile of them.
 
     Args:
-        q: [b, n_q, d] query vectors (rotary-embedded; in half-K mode already
+        q: [b, n_q, d] query vectors, or [b, n_q, T, d] for a tile of T
+            consecutive positions (rotary-embedded; in half-K mode already
             mapped into the stored K dimension with ``q @ w_k_expand.T``).
         k: [b, t, n_k, d] keys at their stored head count, n_k dividing n_q.
         scale_dim: dimension whose square root divides the logits.
-        causal_mask_len: positions >= this index get weight exactly 0.
+        causal_mask_len: positions >= this index (+ r in tile row r) get weight exactly 0.
     Returns:
-        alpha: [b, n_q, t]; each unmasked row sums to 1.
+        alpha: [b, n_q, t] or [b, n_q, T, t]; each unmasked row sums to 1.
     """
     logits = attention_logits(q, k, scale_dim)
-    if causal_mask_len < k.shape[1]:
-        logits[:, :, causal_mask_len:] = -np.inf
+    t = k.shape[1]
+    if causal_mask_len < t:
+        row = np.arange(q.shape[2])[:, None] if q.ndim == 4 else 0
+        logits[..., np.arange(t) >= causal_mask_len + row] = -np.inf
     logits -= logits.max(axis=-1, keepdims=True)
-    weights = np.exp(logits)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    weights = np.exp(logits, out=logits)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
 
 
 def weighted_value_sum(alpha: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-head combination of V rows: [b, n_q, t] x [b, t, n_v, d] -> [b, n_q, d].
+    """Per-head combination of V rows: [b, n_q, (T,) t] x [b, t, n_v, d] -> [b, n_q, (T,) d].
 
-    V stays at its native head count n_v (a divisor of n_q).
+    V stays at its native head count n_v (a divisor of n_q), one product per V head.
     """
     out = np.matmul(_query_groups(alpha, v.shape[2]), v.transpose(0, 2, 1, 3))
-    return out.reshape(*alpha.shape[:2], v.shape[-1])
+    return out.reshape(*alpha.shape[:-1], v.shape[-1])
 
 
 def attention_output(alpha: np.ndarray, v: np.ndarray, w_o: np.ndarray) -> np.ndarray:
-    """Weighted V sum per head, heads concatenated in index order, then w_o."""
-    o = weighted_value_sum(alpha, v)
-    b = o.shape[0]
-    return o.reshape(b, -1) @ w_o
+    """alpha [b, n_q, (T,) t] -> [b, (T,) d_model]: weighted V sums, heads in index order, @ w_o."""
+    o = np.moveaxis(weighted_value_sum(alpha, v), 1, -2)
+    return o.reshape(*o.shape[:-2], -1) @ w_o
+
+
+# Elements of one tile's [b, n_q, T, end] scores.  Larger tiles mean fewer
+# passes but more transient memory; 2**16 float64 scores are 512 KiB.
+_SCORE_BUDGET = 1 << 16
 
 
 def cached_attention(
@@ -255,32 +255,34 @@ def cached_attention(
     """Causal DiffQKV attention of s new positions, x [b, s, d_model] -> [b, s, d_model].
 
     The new positions are ``cache.len .. cache.len + s - 1``: project ->
-    augmented Q -> rotary -> (half-K mode) K expansion absorbed into the query
-    -> one append of all s K/V rows to ``cache`` -> per query, grouped softmax
-    over the stored K heads up to its own position -> weighted sum of the
-    stored V heads -> output projection.
+    augmented Q -> rotary -> (half-K) expansion absorbed into the query -> one
+    append of all s K/V rows to ``cache`` -> per tile of T consecutive queries,
+    one grouped softmax over the stored K heads, causal inside the tile ->
+    weighted sum of the stored V heads -> output projection.  T is the largest
+    tile whose scores fit ``_SCORE_BUDGET`` elements, and at least 1 (decode).
     """
     start = cache.len
     q, k, v = project_qkv(x, w, cfg)
-    s = q.shape[1]
+    b, s = q.shape[:2]
     q, k = apply_rope(q, k, np.arange(start, start + s), cfg.rope_theta)
     if cfg.half_k:
         q = q @ w.w_k_expand.T
     cache.append(k, v)
     k_all, v_all = cache.view()
-
-    out = np.empty((q.shape[0], s, w.w_o.shape[1]))
-    for i in range(s):
-        end = start + i + 1
-        alpha = attention_scores(q[:, i], k_all[:, :end], cfg.softmax_scale_dim, end)
-        out[:, i] = attention_output(alpha, v_all[:, :end], w.w_o)
+    q = q.transpose(0, 2, 1, 3)  # [b, n_q, s, d]: a tile is a slice of axis 2
+    tile = max(1, _SCORE_BUDGET // max(1, b * q.shape[1] * (start + s)))
+    out = np.empty((b, s, w.w_o.shape[1]))
+    for i in range(0, s, tile):
+        end = start + min(i + tile, s)
+        alpha = attention_scores(
+            q[:, :, i : i + tile], k_all[:, :end], cfg.softmax_scale_dim, start + i + 1
+        )
+        out[:, i : i + tile] = attention_output(alpha, v_all[:, :end], w.w_o)
     return out
 
 
-def naive_diffqkv_attention(
-    x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig
-) -> np.ndarray:
-    """Causal attention over a whole sequence: the oracle for the chunked kernel."""
+def naive_diffqkv_attention(x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig) -> np.ndarray:
+    """Causal attention over a whole sequence, one query tile at a time: the kernel's oracle."""
     b, s = x.shape[:2]
     return cached_attention(x, w, cfg, DifferentialKVCache(cfg, b, max(s, 1)))
 
@@ -306,10 +308,7 @@ def select_top_k(alpha: np.ndarray, policy: SelectivePolicy) -> np.ndarray:
 
 
 def selective_v_attention(
-    alpha: np.ndarray,
-    v: np.ndarray,
-    policy: SelectivePolicy,
-    w_o: np.ndarray,
+    alpha: np.ndarray, v: np.ndarray, policy: SelectivePolicy, w_o: np.ndarray
 ) -> np.ndarray:
     """Approximate attention output using only the top-k V rows per head."""
     return attention_output(select_top_k(alpha, policy), v, w_o)

@@ -1,18 +1,14 @@
 """Split/combine chunked attention over native K/V head counts.
 
-The split stage scores one query against a chunk of the KV sequence with the
-grouped core of :mod:`diffqkv.attention`: K and V stay at their stored head
-counts, and each block of n_q / n_i query heads is addressed against its one
-K/V head (``idx_i = floor(idx_q * n_i / n_q)``).  In half-K mode the K
-expansion is absorbed into the query (``q @ w_k_expand.T``), so chunks are
-scored in the stored K dimension and never expanded.  Each chunk yields an
-:class:`AttentionPartial` — an unnormalized weighted V sum plus (max, sum-exp)
-row statistics.  The combine stage merges partials by a numerically stable
-log-sum-exp reduction that is mathematically identical to one-pass softmax
-attention, whatever the chunking.
-
-Split calls over distinct chunks are independent; combine is a deterministic
-reduction whose result does not depend on grouping or order.
+The split scores one query against every chunk of the KV cache through the
+grouped core of :mod:`diffqkv.attention`, K and V at their stored head counts
+(half-K: the expansion is absorbed into the query).  The valid prefix is
+scored in one call; each run of equal-width chunks is then a view of it as a
+[n_chunks, n_q, width] grid, so every chunk's partial -- an unnormalized
+weighted V sum plus (max, sum-exp) row statistics -- comes from one
+vectorized pass per run.  The combine merges the stacked partials in one
+stable log-sum-exp reduction, equal to one-pass softmax attention up to
+rounding whatever the chunking, grouping or order.
 """
 
 from __future__ import annotations
@@ -72,6 +68,26 @@ class ChunkPlan:
         return cls(chunk_size=chunk_size, boundaries=bounds)
 
 
+def _chunk_partials(
+    logits: np.ndarray, v: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partials of the chunks of ``width`` positions tiling logits [n_q, t] and v [t, n_v, d_v].
+
+    Both are viewed as grids of n = t / width chunks, so no row is copied; returns
+    out [n, n_q, d_v], row_max [n, n_q], row_sumexp [n, n_q].
+    """
+    grid = logits.reshape(len(logits), -1, width).transpose(1, 0, 2)  # [n, n_q, width]
+    row_max = grid.max(axis=-1)
+    expw = np.exp(grid - row_max[..., None])
+    return weighted_value_sum(expw, v.reshape(-1, width, *v.shape[1:])), row_max, expw.sum(axis=-1)
+
+
+def _merge(out: np.ndarray, row_max: np.ndarray, row_sumexp: np.ndarray) -> np.ndarray:
+    """Log-sum-exp merge of stacked partials [n, n_q, d_v] / [n, n_q] -> [n_q, d_v]."""
+    scale = np.exp(row_max - row_max.max(axis=0))
+    return np.einsum("nhd,nh->hd", out, scale) / (row_sumexp * scale).sum(axis=0)[:, None]
+
+
 def split_attend(
     q: np.ndarray,
     k_chunk: np.ndarray,
@@ -92,27 +108,15 @@ def split_attend(
     """
     n_q, d = q.shape
     start, end = chunk_range
-    if k_chunk.shape[0] != end - start or v_chunk.shape[0] != end - start:
-        raise ShapeError(
-            f"chunk rows {k_chunk.shape[0]}/{v_chunk.shape[0]} do not match range {chunk_range}"
-        )
-    if k_chunk.shape[-1] != d:
-        raise ShapeError(f"k_chunk dim {k_chunk.shape[-1]} != query dim {d}")
+    if k_chunk.shape[0] != end - start or v_chunk.shape[0] != end - start or k_chunk.shape[-1] != d:
+        raise ShapeError(f"k {k_chunk.shape} / v {v_chunk.shape} do not fit {chunk_range}, dim {d}")
 
     valid = min(end, causal_limit) - start
     if valid <= 0:
         # Fully masked chunk: sentinel partial that combine will skip.
-        return AttentionPartial(
-            out_partial=np.zeros((n_q, v_chunk.shape[-1])),
-            row_max=np.full(n_q, -np.inf),
-            row_sumexp=np.zeros(n_q),
-        )
-
+        return AttentionPartial(np.zeros((n_q, v_chunk.shape[-1])), np.full(n_q, -np.inf), np.zeros(n_q))
     logits = attention_logits(q[None], k_chunk[None, :valid], scale_dim)[0]
-    row_max = logits.max(axis=1)
-    expw = np.exp(logits - row_max[:, None])
-    out = weighted_value_sum(expw[None], v_chunk[None, :valid])[0]
-    return AttentionPartial(out_partial=out, row_max=row_max, row_sumexp=expw.sum(axis=1))
+    return AttentionPartial(*(a[0] for a in _chunk_partials(logits, v_chunk[:valid], valid)))
 
 
 def combine_partials(partials: list[AttentionPartial]) -> np.ndarray:
@@ -120,14 +124,7 @@ def combine_partials(partials: list[AttentionPartial]) -> np.ndarray:
     live = [p for p in partials if not p.empty]
     if not live:
         raise EmptyInputError("combine_partials: every partial is empty")
-    row_max = np.max([p.row_max for p in live], axis=0)
-    z = np.zeros_like(row_max)
-    out = np.zeros_like(live[0].out_partial)
-    for p in live:
-        w = np.exp(p.row_max - row_max)
-        z += p.row_sumexp * w
-        out += p.out_partial * w[:, None]
-    return out / z[:, None]
+    return _merge(*map(np.stack, zip(*((p.out_partial, p.row_max, p.row_sumexp) for p in live))))
 
 
 def flexhead_attention(
@@ -143,6 +140,8 @@ def flexhead_attention(
 
     In half-K mode the cache holds unexpanded d_k_head vectors; the query is
     mapped once with ``q @ w.w_k_expand.T`` and scored against them directly.
+    Chunks wholly at or past ``causal_limit`` contribute nothing; the rest are
+    split one run of equal widths at a time and merged in one log-sum-exp.
     Output equals the naive attention over the same data for every chunking.
     """
     if plan.length != cache.len:
@@ -151,14 +150,15 @@ def flexhead_attention(
         if w is None or w.w_k_expand is None:
             raise ConfigError("half-K config needs weights with w_k_expand to score the cache")
         q = q @ w.w_k_expand.T
-    if causal_limit is None:
-        causal_limit = cache.len
-    k_store, v_store = cache.view()
-    partials = []
-    for start, end in plan.boundaries:
-        k_chunk = k_store[batch_index, start:end]
-        v_chunk = v_store[batch_index, start:end]
-        partials.append(
-            split_attend(q, k_chunk, v_chunk, (start, end), cfg.softmax_scale_dim, causal_limit)
-        )
-    return combine_partials(partials)
+    causal_limit = cache.len if causal_limit is None else causal_limit
+    bounds = np.minimum(np.array(plan.boundaries, dtype=np.int64).reshape(-1, 2), causal_limit)
+    bounds = bounds[bounds[:, 0] < bounds[:, 1]]  # chunks cut at the causal limit, empty ones dropped
+    if not len(bounds):
+        raise EmptyInputError("flexhead_attention: every chunk lies past the causal limit")
+    k, v = (store[batch_index] for store in cache.view())
+    logits = attention_logits(q[None], k[None, : bounds[-1, 1]], cfg.softmax_scale_dim)[0]
+    # One pass per run of equal widths: a regular plan's full chunks, then its last one.
+    runs = np.split(bounds, np.flatnonzero(np.diff(bounds[:, 1] - bounds[:, 0])) + 1)
+    spans = [(r[0, 0], r[-1, 1], r[0, 1] - r[0, 0]) for r in runs]
+    parts = [_chunk_partials(logits[:, a:b], v[a:b], width) for a, b, width in spans]
+    return _merge(*(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))))

@@ -27,6 +27,17 @@ def _rotary(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
+def _one_shot_causal(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int) -> np.ndarray:
+    # q, k, v: [b, s, h, d] at one head count; the full masked s x s softmax -> [b, s, h*d].
+    b, s, h, d = v.shape
+    scores = np.einsum("bihd,bjhd->bhij", q, k) / np.sqrt(float(scale_dim))
+    scores = scores + np.triu(np.full((s, s), -np.inf), k=1)
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return np.einsum("bhij,bjhd->bihd", weights, v).reshape(b, s, h * d)
+
+
 def vanilla_mha_attention(
     x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig
 ) -> np.ndarray:
@@ -39,14 +50,7 @@ def vanilla_mha_attention(
     q = _rotary((x @ w.w_q).reshape(b, s, h, d), positions, cfg.rope_theta)
     k = _rotary((x @ w.w_k).reshape(b, s, h, d), positions, cfg.rope_theta)
     v = (x @ w.w_v).reshape(b, s, h, d)
-
-    scores = np.einsum("bihd,bjhd->bhij", q, k) / np.sqrt(float(cfg.softmax_scale_dim))
-    scores = scores + np.triu(np.full((s, s), -np.inf), k=1)
-    scores -= scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    ctx = np.einsum("bhij,bjhd->bihd", weights, v)
-    return ctx.reshape(b, s, h * d) @ w.w_o
+    return _one_shot_causal(q, k, v, cfg.softmax_scale_dim) @ w.w_o
 
 
 def grouped_attention_by_duplication(
@@ -76,11 +80,4 @@ def grouped_attention_by_duplication(
 
     k = np.repeat(k, n_q // cfg.n_k_heads, axis=2)
     v = np.repeat(v, n_q // cfg.n_v_heads, axis=2)
-
-    scores = np.einsum("bihd,bjhd->bhij", q, k) / np.sqrt(float(cfg.softmax_scale_dim))
-    scores = scores + np.triu(np.full((s, s), -np.inf), k=1)
-    scores -= scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    ctx = np.einsum("bhij,bjhd->bihd", weights, v)
-    return ctx.reshape(b, s, n_q * d) @ w.w_o
+    return _one_shot_causal(q, k, v, cfg.softmax_scale_dim) @ w.w_o

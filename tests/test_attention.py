@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from diffqkv import attention
 from diffqkv.attention import (
     AttentionWeights,
     SelectivePolicy,
@@ -252,6 +254,23 @@ class TestScoresAndOutput:
         with pytest.raises(ShapeError):
             attention_scores(np.zeros((1, 2, 3)), np.zeros((1, 4, 2, 5)), 3, 4)
 
+    def test_tile_rows_equal_single_queries(self):
+        # Row r of a tile starting at causal limit L attends like one query at limit L + r,
+        # and the tile's output rows are those queries' outputs.
+        rng = np.random.default_rng(6)
+        b, n_q, T, t, d = 2, 8, 5, 11, 3
+        q = rng.normal(size=(b, n_q, T, d))
+        k = rng.normal(size=(b, t, 2, d))
+        v = rng.normal(size=(b, t, 4, d))
+        w_o = rng.normal(size=(n_q * d, 7))
+        alpha = attention_scores(q, k, d, t - T + 1)
+        out = attention_output(alpha, v, w_o)
+        assert alpha.shape == (b, n_q, T, t) and out.shape == (b, T, 7)
+        for r in range(T):
+            single = attention_scores(q[:, :, r], k, d, t - T + 1 + r)
+            assert_allclose(alpha[:, :, r], single, rtol=0, atol=1e-15)
+            assert_allclose(out[:, r], attention_output(single, v, w_o), rtol=0, atol=1e-14)
+
     def test_output_single_position_copies_v(self):
         v = np.random.default_rng(5).normal(size=(1, 1, 2, 3))
         out = attention_output(np.ones((1, 2, 1)), v, np.eye(6))
@@ -341,6 +360,48 @@ class TestCachedAttention:
             assert cache.len == s
             got = np.concatenate([prefix, suffix], axis=1)
             assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "extras", [{}, {"d_k_head": 2, "aug_q_dim": 24}], ids=["plain", "halfk-augq"]
+    )
+    def test_many_tiles_with_cuts_on_and_off_tile_boundaries(self, extras):
+        cfg = make_cfg(32, 4, 16, **extras)
+        rng = np.random.default_rng(21)
+        d_model = 32 * cfg.d_head
+        w = init_attention_weights(cfg, d_model, rng)
+        s = 301
+        x = rng.normal(size=(1, s, d_model))
+        expected = grouped_attention_by_duplication(x, w, cfg)
+        tile = attention._SCORE_BUDGET // (32 * s)  # query tile of the one-call pass
+        assert 1 < tile < s // 10
+        for a in (0, 2 * tile, 2 * tile + 1, 5 * tile - 1, s // 2, s):
+            cache = DifferentialKVCache(cfg, 1, s)
+            prefix = cached_attention(x[:, :a], w, cfg, cache)
+            suffix = cached_attention(x[:, a:], w, cfg, cache)
+            got = np.concatenate([prefix, suffix], axis=1)
+            assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_transient_memory_bounded_by_score_tile(self, monkeypatch):
+        # 32/4/16 heads over 257 positions: the one-shot [b, n_q, s, s] scores
+        # alone would take 16.9 MB, four times what a tiled pass may hold.
+        cfg = make_cfg(32, 4, 16, d_head=16)
+        w = init_attention_weights(cfg, 512, seed=4)
+        x = np.random.default_rng(4).normal(size=(1, 257, 512))
+
+        def peak() -> int:
+            tracemalloc.start()
+            try:
+                naive_diffqkv_attention(x, w, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Arrays the size of x (projected and rotated queries, the output) plus
+        # a few tiles of scores.
+        bound = 5 * x.nbytes + 2 * 8 * attention._SCORE_BUDGET
+        assert peak() <= bound
+        monkeypatch.setattr(attention, "_SCORE_BUDGET", 1 << 40)  # one tile: s x s scores
+        assert peak() > bound
 
     def test_writes_unexpanded_rotated_keys(self):
         cfg = make_cfg(d_k_head=2)

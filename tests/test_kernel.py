@@ -141,6 +141,15 @@ class TestSplitCombine:
         ]
         assert_allclose(combine_partials(shifted), combine_partials(parts), atol=1e-9)
 
+    def test_mismatched_chunk_shapes_raise(self):
+        q = np.zeros((8, 4))
+        with pytest.raises(ShapeError):
+            split_attend(q, np.zeros((3, 2, 5)), np.zeros((3, 4, 4)), (0, 3), 4, 3)  # K dim
+        with pytest.raises(ShapeError):
+            split_attend(q, np.zeros((2, 2, 4)), np.zeros((3, 4, 4)), (0, 3), 4, 3)  # K rows
+        with pytest.raises(ShapeError):
+            split_attend(q, np.zeros((3, 2, 4)), np.zeros((4, 4, 4)), (0, 3), 4, 3)  # V rows
+
     def test_all_empty_raises(self):
         empty = AttentionPartial(np.zeros((2, 3)), np.full(2, -np.inf), np.zeros(2))
         with pytest.raises(EmptyInputError):
@@ -156,8 +165,10 @@ class TestSplitCombine:
         bounds = [(0, 3), (3, 7), (7, 8), (8, 12)]
         parts = [split_attend(q, k[a:b], v[a:b], (a, b), 4, t) for a, b in bounds]
         base = combine_partials(parts)
-        shuffled = [parts[i] for i in (2, 0, 3, 1)]
-        assert_allclose(combine_partials(shuffled), base, atol=1e-9)
+        parts.append(split_attend(q, k[:2], v[:2], (t, t + 2), 4, t))  # fully masked
+        for order in ((2, 0, 3, 1), (4, 3, 2, 1, 0), (1, 4, 0, 2, 3)):
+            shuffled = [parts[i] for i in order]
+            assert_allclose(combine_partials(shuffled), base, atol=1e-9)
 
     @pytest.mark.parametrize("n_q,n_k,n_v", [(32, 4, 16), (32, 16, 4), (8, 1, 8), (8, 8, 1)])
     def test_partial_matches_repeat_reference(self, n_q, n_k, n_v):
@@ -202,6 +213,39 @@ class TestFlexheadAttention:
                 got = flexhead_attention(q[0, pos], cache, plan, cfg, w, causal_limit=pos + 1)
                 want = naive_heads(q[0, pos], k[:, : pos + 1], v[:, : pos + 1], cfg, pos + 1, w)
                 assert_allclose(got, want, atol=1e-9)
+
+    @pytest.mark.parametrize("kwargs", [dict(), dict(d_k_head=2), dict(n_q=32, n_k=4, n_v=16)])
+    def test_irregular_plan_and_chunks_past_causal_limit(self, kwargs):
+        cfg = make_cfg(**kwargs)
+        rng = np.random.default_rng(11)
+        d_model = cfg.n_q_heads * cfg.d_head
+        w = init_attention_weights(cfg, d_model, rng)
+        t = 23
+        x = rng.normal(size=(1, t, d_model))
+        q, k, v = project_qkv(x, w, cfg)
+        q, k = apply_rope(q, k, np.arange(t), cfg.rope_theta)
+        cache = fill_cache(cfg, k, v)
+        bounds = ((0, 1), (1, 9), (9, 10), (10, 13), (13, 16), (16, 23))  # widths 1 8 1 3 3 7
+        plan = ChunkPlan(chunk_size=8, boundaries=bounds)
+        # Limits inside, at the edge of and before whole chunks: e.g. at 5 the last
+        # four chunks lie wholly past the limit and the second one is cut.
+        for limit in (1, 2, 5, 9, 10, 12, 14, 16, 23):
+            got = flexhead_attention(q[0, limit - 1], cache, plan, cfg, w, causal_limit=limit)
+            want = naive_heads(q[0, limit - 1], k[:, :limit], v[:, :limit], cfg, limit, w)
+            assert_allclose(got, want, atol=1e-9)
+
+    def test_batch_index_selects_its_row(self):
+        cfg = make_cfg()
+        rng = np.random.default_rng(12)
+        t = 10
+        q = rng.normal(size=(8, 4))
+        k = rng.normal(size=(2, t, 2, 4))
+        v = rng.normal(size=(2, t, 4, 4))
+        cache = cache_new(cfg, batch=2, capacity=t)
+        cache.append(k, v)
+        for row in (0, 1):
+            got = flexhead_attention(q, cache, ChunkPlan.for_length(t, 3), cfg, batch_index=row)
+            assert_allclose(got, naive_heads(q, k[row : row + 1], v[row : row + 1], cfg, t), atol=1e-9)
 
     def test_chunking_invariance_all_sizes(self):
         cfg = make_cfg()

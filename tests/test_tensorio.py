@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -11,6 +13,9 @@ def test_round_trip(tmp_path):
         "w_q": rng.normal(size=(8, 8)),
         "norm": rng.normal(size=(8,)),
         "blocks.0.attn.w_k": rng.normal(size=(2, 3, 4)),
+        "scalar": np.array(2.5),
+        "empty": np.zeros((0, 3)),
+        "strided": rng.normal(size=(4, 6))[:, ::2],
     }
     path = tmp_path / "weights.bin"
     write_tensors(path, tensors, config_text="attention.n_q_heads = 8\n")
@@ -118,3 +123,33 @@ def test_write_refuses_non_finite_and_keeps_existing_file(tmp_path, bad):
     with pytest.raises(ContainerFormatError, match="non-finite"):
         write_tensors(tmp_path / "new.bin", {"b": np.array([bad])})
     assert not (tmp_path / "new.bin").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_rejects_each_non_finite_value(tmp_path, bad):
+    path = tmp_path / "bad.bin"
+    write_tensors(path, {"a": np.array([1.0, 2.0, 3.0])}, "")
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-16] + np.array(bad, dtype="<f8").tobytes() + blob[-8:])
+    with pytest.raises(ContainerFormatError, match="non-finite"):
+        read_tensors(path)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_and_load_make_no_tensor_sized_copy(tmp_path):
+    big = np.random.default_rng(1).normal(size=(512, 512))  # 2 MiB
+    tensors = {"big": big, "small": np.ones(3)}
+    path = tmp_path / "big.bin"
+    # Writing streams each array's own buffer: a bytes copy would be big.nbytes.
+    assert _traced_peak(lambda: write_tensors(path, tensors, "echo")) < big.nbytes // 16
+    # Reading allocates the arrays it returns; a finiteness check through a bool
+    # mask would add big.nbytes / 8 on top.
+    assert _traced_peak(lambda: read_tensors(path)) < big.nbytes + big.nbytes // 16
