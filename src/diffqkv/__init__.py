@@ -1,9 +1,10 @@
 """DiffQKV attention at desk scale.
 
 Differential rescaling of Q, K and V head counts and dimensions, the
-differential KV cache it implies, a split/combine chunked-attention kernel
-simulator, an analytic inference-cost model, and a tiny trainable causal LM
-that exercises all of it end to end.
+differential KV cache it implies, one blocked causal softmax (per-block
+partials merged by log-sum-exp) behind the forward pass, decode and a
+chunked-attention kernel simulator, an analytic inference-cost model, and a
+tiny trainable causal LM that exercises all of it end to end.
 """
 
 from .attention import (
@@ -39,13 +40,7 @@ from .costmodel import (
     reduction_rate,
     total_cost_curve,
 )
-from .kernel import (
-    AttentionPartial,
-    ChunkPlan,
-    combine_partials,
-    flexhead_attention,
-    split_attend,
-)
+from .kernel import ChunkPlan, flexhead_attention
 from .kvcache import DifferentialKVCache, cache_new, kv_group_balance
 from .model import ToyModel, decode, forward, init_model, train_step
 
@@ -53,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttentionConfig",
-    "AttentionPartial",
     "AttentionWeights",
     "ChunkPlan",
     "CostGrid",
@@ -71,7 +65,6 @@ __all__ = [
     "augment_q",
     "cache_new",
     "cached_attention",
-    "combine_partials",
     "crossover_prefix",
     "decode",
     "flexhead_attention",
@@ -86,7 +79,6 @@ __all__ = [
     "project_qkv",
     "reduction_rate",
     "selective_v_attention",
-    "split_attend",
     "total_cost_curve",
     "toy_preset",
     "train_step",

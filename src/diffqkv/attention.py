@@ -1,16 +1,18 @@
 """Reference implementation of DiffQKV attention over plain float64 arrays.
 
-One attention core (``attention_logits``/``attention_scores`` and
-``weighted_value_sum``) takes K and V at their stored head counts: each K (or
-V) head multiplies the rows of its group of query heads, times an optional
-tile of consecutive query positions, in one product, so no head is ever
-duplicated.  ``cached_attention`` projects and rotates new positions, absorbs
-the half-K expansion into the query (``q @ w_k_expand.T``, exact because
-rotary acts on K before expansion), appends their K/V rows to a differential
-cache and attends over the cached prefix one query tile at a time.  The
-model's forward and decode and the kernel's oracle ``naive_diffqkv_attention``
-all run on it.  Apart from the cache a caller passes in, every function is
-free of side effects.
+One attention core (``attention_logits`` and ``weighted_value_sum``) takes K
+and V at their stored head counts: each K (or V) head multiplies the rows of
+its group of query heads, times an optional tile of consecutive query
+positions, in one product, so no head is ever duplicated.  Softmax is blocked:
+``_partial`` turns one block of logits into an unnormalised V sum with its row
+max and sum-exp, and ``_merge`` combines partials by log-sum-exp; nothing else
+in the numpy path exponentiates logits.  ``cached_attention`` projects and
+rotates new positions, absorbs the half-K expansion into the query
+(``q @ w_k_expand.T``, exact because rotary acts on K before expansion),
+appends their K/V rows to a differential cache and attends each query tile
+over blocks of cached keys up to its causal end.  The model's forward and
+decode, the kernel and its oracle ``naive_diffqkv_attention`` all run on it.
+Apart from the cache a caller passes in, every function is free of side effects.
 
 Shapes follow the convention ``[batch, seq, heads, dim]``; weights are plain
 2-D matrices applied on the right (``x @ w``), bias-free throughout.
@@ -18,6 +20,7 @@ Shapes follow the convention ``[batch, seq, heads, dim]``; weights are plain
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +38,14 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def _inverse_rms(x: np.ndarray) -> np.ndarray:
-    """1 / RMS over the last axis: the RMS-norm formula of the model and its autodiff twin."""
-    return 1.0 / np.sqrt(np.mean(x**2, axis=-1, keepdims=True) + RMS_NORM_EPS)
+    """1 / sqrt(mean(x^2) + eps) over the last axis: the RMS norm of the model and its autodiff twin.
+
+    Rows are divided by their largest |x| (1 if all zero) before squaring, so none overflows.
+    """
+    peak = np.abs(x).max(axis=-1, keepdims=True)
+    peak[peak == 0.0] = 1.0
+    rms = peak * np.sqrt(((x / peak) ** 2).sum(axis=-1, keepdims=True) / x.shape[-1])
+    return 1.0 / np.hypot(rms, math.sqrt(RMS_NORM_EPS))
 
 
 @dataclass
@@ -76,7 +85,7 @@ class SelectivePolicy:
 
     def __post_init__(self):
         if self.k_top < 1:
-            raise ValueError(f"k_top must be >= 1, got {self.k_top}")
+            raise ConfigError(f"k_top must be >= 1, got {self.k_top}")
 
 
 def attention_weight_shapes(cfg: ValidatedConfig, d_model: int) -> dict[str, tuple[int, int]]:
@@ -199,10 +208,48 @@ def attention_logits(q: np.ndarray, k: np.ndarray, scale_dim: int) -> np.ndarray
     """
     if k.shape[0] != q.shape[0] or k.shape[-1] != q.shape[-1]:
         raise ShapeError(f"q {q.shape} does not match k {k.shape}")
-    logits = np.matmul(_query_groups(q, k.shape[2]), k.transpose(0, 2, 3, 1))
-    logits = logits.reshape(*q.shape[:-1], k.shape[1])
-    logits /= np.sqrt(float(scale_dim))
+    # Scaling the query rows, not the logits, saves a pass over the larger operand.
+    rows = _query_groups(q, k.shape[2]) * (1.0 / math.sqrt(scale_dim))
+    logits = np.matmul(rows, k.transpose(0, 2, 3, 1))
+    return logits.reshape(*q.shape[:-1], k.shape[1])
+
+
+def _masked_logits(q: np.ndarray, k: np.ndarray, scale_dim: int, limit: int) -> np.ndarray:
+    """``attention_logits`` with -inf at key column j of query tile row r wherever j >= limit + r."""
+    logits = attention_logits(q, k, scale_dim)
+    t = k.shape[1]
+    if limit < t:
+        row = np.arange(q.shape[2])[:, None] if q.ndim == 4 else 0
+        logits += np.where(np.arange(t) >= limit + row, -np.inf, 0.0)
     return logits
+
+
+def _partial(logits: np.ndarray, v: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Softmax partial of logits [b, n_q, (T,) t] over one block of keys, exponentiated in place.
+
+    Returns (sum_j p_j * v_j, m, sum_j p_j) with m the row max and
+    p_j = exp(logit_j - m), V [b, t, n_v, d] at its stored head count; with
+    ``v=None`` the weights p themselves stand in for the V sum.  A row that is
+    -inf throughout (fully masked) gets p = 0 and m = -inf, so it adds nothing
+    to a merge.
+    """
+    row_max = logits.max(axis=-1, keepdims=True)
+    shift = np.maximum(row_max, np.finfo(np.float64).min)  # finite, so -inf - shift is -inf
+    p = np.exp(np.subtract(logits, shift, out=logits), out=logits)
+    out = p if v is None else weighted_value_sum(p, v)
+    return out, row_max[..., 0], p.sum(axis=-1)
+
+
+def _merge(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Log-sum-exp merge of partials given as stacks on axis 0 -> normalised output [..., d].
+
+    Each stack holds V sums [n, ..., d] with row maxes and sum-exps [n, ...].
+    """
+    out, row_max, row_sumexp = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    if len(out) == 1:  # a single partial only needs normalising
+        return out[0] / row_sumexp[0][..., None]
+    scale = np.exp(row_max - row_max.max(axis=0))
+    return np.einsum("n...d,n...->...d", out, scale) / (row_sumexp * scale).sum(axis=0)[..., None]
 
 
 def attention_scores(q: np.ndarray, k: np.ndarray, scale_dim: int, causal_mask_len: int) -> np.ndarray:
@@ -218,15 +265,9 @@ def attention_scores(q: np.ndarray, k: np.ndarray, scale_dim: int, causal_mask_l
     Returns:
         alpha: [b, n_q, t] or [b, n_q, T, t]; each unmasked row sums to 1.
     """
-    logits = attention_logits(q, k, scale_dim)
-    t = k.shape[1]
-    if causal_mask_len < t:
-        row = np.arange(q.shape[2])[:, None] if q.ndim == 4 else 0
-        logits[..., np.arange(t) >= causal_mask_len + row] = -np.inf
-    logits -= logits.max(axis=-1, keepdims=True)
-    weights = np.exp(logits, out=logits)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return weights
+    p, _, total = _partial(_masked_logits(q, k, scale_dim, causal_mask_len), None)
+    p /= total[..., None]
+    return p
 
 
 def weighted_value_sum(alpha: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -238,13 +279,18 @@ def weighted_value_sum(alpha: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out.reshape(*alpha.shape[:-1], v.shape[-1])
 
 
-def attention_output(alpha: np.ndarray, v: np.ndarray, w_o: np.ndarray) -> np.ndarray:
-    """alpha [b, n_q, (T,) t] -> [b, (T,) d_model]: weighted V sums, heads in index order, @ w_o."""
-    o = np.moveaxis(weighted_value_sum(alpha, v), 1, -2)
+def _project_heads(o: np.ndarray, w_o: np.ndarray) -> np.ndarray:
+    """Per-head outputs [b, n_q, (T,) d] -> [b, (T,) d_model]: heads in index order, @ w_o."""
+    o = np.moveaxis(o, 1, -2)
     return o.reshape(*o.shape[:-2], -1) @ w_o
 
 
-# Elements of one tile's [b, n_q, T, end] scores.  Larger tiles mean fewer
+def attention_output(alpha: np.ndarray, v: np.ndarray, w_o: np.ndarray) -> np.ndarray:
+    """alpha [b, n_q, (T,) t] -> [b, (T,) d_model]: weighted V sums, heads in index order, @ w_o."""
+    return _project_heads(weighted_value_sum(alpha, v), w_o)
+
+
+# Elements of one [b, n_q, T, B] block of scores.  Larger blocks mean fewer
 # passes but more transient memory; 2**16 float64 scores are 512 KiB.
 _SCORE_BUDGET = 1 << 16
 
@@ -257,9 +303,12 @@ def cached_attention(
     The new positions are ``cache.len .. cache.len + s - 1``: project ->
     augmented Q -> rotary -> (half-K) expansion absorbed into the query -> one
     append of all s K/V rows to ``cache`` -> per tile of T consecutive queries,
-    one grouped softmax over the stored K heads, causal inside the tile ->
-    weighted sum of the stored V heads -> output projection.  T is the largest
-    tile whose scores fit ``_SCORE_BUDGET`` elements, and at least 1 (decode).
+    one softmax partial per block of B stored keys up to the tile's causal end
+    (only the diagonal block is masked), merged by log-sum-exp -> output
+    projection.  Each block's scores fit ``_SCORE_BUDGET`` elements: B is the
+    whole key range whenever that leaves a tile of T_sq = sqrt(budget / (b n_k))
+    / g queries (or all s), and otherwise T = T_sq and B fills the budget, so
+    each grouped product is about g*T rows square.  Decode is one query per tile.
     """
     start = cache.len
     q, k, v = project_qkv(x, w, cfg)
@@ -270,14 +319,23 @@ def cached_attention(
     cache.append(k, v)
     k_all, v_all = cache.view()
     q = q.transpose(0, 2, 1, 3)  # [b, n_q, s, d]: a tile is a slice of axis 2
-    tile = max(1, _SCORE_BUDGET // max(1, b * q.shape[1] * (start + s)))
+    n_q, n_k = q.shape[1], k_all.shape[2]
+    tile = _SCORE_BUDGET // max(1, b * n_q * (start + s))
+    square = max(1, math.isqrt(_SCORE_BUDGET // (b * n_k)) // (n_q // n_k))
+    if tile >= min(square, s):
+        tile, block = max(1, tile), start + s
+    else:
+        tile = min(square, s)
+        block = max(1, _SCORE_BUDGET // (b * n_q * tile))
     out = np.empty((b, s, w.w_o.shape[1]))
     for i in range(0, s, tile):
-        end = start + min(i + tile, s)
-        alpha = attention_scores(
-            q[:, :, i : i + tile], k_all[:, :end], cfg.softmax_scale_dim, start + i + 1
-        )
-        out[:, i : i + tile] = attention_output(alpha, v_all[:, :end], w.w_o)
+        first, end = start + i + 1, start + min(i + tile, s)  # keys seen by the first and last row
+        q_tile, parts = q[:, :, i : i + tile], []
+        for j in range(0, end, block):
+            keys = slice(j, min(j + block, end))
+            logits = _masked_logits(q_tile, k_all[:, keys], cfg.softmax_scale_dim, first - j)
+            parts.append(tuple(a[None] for a in _partial(logits, v_all[:, keys])))  # one stack per block
+        out[:, i : i + tile] = _project_heads(_merge(parts), w.w_o)
     return out
 
 

@@ -182,17 +182,15 @@ def silu(a: Tensor) -> Tensor:
 
 def rms_norm(x: Tensor, scale: Tensor) -> Tensor:
     """Scale-only RMS normalization over the last axis."""
-    d = x.data.shape[-1]
     inv = _inverse_rms(x.data)
-    out = x.data * inv * scale.data
+    y = x.data * inv
+    out = y * scale.data
 
     def vjp(g):
-        gs_x = g * scale.data
-        gx = gs_x * inv - x.data * inv**3 / d * np.sum(
-            gs_x * x.data, axis=-1, keepdims=True
-        )
-        gscale = _unbroadcast(g * x.data * inv, scale.data.shape)
-        return gx, gscale
+        # In terms of y = x * inv, so no power of inv can over- or underflow.
+        gs = g * scale.data
+        gx = inv * (gs - y * np.mean(gs * y, axis=-1, keepdims=True))
+        return gx, _unbroadcast(g * y, scale.data.shape)
 
     return Tensor(out, parents=(x, scale), vjp=vjp)
 

@@ -38,7 +38,7 @@ from .costmodel import (
     reduction_rate,
     total_cost_curve,
 )
-from .errors import DiffQKVError, DivergenceError, UnknownSuiteError, UsageError
+from .errors import ConfigError, DiffQKVError, DivergenceError, UnknownSuiteError, UsageError
 from .model import (
     copy_task_batch,
     decode,
@@ -85,12 +85,15 @@ def _cmd_cost(args) -> int:
     std = attention_of(resolve_config(args.std))
     sigma = attention_of(resolve_config(args.sigma))
     grid = _parse_grid(args.grid)
-    params = CostModelParams(
-        alpha=args.alpha,
-        beta=args.beta,
-        attn_alpha=args.attn_alpha,
-        augq_cost_per_token=args.augq_cost,
-    )
+    try:
+        params = CostModelParams(
+            alpha=args.alpha,
+            beta=args.beta,
+            attn_alpha=args.attn_alpha,
+            augq_cost_per_token=args.augq_cost,
+        )
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from exc
     rows = total_cost_curve(std, sigma, grid, params)
     emit_csv(cost_table_csv(rows), args.out)
     rate = reduction_rate(std, sigma)
@@ -116,7 +119,17 @@ def _cmd_bench(args) -> int:
     return 0 if augq_ok else 1
 
 
+# Least accepted value of each integer train-toy argument: the loss needs two positions.
+_TRAIN_MINIMA = {"steps": 1, "batch": 1, "seq_len": 2, "log_every": 1}
+
+
 def _cmd_train_toy(args) -> int:
+    for name, least in _TRAIN_MINIMA.items():
+        if getattr(args, name) < least:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be >= {least}, got {getattr(args, name)}")
+    if not (np.isfinite(args.lr) and args.lr > 0):
+        raise UsageError(f"--lr must be positive and finite, got {args.lr}")
     seed = _seed(args)
     if args.config is None:
         cfg = toy_preset("sigma-1.5b")
@@ -126,6 +139,8 @@ def _cmd_train_toy(args) -> int:
         cfg = resolve_config(args.config)
         if not isinstance(cfg, ModelConfig):
             raise UsageError("train-toy needs a config file with a model block")
+    if args.seq_len > cfg.max_seq_len:
+        raise UsageError(f"--seq-len {args.seq_len} exceeds the model's max_seq_len {cfg.max_seq_len}")
     model = init_model(cfg, seed=seed)
     rng = np.random.default_rng(seed)
     make_batch = copy_task_batch if args.task == "copy" else random_token_batch

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import ValidatedConfig
-from .errors import DegenerateError
+from .errors import ConfigError, DegenerateError
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class CostModelParams:
 
     def __post_init__(self):
         if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+            raise ConfigError(f"alpha must be positive, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,11 @@ class CostGrid:
             ("output_lengths", self.output_lengths),
         ):
             if not values:
-                raise ValueError(f"{name} must be non-empty")
+                raise ConfigError(f"{name} must be non-empty")
             if any(b <= a for a, b in zip(values, values[1:])):
-                raise ValueError(f"{name} must be strictly ascending, got {values}")
+                raise ConfigError(f"{name} must be strictly ascending, got {values}")
         if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
+            raise ConfigError(f"batch must be >= 1, got {self.batch}")
 
 
 #: Desk-scale default grid; runs in seconds.

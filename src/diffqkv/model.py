@@ -5,8 +5,9 @@ gated (SiLU) FFN -> residual.  Rotary embedding inside attention, untied
 embedding and output head, greedy decoding only.  One numpy block pass runs
 every layer's attention through :func:`diffqkv.attention.cached_attention`
 over that layer's differential KV cache: ``forward`` is the pass over fresh
-caches, attending bounded tiles of queries at once, and ``forward_incremental``
-feeds it one position at a time, agreeing with ``forward`` token for token.
+caches, attending tiles of queries against bounded blocks of keys, and
+``forward_incremental`` feeds it one position at a time, agreeing with
+``forward`` token for token.
 K/V stay at their stored head counts and the half-K expansion is absorbed into
 the query, so the cache is never duplicated or expanded.  ``train_step`` runs
 the same architecture through the autodiff graph, which also attends at native

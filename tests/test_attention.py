@@ -381,6 +381,60 @@ class TestCachedAttention:
             got = np.concatenate([prefix, suffix], axis=1)
             assert_allclose(got, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "extras", [{}, {"d_k_head": 2, "aug_q_dim": 24}], ids=["plain", "halfk-augq"]
+    )
+    def test_key_blocks_with_cuts_on_and_off_tile_and_block_boundaries(self, monkeypatch, extras):
+        # A 2**10 budget at 32/4/16 heads over 64 positions: tiles of 2 queries
+        # against blocks of 16 keys, so a tile that straddles a block boundary
+        # has a row that sees none of the later block's keys.
+        monkeypatch.setattr(attention, "_SCORE_BUDGET", 1 << 10)
+        cfg = make_cfg(32, 4, 16, **extras)
+        rng = np.random.default_rng(22)
+        d_model = 32 * cfg.d_head
+        w = init_attention_weights(cfg, d_model, rng)
+        s = 64
+        x = rng.normal(size=(1, s, d_model))
+        expected = grouped_attention_by_duplication(x, w, cfg)
+        for a in (0, 1, 15, 16, 17, 32, 33, 63, 64):
+            cache = DifferentialKVCache(cfg, 1, s)
+            prefix = cached_attention(x[:, :a], w, cfg, cache)
+            suffix = cached_attention(x[:, a:], w, cfg, cache)
+            got = np.concatenate([prefix, suffix], axis=1)
+            assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_scores_no_key_past_a_tile_causal_end(self, monkeypatch):
+        monkeypatch.setattr(attention, "_SCORE_BUDGET", 1 << 10)
+        cfg = make_cfg(32, 4, 16)
+        rng = np.random.default_rng(23)
+        w = init_attention_weights(cfg, 128, rng)
+        s = 64
+        x = rng.normal(size=(1, s, 128))
+        q, k, _ = project_qkv(x, w, cfg)
+        q, k = apply_rope(q, k, np.arange(s), cfg.rope_theta)
+        real, calls = attention.attention_logits, []
+
+        def spy(q_tile, k_block, scale_dim):
+            # Positions of the tile's queries and the block's keys, matched by value.
+            queries = [np.abs(q[0, :, 0] - row).sum(-1).argmin() for row in q_tile[0, 0]]
+            keys = [np.abs(k[0, :, 0] - row).sum(-1).argmin() for row in k_block[0, :, 0]]
+            calls.append((tuple(queries), keys))
+            return real(q_tile, k_block, scale_dim)
+
+        monkeypatch.setattr(attention, "attention_logits", spy)
+        cache = DifferentialKVCache(cfg, 1, s)
+        cached_attention(x[:, :17], w, cfg, cache)
+        cached_attention(x[:, 17:], w, cfg, cache)
+        tiles = {}
+        for queries, keys in calls:
+            assert max(keys) <= max(queries)  # the tile's causal end
+            tiles.setdefault(queries, []).append(keys)
+        assert sorted(p for queries in tiles for p in queries) == list(range(s))
+        for queries, blocks in tiles.items():
+            assert sorted(sum(blocks, [])) == list(range(max(queries) + 1))  # each key once
+        assert max(len(blocks) for blocks in tiles.values()) == 4
+        assert any(min(keys) > min(queries) for queries, keys in calls)  # a row sees none
+
     def test_transient_memory_bounded_by_score_tile(self, monkeypatch):
         # 32/4/16 heads over 257 positions: the one-shot [b, n_q, s, s] scores
         # alone would take 16.9 MB, four times what a tiled pass may hold.
@@ -462,7 +516,7 @@ class TestSelectiveV:
                 assert np.abs(exact[0, h] - approx[0, h]).max() <= bound + 1e-12
 
     def test_k_top_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SelectivePolicy(k_top=0)
 
     def test_top100_operating_point_constructible(self):

@@ -69,6 +69,27 @@ def test_rms_norm():
     fd_check(ad.rms_norm, [RNG.normal(size=(2, 3, 6)), RNG.normal(size=(6,))])
 
 
+def test_rms_norm_row_whose_square_overflows():
+    out = ad.rms_norm(ad.Tensor([[1e200, 1.0]]), ad.Tensor(np.ones(2)))
+    assert_allclose(out.data, [[np.sqrt(2), np.sqrt(2) * 1e-200]], rtol=1e-15)
+
+
+def test_rms_norm_scale_invariant_at_extreme_magnitudes():
+    # Rows scaled by 1e100 and 1e200 normalise alike; their input gradients
+    # scale by the inverse factor, with no power of 1/RMS over- or underflowing.
+    x, scale, g = RNG.normal(size=(3, 6)), RNG.normal(size=(6,)), RNG.normal(size=(3, 6))
+    outs, grads = [], []
+    for factor in (1e100, 1e200):
+        out = ad.rms_norm(ad.Tensor(x * factor), ad.Tensor(scale))
+        gx, gscale = out._vjp(g)
+        outs.append(out.data)
+        grads.append((gx * factor, gscale))
+    assert_allclose(outs[1], outs[0], rtol=1e-12)
+    for a, b in zip(*grads):
+        assert np.isfinite(a).all() and np.abs(a).max() > 0
+        assert_allclose(b, a, rtol=1e-12)
+
+
 def test_softmax_last():
     fd_check(ad.softmax_last, [RNG.normal(size=(2, 4, 5))])
 

@@ -154,6 +154,33 @@ class TestTrainAndDecode:
         assert with_env != other_env
 
 
+@pytest.mark.parametrize(
+    "case,args,code",
+    [
+        ("cost ok", ["cost", "--grid", "8:4"], 0),
+        ("cost alpha 0", ["cost", "--alpha", "0"], 2),
+        ("cost alpha -1", ["cost", "--alpha", "-1"], 2),
+        ("cost alpha nan", ["cost", "--alpha", "nan"], 2),
+        ("cost descending grid", ["cost", "--grid", "16,8:4"], 2),
+        ("train ok", ["train-toy", "--steps", "1", "--batch", "2", "--seq-len", "6"], 0),
+        ("train batch 0", ["train-toy", "--batch", "0"], 2),
+        ("train seq-len 1", ["train-toy", "--seq-len", "1"], 2),
+        ("train seq-len past max_seq_len", ["train-toy", "--seq-len", "600"], 2),
+        ("train steps 0", ["train-toy", "--steps", "0"], 2),
+        ("train log-every 0", ["train-toy", "--steps", "2", "--log-every", "0"], 2),
+        ("train lr nan", ["train-toy", "--lr", "nan"], 2),
+        ("train lr inf", ["train-toy", "--lr", "inf"], 2),
+        ("train lr 0", ["train-toy", "--lr", "0"], 2),
+    ],
+)
+def test_bad_number_exit_codes(tmp_path, capsys, case, args, code):
+    if args[0] == "cost":
+        args = [*args, "--out", str(tmp_path / "cost.csv")]
+    assert main(args) == code, case
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") if code else err == ""
+
+
 class TestArgparseBehaviour:
     def test_missing_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -18,7 +18,7 @@ from diffqkv.costmodel import (
     reduction_rate,
     total_cost_curve,
 )
-from diffqkv.errors import DegenerateError
+from diffqkv.errors import ConfigError, DegenerateError
 
 SIGMA = PRESETS["sigma-1.5b"].attention
 GQA16 = PRESETS["gqa-16"].attention
@@ -51,7 +51,7 @@ class TestCacheCost:
         )
 
     def test_alpha_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             CostModelParams(alpha=0.0)
 
 
@@ -86,9 +86,9 @@ class TestReductionRate:
 
 class TestCostGrid:
     def test_must_be_ascending(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             CostGrid(prefix_lengths=(4, 2), output_lengths=(1,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             CostGrid(prefix_lengths=(), output_lengths=(1,))
 
     def test_long_context_grid_shape(self):

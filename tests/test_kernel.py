@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from diffqkv.attention import (
+    _masked_logits,
+    _merge,
+    _partial,
     apply_rope,
     attention_scores,
     init_attention_weights,
@@ -12,14 +16,8 @@ from diffqkv.attention import (
     weighted_value_sum,
 )
 from diffqkv.config import AttentionConfig, validate_config
-from diffqkv.errors import EmptyInputError, ShapeError
-from diffqkv.kernel import (
-    AttentionPartial,
-    ChunkPlan,
-    combine_partials,
-    flexhead_attention,
-    split_attend,
-)
+from diffqkv.errors import ConfigError, EmptyInputError, ShapeError
+from diffqkv.kernel import ChunkPlan, flexhead_attention
 from diffqkv.kvcache import cache_new
 
 
@@ -33,6 +31,16 @@ def fill_cache(cfg, k, v):
     cache = cache_new(cfg, batch=1, capacity=k.shape[1])
     cache.append(k, v)
     return cache
+
+
+def partial(q, k, v, scale_dim, limit):
+    """(V sum, row max, sum-exp) of one query [n_q, d] over K/V rows [c, n, d], rows >= limit masked."""
+    logits = _masked_logits(q[None], k[None], scale_dim, limit)
+    return tuple(a[0] for a in _partial(logits, v[None]))
+
+
+def merge(parts):
+    return _merge([tuple(a[None] for a in part) for part in parts])
 
 
 def naive_heads(q, k, v, cfg, causal_limit, w=None):
@@ -55,13 +63,15 @@ class TestChunkPlan:
         assert ChunkPlan.for_length(5, 64).boundaries == ((0, 5),)
 
     def test_invalid_boundaries(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ChunkPlan(chunk_size=2, boundaries=((0, 2), (3, 4)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ChunkPlan(chunk_size=0)
 
 
 class TestSplitCombine:
+    """The attention core's softmax partial and log-sum-exp merge, which the kernel splits over."""
+
     def test_single_chunk_equals_naive(self):
         cfg = make_cfg()
         rng = np.random.default_rng(0)
@@ -69,22 +79,17 @@ class TestSplitCombine:
         q = rng.normal(size=(8, 4))
         k = rng.normal(size=(1, t, 2, 4))
         v = rng.normal(size=(1, t, 4, 4))
-        partial = split_attend(q, k[0], v[0], (0, t), cfg.softmax_scale_dim, t)
-        got = combine_partials([partial])
+        got = merge([partial(q, k[0], v[0], cfg.softmax_scale_dim, t)])
         assert_allclose(got, naive_heads(q, k, v, cfg, t), atol=1e-12)
 
     def test_two_chunk_scalar_case(self):
         # logits [0, ln 3] split across two chunks -> weights [1/4, 3/4];
         # V rows [0], [4] -> combined output 3.
-        cfg = make_cfg(n_q=1, n_k=1, n_v=1, d_head=1, softmax_scale_dim=1)
         q = np.array([[1.0]])
         k = np.array([[0.0], [math.log(3.0)]])
         v = np.array([[0.0], [4.0]])
-        parts = [
-            split_attend(q, k[0:1, None], v[0:1, None], (0, 1), 1, 2),
-            split_attend(q, k[1:2, None], v[1:2, None], (1, 2), 1, 2),
-        ]
-        assert_allclose(combine_partials(parts), [[3.0]], rtol=1e-12)
+        parts = [partial(q, k[i : i + 1, None], v[i : i + 1, None], 1, 1) for i in (0, 1)]
+        assert_allclose(merge(parts), [[3.0]], rtol=1e-12)
 
     def test_fully_masked_chunk_sentinel(self):
         cfg = make_cfg()
@@ -92,13 +97,22 @@ class TestSplitCombine:
         q = rng.normal(size=(8, 4))
         k = rng.normal(size=(4, 2, 4))
         v = rng.normal(size=(4, 4, 4))
-        partial = split_attend(q, k, v, (4, 8), cfg.softmax_scale_dim, causal_limit=4)
-        assert partial.empty
-        assert_array_equal(partial.row_sumexp, np.zeros(8))
-        live = split_attend(q, k, v, (0, 4), cfg.softmax_scale_dim, causal_limit=4)
-        assert_allclose(
-            combine_partials([live, partial]), combine_partials([live]), atol=1e-15
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            masked = partial(q, k, v, cfg.softmax_scale_dim, 0)
+            assert_array_equal(masked[0], np.zeros((8, 4)))
+            assert_array_equal(masked[1], np.full(8, -np.inf))
+            assert_array_equal(masked[2], np.zeros(8))
+            live = partial(q, k, v, cfg.softmax_scale_dim, 4)
+            assert_allclose(merge([live, masked]), merge([live]), atol=1e-15)
+            # Tile rows 0 and 1 see none of the block's keys, row 2 sees its first.
+            tile = rng.normal(size=(1, 8, 3, 4))
+            out, row_max, row_sumexp = _partial(_masked_logits(tile, k[None], 4, -1), v[None])
+            assert np.isfinite(out).all()
+            assert_array_equal(out[:, :, :2], 0.0)
+            assert_array_equal(row_max[:, :, :2], -np.inf)
+            assert_array_equal(row_sumexp[:, :, :2], 0.0)
+            assert_allclose(row_sumexp[:, :, 2], 1.0, rtol=0, atol=1e-15)
 
     def test_single_partial_self_normalizes(self):
         cfg = make_cfg()
@@ -106,8 +120,8 @@ class TestSplitCombine:
         q = rng.normal(size=(8, 4))
         k = rng.normal(size=(3, 2, 4))
         v = rng.normal(size=(3, 4, 4))
-        p = split_attend(q, k, v, (0, 3), cfg.softmax_scale_dim, 3)
-        assert_allclose(combine_partials([p]), p.out_partial / p.row_sumexp[:, None], atol=1e-15)
+        out, _, row_sumexp = p = partial(q, k, v, cfg.softmax_scale_dim, 3)
+        assert_allclose(merge([p]), out / row_sumexp[:, None], atol=1e-15)
 
     def test_duplicated_halves_match_single(self):
         # Attending over [data; data] gives the same result as over data alone:
@@ -118,57 +132,60 @@ class TestSplitCombine:
         q = rng.normal(size=(8, 4))
         k = rng.normal(size=(t, 2, 4))
         v = rng.normal(size=(t, 4, 4))
-        single = combine_partials([split_attend(q, k, v, (0, t), 4, t)])
-        doubled = combine_partials([
-            split_attend(q, k, v, (0, t), 4, 2 * t),
-            split_attend(q, k, v, (t, 2 * t), 4, 2 * t),
-        ])
+        single = merge([partial(q, k, v, 4, t)])
+        doubled = merge([partial(q, k, v, 4, t), partial(q, k, v, 4, t)])
         assert_allclose(doubled, single, atol=1e-12)
+        cache = fill_cache(cfg, *(np.concatenate([a, a])[None] for a in (k, v)))
+        chunked = flexhead_attention(q, cache, ChunkPlan.for_length(2 * t, t), cfg)
+        assert_allclose(chunked, single, atol=1e-12)
 
     def test_shift_invariance(self):
         # Shifting every chunk's logits by +1000 must not change the output.
-        cfg = make_cfg()
         rng = np.random.default_rng(4)
         q = rng.normal(size=(8, 4))
         k = rng.normal(size=(6, 2, 4))
         v = rng.normal(size=(6, 4, 4))
-        parts = [
-            split_attend(q, k[:3], v[:3], (0, 3), 4, 6),
-            split_attend(q, k[3:], v[3:], (3, 6), 4, 6),
-        ]
-        shifted = [
-            AttentionPartial(p.out_partial, p.row_max + 1000.0, p.row_sumexp) for p in parts
-        ]
-        assert_allclose(combine_partials(shifted), combine_partials(parts), atol=1e-9)
+        parts = [partial(q, k[:3], v[:3], 4, 3), partial(q, k[3:], v[3:], 4, 3)]
+        shifted = [(out, row_max + 1000.0, row_sumexp) for out, row_max, row_sumexp in parts]
+        assert_allclose(merge(shifted), merge(parts), atol=1e-9)
 
-    def test_mismatched_chunk_shapes_raise(self):
-        q = np.zeros((8, 4))
-        with pytest.raises(ShapeError):
-            split_attend(q, np.zeros((3, 2, 5)), np.zeros((3, 4, 4)), (0, 3), 4, 3)  # K dim
-        with pytest.raises(ShapeError):
-            split_attend(q, np.zeros((2, 2, 4)), np.zeros((3, 4, 4)), (0, 3), 4, 3)  # K rows
-        with pytest.raises(ShapeError):
-            split_attend(q, np.zeros((3, 2, 4)), np.zeros((4, 4, 4)), (0, 3), 4, 3)  # V rows
+    def test_large_logits_stay_finite(self):
+        # Queries scaled so the logits reach +-1e3: every chunking stays finite and
+        # equals a max-subtracted one-pass softmax.
+        cfg = make_cfg()
+        rng = np.random.default_rng(13)
+        t = 11
+        k = rng.normal(size=(1, t, 2, 4))
+        v = rng.normal(size=(1, t, 4, 4))
+        q = rng.normal(size=(8, 4))
+        q *= 1e3 / np.abs(np.einsum("hd,thd->ht", q, np.repeat(k[0], 4, axis=1)) / 2).max()
+        cache = fill_cache(cfg, k, v)
+        want = naive_heads(q, k, v, cfg, t)
+        for chunk_size in (1, 3, t):
+            got = flexhead_attention(q, cache, ChunkPlan.for_length(t, chunk_size), cfg)
+            assert np.isfinite(got).all()
+            assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_all_empty_raises(self):
-        empty = AttentionPartial(np.zeros((2, 3)), np.full(2, -np.inf), np.zeros(2))
+        cfg = make_cfg()
+        rng = np.random.default_rng(14)
+        q = rng.normal(size=(8, 4))
+        cache = fill_cache(cfg, rng.normal(size=(1, 4, 2, 4)), rng.normal(size=(1, 4, 4, 4)))
         with pytest.raises(EmptyInputError):
-            combine_partials([empty, empty])
+            flexhead_attention(q, cache, ChunkPlan.for_length(4, 2), cfg, causal_limit=0)
 
     def test_order_and_grouping_invariance(self):
-        cfg = make_cfg()
         rng = np.random.default_rng(5)
         t = 12
         q = rng.normal(size=(8, 4))
         k = rng.normal(size=(t, 2, 4))
         v = rng.normal(size=(t, 4, 4))
         bounds = [(0, 3), (3, 7), (7, 8), (8, 12)]
-        parts = [split_attend(q, k[a:b], v[a:b], (a, b), 4, t) for a, b in bounds]
-        base = combine_partials(parts)
-        parts.append(split_attend(q, k[:2], v[:2], (t, t + 2), 4, t))  # fully masked
+        parts = [partial(q, k[a:b], v[a:b], 4, b - a) for a, b in bounds]
+        base = merge(parts)
+        parts.append(partial(q, k[:2], v[:2], 4, 0))  # fully masked
         for order in ((2, 0, 3, 1), (4, 3, 2, 1, 0), (1, 4, 0, 2, 3)):
-            shuffled = [parts[i] for i in order]
-            assert_allclose(combine_partials(shuffled), base, atol=1e-9)
+            assert_allclose(merge([parts[i] for i in order]), base, atol=1e-9)
 
     @pytest.mark.parametrize("n_q,n_k,n_v", [(32, 4, 16), (32, 16, 4), (8, 1, 8), (8, 8, 1)])
     def test_partial_matches_repeat_reference(self, n_q, n_k, n_v):
@@ -183,10 +200,10 @@ class TestSplitCombine:
         row_max = logits.max(axis=1)
         expw = np.exp(logits - row_max[:, None])
 
-        p = split_attend(q, k, v, (0, c), d, limit)
-        assert_allclose(p.row_max, row_max, rtol=0, atol=1e-12)
-        assert_allclose(p.row_sumexp, expw.sum(axis=1), rtol=0, atol=1e-12)
-        assert_allclose(p.out_partial, np.einsum("ht,thd->hd", expw, v_rep), rtol=0, atol=1e-12)
+        out, got_max, got_sumexp = partial(q, k, v, d, limit)
+        assert_allclose(got_max, row_max, rtol=0, atol=1e-12)
+        assert_allclose(got_sumexp, expw.sum(axis=1), rtol=0, atol=1e-12)
+        assert_allclose(out, np.einsum("ht,thd->hd", expw, v_rep), rtol=0, atol=1e-12)
 
 
 class TestFlexheadAttention:
@@ -285,8 +302,6 @@ class TestFlexheadAttention:
             flexhead_attention(np.zeros((8, 4)), cache, ChunkPlan.for_length(0, 2), cfg)
 
     def test_half_k_requires_expansion_weights(self):
-        from diffqkv.errors import ConfigError
-
         cfg = make_cfg(d_k_head=2)
         rng = np.random.default_rng(10)
         k = rng.normal(size=(1, 3, 2, 2))
