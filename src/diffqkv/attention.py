@@ -305,10 +305,10 @@ def cached_attention(
     append of all s K/V rows to ``cache`` -> per tile of T consecutive queries,
     one softmax partial per block of B stored keys up to the tile's causal end
     (only the diagonal block is masked), merged by log-sum-exp -> output
-    projection.  Each block's scores fit ``_SCORE_BUDGET`` elements: B is the
-    whole key range whenever that leaves a tile of T_sq = sqrt(budget / (b n_k))
-    / g queries (or all s), and otherwise T = T_sq and B fills the budget, so
-    each grouped product is about g*T rows square.  Decode is one query per tile.
+    projection.  Each block's scores fit ``_SCORE_BUDGET`` elements: a tile
+    holds T = sqrt(budget / (b n_k)) / g queries (or all s), so each grouped
+    product is about g*T rows square, and B fills the rest of the budget (one
+    block whenever every key fits).  Decode is one query per tile.
     """
     start = cache.len
     q, k, v = project_qkv(x, w, cfg)
@@ -320,13 +320,8 @@ def cached_attention(
     k_all, v_all = cache.view()
     q = q.transpose(0, 2, 1, 3)  # [b, n_q, s, d]: a tile is a slice of axis 2
     n_q, n_k = q.shape[1], k_all.shape[2]
-    tile = _SCORE_BUDGET // max(1, b * n_q * (start + s))
-    square = max(1, math.isqrt(_SCORE_BUDGET // (b * n_k)) // (n_q // n_k))
-    if tile >= min(square, s):
-        tile, block = max(1, tile), start + s
-    else:
-        tile = min(square, s)
-        block = max(1, _SCORE_BUDGET // (b * n_q * tile))
+    tile = max(1, min(math.isqrt(_SCORE_BUDGET // (b * n_k)) // (n_q // n_k), s))
+    block = max(1, _SCORE_BUDGET // (b * n_q * tile))
     out = np.empty((b, s, w.w_o.shape[1]))
     for i in range(0, s, tile):
         first, end = start + i + 1, start + min(i + tile, s)  # keys seen by the first and last row
