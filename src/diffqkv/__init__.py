@@ -40,7 +40,7 @@ from .costmodel import (
     reduction_rate,
     total_cost_curve,
 )
-from .kernel import ChunkPlan, flexhead_attention
+from .kernel import flexhead_attention
 from .kvcache import DifferentialKVCache, cache_new, kv_group_balance
 from .model import ToyModel, decode, forward, init_model, train_step
 
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionConfig",
     "AttentionWeights",
-    "ChunkPlan",
     "CostGrid",
     "CostModelParams",
     "DifferentialKVCache",

@@ -6,13 +6,14 @@ its group of query heads, times an optional tile of consecutive query
 positions, in one product, so no head is ever duplicated.  Softmax is blocked:
 ``_partial`` turns one block of logits into an unnormalised V sum with its row
 max and sum-exp, and ``_merge`` combines partials by log-sum-exp; nothing else
-in the numpy path exponentiates logits.  ``cached_attention`` projects and
-rotates new positions, absorbs the half-K expansion into the query
-(``q @ w_k_expand.T``, exact because rotary acts on K before expansion),
-appends their K/V rows to a differential cache and attends each query tile
-over blocks of cached keys up to its causal end.  The model's forward and
-decode, the kernel and its oracle ``naive_diffqkv_attention`` all run on it.
-Apart from the cache a caller passes in, every function is free of side effects.
+in the numpy path exponentiates logits.  ``_attend`` is the one chunked pass
+over cached keys built on them.  ``cached_attention`` projects and rotates new
+positions, absorbs the half-K expansion into the query (``q @ w_k_expand.T``,
+exact because rotary acts on K before expansion), appends their K/V rows to a
+differential cache and attends each query tile through ``_attend``.  The
+model's forward and decode, ``naive_diffqkv_attention`` and the chunked kernel
+all run on it.  Apart from the cache a caller passes in, every function is
+free of side effects.
 
 Shapes follow the convention ``[batch, seq, heads, dim]``; weights are plain
 2-D matrices applied on the right (``x @ w``), bias-free throughout.
@@ -295,6 +296,45 @@ def attention_output(alpha: np.ndarray, v: np.ndarray, w_o: np.ndarray) -> np.nd
 _SCORE_BUDGET = 1 << 16
 
 
+def _tile_sizes(b: int, s: int, n_q: int, n_k: int) -> tuple[int, int]:
+    """Query tile T and key block B of a pass over s new positions, b*n_q*T*B <= ``_SCORE_BUDGET``.
+
+    T = sqrt(budget / (b n_k)) / g queries (or all s), so each grouped product
+    is about g*T rows square; B fills the rest of the budget.
+    """
+    tile = max(1, min(math.isqrt(_SCORE_BUDGET // (b * n_k)) // (n_q // n_k), s))
+    return tile, max(1, _SCORE_BUDGET // (b * n_q * tile))
+
+
+def _attend(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int, first: int, width: int
+) -> np.ndarray:
+    """Causal attention of query rows q [b, n_q, T, d] over cached K/V [b, t, n, d] -> [b, n_q, T, d_v].
+
+    Row r sees keys [0, first + r), cut into chunks of ``width`` keys (the last
+    one clipped).  Each span of whole chunks whose scores fit ``_SCORE_BUDGET``
+    is scored in one call, masked only where it crosses the diagonal, and
+    viewed chunk-major, so one ``_partial`` call gives all its chunk partials;
+    every partial then goes into one ``_merge``.
+    """
+    b, n_q, rows = q.shape[:3]
+    end = first + rows - 1  # keys seen by the last row
+    whole = end - end % width
+    step = width * max(1, _SCORE_BUDGET // (b * n_q * rows * width))
+    spans = [(a, min(a + step, whole), width) for a in range(0, whole, step)]
+    if whole < end:
+        spans.append((whole, end, end - whole))
+    parts = []
+    for a, z, c in spans:
+        n = (z - a) // c
+        logits = _masked_logits(q, k[:, a:z], scale_dim, first - a).reshape(b, n_q, rows, n, c)
+        # [n*b, ...] grids, chunk-major: V stays a view when b == 1 or n == 1.
+        grid = logits.transpose(3, 0, 1, 2, 4).reshape(n * b, n_q, rows, c)
+        v_grid = v[:, a:z].reshape(b, n, c, *v.shape[2:]).swapaxes(0, 1).reshape(n * b, c, *v.shape[2:])
+        parts.append(tuple(x.reshape(n, b, *x.shape[1:]) for x in _partial(grid, v_grid)))
+    return _merge(parts)
+
+
 def cached_attention(
     x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig, cache: DifferentialKVCache
 ) -> np.ndarray:
@@ -302,13 +342,9 @@ def cached_attention(
 
     The new positions are ``cache.len .. cache.len + s - 1``: project ->
     augmented Q -> rotary -> (half-K) expansion absorbed into the query -> one
-    append of all s K/V rows to ``cache`` -> per tile of T consecutive queries,
-    one softmax partial per block of B stored keys up to the tile's causal end
-    (only the diagonal block is masked), merged by log-sum-exp -> output
-    projection.  Each block's scores fit ``_SCORE_BUDGET`` elements: a tile
-    holds T = sqrt(budget / (b n_k)) / g queries (or all s), so each grouped
-    product is about g*T rows square, and B fills the rest of the budget (one
-    block whenever every key fits).  Decode is one query per tile.
+    append of all s K/V rows to ``cache`` -> ``_attend`` per tile of T
+    consecutive queries, in key chunks of width B -> output projection.  T and
+    B come from ``_tile_sizes``; decode is one query per tile.
     """
     start = cache.len
     q, k, v = project_qkv(x, w, cfg)
@@ -319,23 +355,16 @@ def cached_attention(
     cache.append(k, v)
     k_all, v_all = cache.view()
     q = q.transpose(0, 2, 1, 3)  # [b, n_q, s, d]: a tile is a slice of axis 2
-    n_q, n_k = q.shape[1], k_all.shape[2]
-    tile = max(1, min(math.isqrt(_SCORE_BUDGET // (b * n_k)) // (n_q // n_k), s))
-    block = max(1, _SCORE_BUDGET // (b * n_q * tile))
+    tile, block = _tile_sizes(b, s, q.shape[1], k_all.shape[2])
     out = np.empty((b, s, w.w_o.shape[1]))
     for i in range(0, s, tile):
-        first, end = start + i + 1, start + min(i + tile, s)  # keys seen by the first and last row
-        q_tile, parts = q[:, :, i : i + tile], []
-        for j in range(0, end, block):
-            keys = slice(j, min(j + block, end))
-            logits = _masked_logits(q_tile, k_all[:, keys], cfg.softmax_scale_dim, first - j)
-            parts.append(tuple(a[None] for a in _partial(logits, v_all[:, keys])))  # one stack per block
-        out[:, i : i + tile] = _project_heads(_merge(parts), w.w_o)
+        heads = _attend(q[:, :, i : i + tile], k_all, v_all, cfg.softmax_scale_dim, start + i + 1, block)
+        out[:, i : i + tile] = _project_heads(heads, w.w_o)
     return out
 
 
 def naive_diffqkv_attention(x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig) -> np.ndarray:
-    """Causal attention over a whole sequence, one query tile at a time: the kernel's oracle."""
+    """Causal attention over a whole sequence through the cached pass, on a scratch cache."""
     b, s = x.shape[:2]
     return cached_attention(x, w, cfg, DifferentialKVCache(cfg, b, max(s, 1)))
 

@@ -5,10 +5,9 @@ representative decode step at the cell's final sequence length s = P + N:
 
 * ``kv_cache``     — append one position, then load the full K and V stores
                      (a real copy, so the traffic is actually moved);
-* ``attention``    — one chunked split/combine attention step over the cache;
+* ``attention``    — one chunked attention step over the cache;
 * ``augmented_q``  — the gated Q block on a single token (configs with
-                     aug_q_dim > 0 only);
-* ``total``        — the summed medians of the modules above.
+                     aug_q_dim > 0 only).
 
 Sampling is organized in passes: every pass walks the whole grid strictly
 sequentially and takes one timing sample per (cell, config, module).  Because
@@ -32,11 +31,11 @@ from .attention import AttentionWeights, augment_q, init_attention_weights
 from .config import ValidatedConfig
 from .costmodel import CostGrid
 from .errors import UsageError
-from .kernel import ChunkPlan, flexhead_attention
+from .kernel import flexhead_attention
 from .kvcache import DifferentialKVCache
 
 BENCH_CSV_HEADER = "config,prefix,output,module,elapsed_s,repetitions,dispersion,elements"
-_MODULE_ORDER = {"kv_cache": 0, "attention": 1, "augmented_q": 2, "total": 3}
+_MODULE_ORDER = {"kv_cache": 0, "attention": 1, "augmented_q": 2}
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ class BenchRow:
     config_name: str
     prefix: int
     output: int
-    module: str  # kv_cache | attention | augmented_q | total
+    module: str  # kv_cache | attention | augmented_q
     elapsed: float  # median seconds
     repetitions: int
     dispersion: float  # coefficient of variation across reps
@@ -101,7 +100,7 @@ class _ConfigFixture:
         self.cache.append(np.repeat(k_t, max_s, axis=1), np.repeat(v_t, max_s, axis=1))
         self.k_buf = np.empty_like(self.cache._k)
         self.v_buf = np.empty_like(self.cache._v)
-        self.q = rng.normal(size=(cfg.n_q_heads, cfg.d_head))
+        self.q = rng.normal(size=(1, cfg.n_q_heads, cfg.d_head))
         self.token = rng.normal(size=(1, d_model))
 
     def kv_cache_step(self, s: int) -> float:
@@ -115,9 +114,8 @@ class _ConfigFixture:
 
     def attention_step(self, s: int, chunk_size: int = 256) -> float:
         self.cache.len = s
-        plan = ChunkPlan.for_length(s, chunk_size)
         start = time.perf_counter()
-        flexhead_attention(self.q, self.cache, plan, self.cfg, self.weights)
+        flexhead_attention(self.q, self.cache, chunk_size, self.cfg, self.weights)
         return time.perf_counter() - start
 
     def augmented_q_step(self) -> float:
@@ -176,8 +174,6 @@ def run_bench(
             s = prefix + output
             traffic = s * cfg.cache_bracket
             elements = {"kv_cache": traffic, "attention": traffic, "augmented_q": augq_elements}
-            total_elapsed = 0.0
-            total_elements = 0
             for module in ("kv_cache", "attention", "augmented_q"):
                 timings = samples.get((fix.name, prefix, output, module))
                 if timings is None:
@@ -188,11 +184,6 @@ def run_bench(
                 report.rows.append(
                     BenchRow(fix.name, prefix, output, module, median, reps, cv, elements[module])
                 )
-                total_elapsed += median
-                total_elements += elements[module]
-            report.rows.append(
-                BenchRow(fix.name, prefix, output, "total", total_elapsed, reps, 0.0, total_elements)
-            )
     return report
 
 

@@ -36,8 +36,8 @@ class DegenerateError(DiffQKVError, ZeroDivisionError):
 
 
 class EmptyInputError(DiffQKVError, ValueError):
-    """An operation was given nothing to work on: combine with no non-empty
-    partials, or decode with an empty prompt."""
+    """An operation was given nothing to work on: a kernel call with no cached
+    key below its causal limit, or decode with an empty prompt."""
 
 
 class TokenRangeError(DiffQKVError, ValueError):
@@ -50,7 +50,7 @@ class LengthError(DiffQKVError, ValueError):
 
 class PositionError(DiffQKVError, ValueError):
     """An incremental pass was given a start position other than the number of
-    positions its caches already hold."""
+    positions its caches already hold, or a causal limit past them."""
 
 
 class DivergenceError(DiffQKVError, ArithmeticError):

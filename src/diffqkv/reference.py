@@ -2,7 +2,7 @@
 
 Deliberately separate code paths from :mod:`diffqkv.attention`: everything is
 computed with one-shot full score matrices and explicit masks, no group
-sharing, no shared softmax helper.  Used by the degenerate-mode and
+sharing, no shared softmax helper.  Used by the kernel, degenerate-mode and
 grouped-mode equivalence suites.
 """
 
@@ -28,14 +28,15 @@ def _rotary(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _one_shot_causal(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int) -> np.ndarray:
-    # q, k, v: [b, s, h, d] at one head count; the full masked s x s softmax -> [b, s, h*d].
-    b, s, h, d = v.shape
-    scores = np.einsum("bihd,bjhd->bhij", q, k) / np.sqrt(float(scale_dim))
-    scores = scores + np.triu(np.full((s, s), -np.inf), k=1)
-    scores -= scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return np.einsum("bhij,bjhd->bihd", weights, v).reshape(b, s, h * d)
+    # q, k, v: [b, s, h, d] at one head count; per head, the full causal s x s softmax -> [b, s, h*d].
+    causal = np.tril(np.ones((v.shape[1], v.shape[1]), dtype=bool))
+    out = np.empty(v.shape)
+    for i in range(v.shape[2]):  # one head's [b, s, s] scores at a time
+        scores = (q[:, :, i] / np.sqrt(float(scale_dim))) @ k[:, :, i].transpose(0, 2, 1)
+        scores -= scores.max(axis=-1, keepdims=True, where=causal, initial=-np.inf)
+        weights = np.exp(scores, out=np.zeros_like(scores), where=causal)
+        out[:, :, i] = weights @ v[:, :, i] / weights.sum(axis=-1, keepdims=True)
+    return out.reshape(*v.shape[:2], -1)
 
 
 def vanilla_mha_attention(

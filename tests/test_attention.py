@@ -372,7 +372,7 @@ class TestCachedAttention:
         s = 301
         x = rng.normal(size=(1, s, d_model))
         expected = grouped_attention_by_duplication(x, w, cfg)
-        tile = attention._SCORE_BUDGET // (32 * s)  # query tile of the one-call pass
+        tile = attention._tile_sizes(1, s, 32, 4)[0]  # the pass's query tile: 16
         assert 1 < tile < s // 10
         for a in (0, 2 * tile, 2 * tile + 1, 5 * tile - 1, s // 2, s):
             cache = DifferentialKVCache(cfg, 1, s)

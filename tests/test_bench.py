@@ -30,8 +30,8 @@ class TestRunBench:
     def test_modules_present(self, tiny_report):
         std_modules = {r.module for r in tiny_report.select(config_name="std")}
         sigma_modules = {r.module for r in tiny_report.select(config_name="sigma")}
-        assert std_modules == {"kv_cache", "attention", "total"}
-        assert sigma_modules == {"kv_cache", "attention", "augmented_q", "total"}
+        assert std_modules == {"kv_cache", "attention"}
+        assert sigma_modules == {"kv_cache", "attention", "augmented_q"}
 
     def test_row_invariants(self, tiny_report):
         for row in tiny_report.rows:
@@ -43,14 +43,6 @@ class TestRunBench:
         ratios = traffic_ratio(tiny_report, "kv_cache")
         assert ratios and all(r == 0.625 for r in ratios)
         assert traffic_ratio(tiny_report, "attention") == ratios
-
-    def test_total_is_sum_of_modules(self, tiny_report):
-        for prefix in TINY_GRID.prefix_lengths:
-            rows = tiny_report.select(config_name="sigma", prefix=prefix, output=16)
-            total = next(r for r in rows if r.module == "total")
-            parts = [r for r in rows if r.module != "total"]
-            assert total.elapsed == pytest.approx(sum(r.elapsed for r in parts))
-            assert total.elements == sum(r.elements for r in parts)
 
 
 class TestTimingStructure:

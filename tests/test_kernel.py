@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from diffqkv import attention
 from diffqkv.attention import (
     _masked_logits,
     _merge,
@@ -16,8 +17,8 @@ from diffqkv.attention import (
     weighted_value_sum,
 )
 from diffqkv.config import AttentionConfig, validate_config
-from diffqkv.errors import ConfigError, EmptyInputError, ShapeError
-from diffqkv.kernel import ChunkPlan, flexhead_attention
+from diffqkv.errors import ConfigError, EmptyInputError, PositionError, ShapeError
+from diffqkv.kernel import flexhead_attention
 from diffqkv.kvcache import cache_new
 
 
@@ -51,22 +52,6 @@ def naive_heads(q, k, v, cfg, causal_limit, w=None):
     v_rep = np.repeat(v, cfg.n_q_heads // cfg.n_v_heads, axis=2)
     alpha = attention_scores(q[None], k_rep, cfg.softmax_scale_dim, causal_limit)
     return weighted_value_sum(alpha, v_rep)[0]
-
-
-class TestChunkPlan:
-    def test_regular_coverage(self):
-        plan = ChunkPlan.for_length(10, 4)
-        assert plan.boundaries == ((0, 4), (4, 8), (8, 10))
-        assert plan.length == 10
-
-    def test_single_chunk_when_size_exceeds_length(self):
-        assert ChunkPlan.for_length(5, 64).boundaries == ((0, 5),)
-
-    def test_invalid_boundaries(self):
-        with pytest.raises(ConfigError):
-            ChunkPlan(chunk_size=2, boundaries=((0, 2), (3, 4)))
-        with pytest.raises(ConfigError):
-            ChunkPlan(chunk_size=0)
 
 
 class TestSplitCombine:
@@ -136,8 +121,8 @@ class TestSplitCombine:
         doubled = merge([partial(q, k, v, 4, t), partial(q, k, v, 4, t)])
         assert_allclose(doubled, single, atol=1e-12)
         cache = fill_cache(cfg, *(np.concatenate([a, a])[None] for a in (k, v)))
-        chunked = flexhead_attention(q, cache, ChunkPlan.for_length(2 * t, t), cfg)
-        assert_allclose(chunked, single, atol=1e-12)
+        chunked = flexhead_attention(q[None], cache, t, cfg)
+        assert_allclose(chunked[0], single, atol=1e-12)
 
     def test_shift_invariance(self):
         # Shifting every chunk's logits by +1000 must not change the output.
@@ -162,7 +147,7 @@ class TestSplitCombine:
         cache = fill_cache(cfg, k, v)
         want = naive_heads(q, k, v, cfg, t)
         for chunk_size in (1, 3, t):
-            got = flexhead_attention(q, cache, ChunkPlan.for_length(t, chunk_size), cfg)
+            got = flexhead_attention(q[None], cache, chunk_size, cfg)[0]
             assert np.isfinite(got).all()
             assert_allclose(got, want, rtol=0, atol=1e-9)
 
@@ -172,7 +157,7 @@ class TestSplitCombine:
         q = rng.normal(size=(8, 4))
         cache = fill_cache(cfg, rng.normal(size=(1, 4, 2, 4)), rng.normal(size=(1, 4, 4, 4)))
         with pytest.raises(EmptyInputError):
-            flexhead_attention(q, cache, ChunkPlan.for_length(4, 2), cfg, causal_limit=0)
+            flexhead_attention(q[None], cache, 2, cfg, causal_limit=0)
 
     def test_order_and_grouping_invariance(self):
         rng = np.random.default_rng(5)
@@ -225,14 +210,13 @@ class TestFlexheadAttention:
         q, k = apply_rope(q, k, np.arange(t), cfg.rope_theta)
         cache = fill_cache(cfg, k, v)
         for chunk_size in (1, 3, 64, t):
-            plan = ChunkPlan.for_length(t, chunk_size)
             for pos in (0, t // 2, t - 1):
-                got = flexhead_attention(q[0, pos], cache, plan, cfg, w, causal_limit=pos + 1)
+                got = flexhead_attention(q[:, pos], cache, chunk_size, cfg, w, causal_limit=pos + 1)
                 want = naive_heads(q[0, pos], k[:, : pos + 1], v[:, : pos + 1], cfg, pos + 1, w)
-                assert_allclose(got, want, atol=1e-9)
+                assert_allclose(got[0], want, atol=1e-9)
 
     @pytest.mark.parametrize("kwargs", [dict(), dict(d_k_head=2), dict(n_q=32, n_k=4, n_v=16)])
-    def test_irregular_plan_and_chunks_past_causal_limit(self, kwargs):
+    def test_chunks_cut_at_causal_limit(self, kwargs):
         cfg = make_cfg(**kwargs)
         rng = np.random.default_rng(11)
         d_model = cfg.n_q_heads * cfg.d_head
@@ -242,64 +226,138 @@ class TestFlexheadAttention:
         q, k, v = project_qkv(x, w, cfg)
         q, k = apply_rope(q, k, np.arange(t), cfg.rope_theta)
         cache = fill_cache(cfg, k, v)
-        bounds = ((0, 1), (1, 9), (9, 10), (10, 13), (13, 16), (16, 23))  # widths 1 8 1 3 3 7
-        plan = ChunkPlan(chunk_size=8, boundaries=bounds)
-        # Limits inside, at the edge of and before whole chunks: e.g. at 5 the last
-        # four chunks lie wholly past the limit and the second one is cut.
-        for limit in (1, 2, 5, 9, 10, 12, 14, 16, 23):
-            got = flexhead_attention(q[0, limit - 1], cache, plan, cfg, w, causal_limit=limit)
-            want = naive_heads(q[0, limit - 1], k[:, :limit], v[:, :limit], cfg, limit, w)
-            assert_allclose(got, want, atol=1e-9)
+        # Limits inside, at the edge of and before whole chunks: e.g. at 5 with
+        # width 8 the keys past the limit are never scored and the first chunk is cut.
+        for chunk_size in (1, 3, 7, 8):
+            for limit in (1, 2, 5, 9, 10, 12, 14, 16, 23):
+                got = flexhead_attention(q[:, limit - 1], cache, chunk_size, cfg, w, causal_limit=limit)
+                want = naive_heads(q[0, limit - 1], k[:, :limit], v[:, :limit], cfg, limit, w)
+                assert_allclose(got[0], want, atol=1e-9)
 
-    def test_batch_index_selects_its_row(self):
+    def test_attends_every_batch_row(self):
         cfg = make_cfg()
         rng = np.random.default_rng(12)
         t = 10
-        q = rng.normal(size=(8, 4))
+        q = rng.normal(size=(2, 8, 4))
         k = rng.normal(size=(2, t, 2, 4))
         v = rng.normal(size=(2, t, 4, 4))
         cache = cache_new(cfg, batch=2, capacity=t)
         cache.append(k, v)
+        got = flexhead_attention(q, cache, 3, cfg)  # spans of three chunks copy V: b > 1
         for row in (0, 1):
-            got = flexhead_attention(q, cache, ChunkPlan.for_length(t, 3), cfg, batch_index=row)
-            assert_allclose(got, naive_heads(q, k[row : row + 1], v[row : row + 1], cfg, t), atol=1e-9)
+            want = naive_heads(q[row], k[row : row + 1], v[row : row + 1], cfg, t)
+            assert_allclose(got[row], want, atol=1e-9)
+
+    def test_spans_hold_whole_chunks_then_the_clipped_last(self, monkeypatch):
+        # Ten keys in chunks of 4: [0, 4), [4, 8) and the clipped [8, 10).  A budget
+        # of 64 scores holds two chunks of one query's 8 heads, 32 holds one.
+        cfg = make_cfg()
+        rng = np.random.default_rng(16)
+        t = 10
+        q = rng.normal(size=(1, 8, 4))
+        cache = fill_cache(cfg, rng.normal(size=(1, t, 2, 4)), rng.normal(size=(1, t, 4, 4)))
+        want = flexhead_attention(q, cache, 4, cfg)
+        real, grids = attention._partial, []
+
+        def spy(logits, v):
+            grids.append(logits.shape)
+            return real(logits, v)
+
+        monkeypatch.setattr(attention, "_partial", spy)
+        for budget, shapes in ((64, [(2, 8, 1, 4), (1, 8, 1, 2)]), (32, [(1, 8, 1, 4)] * 2 + [(1, 8, 1, 2)])):
+            monkeypatch.setattr(attention, "_SCORE_BUDGET", budget)
+            grids.clear()
+            assert_allclose(flexhead_attention(q, cache, 4, cfg), want, atol=1e-12)
+            assert grids == shapes
+
+    @pytest.mark.parametrize(
+        "extras", [{}, {"d_k_head": 2, "aug_q_dim": 24}], ids=["plain", "halfk-augq"]
+    )
+    def test_equals_a_decode_step_of_the_cached_pass(self, monkeypatch, extras):
+        # A 2**10 budget at 32/4/16 heads and b = 2: a decode step's key block is
+        # 16 keys, so 50 cached positions are three whole blocks and a clipped one.
+        monkeypatch.setattr(attention, "_SCORE_BUDGET", 1 << 10)
+        cfg = make_cfg(32, 4, 16, **extras)
+        rng = np.random.default_rng(15)
+        d_model = 32 * cfg.d_head
+        w = init_attention_weights(cfg, d_model, rng)
+        t = 50
+        x = rng.normal(size=(2, t, d_model))
+        cache = cache_new(cfg, batch=2, capacity=t)
+        attention.cached_attention(x[:, :-1], w, cfg, cache)
+        real, merged = attention._project_heads, []
+        monkeypatch.setattr(attention, "_project_heads", lambda o, w_o: merged.append(o) or real(o, w_o))
+        attention.cached_attention(x[:, -1:], w, cfg, cache)
+        q, k, _ = project_qkv(x[:, -1:], w, cfg)
+        q, _ = apply_rope(q, k, [t - 1], cfg.rope_theta)
+        block = attention._tile_sizes(2, 1, 32, 4)[1]
+        assert block == 16
+        assert_array_equal(flexhead_attention(q[:, 0], cache, block, cfg, w), merged[0][:, :, 0])
 
     def test_chunking_invariance_all_sizes(self):
         cfg = make_cfg()
         rng = np.random.default_rng(7)
         t = 11
-        q = rng.normal(size=(8, 4))
+        q = rng.normal(size=(1, 8, 4))
         k = rng.normal(size=(1, t, 2, 4))
         v = rng.normal(size=(1, t, 4, 4))
         cache = fill_cache(cfg, k, v)
-        base = flexhead_attention(q, cache, ChunkPlan.for_length(t, t), cfg)
+        base = flexhead_attention(q, cache, t, cfg)
         for chunk_size in range(1, t + 1):
-            got = flexhead_attention(q, cache, ChunkPlan.for_length(t, chunk_size), cfg)
+            got = flexhead_attention(q, cache, chunk_size, cfg)
             assert_allclose(got, base, atol=1e-9)
 
     def test_oversized_chunk_bit_identical_to_single(self):
         cfg = make_cfg()
         rng = np.random.default_rng(8)
         t = 6
-        q = rng.normal(size=(8, 4))
+        q = rng.normal(size=(1, 8, 4))
         k = rng.normal(size=(1, t, 2, 4))
         v = rng.normal(size=(1, t, 4, 4))
         cache = fill_cache(cfg, k, v)
-        small = flexhead_attention(q, cache, ChunkPlan.for_length(t, t), cfg)
-        large = flexhead_attention(q, cache, ChunkPlan.for_length(t, 10 * t), cfg)
+        small = flexhead_attention(q, cache, t, cfg)
+        large = flexhead_attention(q, cache, 10 * t, cfg)
         assert_array_equal(large, small)
 
-    def test_plan_length_mismatch(self):
+    def test_causal_limit_outside_cache_raises(self):
         cfg = make_cfg()
-        cache = cache_new(cfg, batch=1, capacity=4)
-        with pytest.raises(ShapeError):
-            flexhead_attention(np.zeros((8, 4)), cache, ChunkPlan.for_length(3, 2), cfg)
+        rng = np.random.default_rng(17)
+        t = 6
+        q = rng.normal(size=(1, 8, 4))
+        k = rng.normal(size=(1, t, 2, 4))
+        v = rng.normal(size=(1, t, 4, 4))
+        cache = fill_cache(cfg, k, v)
+        for limit in (1, t):
+            want = naive_heads(q[0], k[:, :limit], v[:, :limit], cfg, limit)
+            assert_allclose(flexhead_attention(q, cache, 4, cfg, causal_limit=limit)[0], want, atol=1e-9)
+        for limit in (t + 1, 60):
+            with pytest.raises(PositionError):
+                flexhead_attention(q, cache, 4, cfg, causal_limit=limit)
+        for limit in (0, -1):
+            with pytest.raises(EmptyInputError):
+                flexhead_attention(q, cache, 4, cfg, causal_limit=limit)
+
+    def test_chunk_below_one_raises(self):
+        cfg = make_cfg()
+        rng = np.random.default_rng(18)
+        cache = fill_cache(cfg, rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
+        for chunk in (0, -1):
+            with pytest.raises(ConfigError):
+                flexhead_attention(np.zeros((1, 8, 4)), cache, chunk, cfg)
+
+    def test_query_without_batch_axis_raises(self):
+        cfg = make_cfg()
+        rng = np.random.default_rng(19)
+        cache = fill_cache(cfg, rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
+        for shape in ((8, 4), (1, 8, 1, 4)):  # one query without b, a tile of queries
+            with pytest.raises(ShapeError):
+                flexhead_attention(np.zeros(shape), cache, 2, cfg)
 
     def test_empty_cache_raises(self):
         cfg = make_cfg()
         cache = cache_new(cfg, batch=1, capacity=4)
         with pytest.raises(EmptyInputError):
-            flexhead_attention(np.zeros((8, 4)), cache, ChunkPlan.for_length(0, 2), cfg)
+            flexhead_attention(np.zeros((1, 8, 4)), cache, 2, cfg)
 
     def test_half_k_requires_expansion_weights(self):
         cfg = make_cfg(d_k_head=2)
@@ -308,7 +366,7 @@ class TestFlexheadAttention:
         v = rng.normal(size=(1, 3, 4, 4))
         cache = fill_cache(cfg, k, v)
         with pytest.raises(ConfigError):
-            flexhead_attention(np.zeros((8, 4)), cache, ChunkPlan.for_length(3, 2), cfg)
+            flexhead_attention(np.zeros((1, 8, 4)), cache, 2, cfg)
 
     def test_sigma_heads_long_sequence(self):
         # full head pattern (32, 4, 16) at t = 257 with chunk size 64
@@ -319,6 +377,6 @@ class TestFlexheadAttention:
         v = rng.normal(size=(1, t, 16, 16))
         q = rng.normal(size=(32, 16))
         cache = fill_cache(cfg, k, v)
-        got = flexhead_attention(q, cache, ChunkPlan.for_length(t, 64), cfg)
+        got = flexhead_attention(q[None], cache, 64, cfg)[0]
         want = naive_heads(q, k, v, cfg, t)
         assert_allclose(got, want, atol=1e-9)
