@@ -75,7 +75,17 @@ def _parse_grid(spec: str) -> CostGrid:
         ) from exc
 
 
+def _write(write, content, path) -> None:
+    """``write(content, path)``, with a failed write mapped to a UsageError."""
+    try:
+        write(content, path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_verify(args) -> int:
+    if args.instances < 1:
+        raise UsageError(f"--instances must be >= 1, got {args.instances}")
     report = run_verify(args.suite, instances=args.instances)
     print(report.format())
     return 0 if report.ok else 1
@@ -95,7 +105,7 @@ def _cmd_cost(args) -> int:
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
     rows = total_cost_curve(std, sigma, grid, params)
-    emit_csv(cost_table_csv(rows), args.out)
+    _write(emit_csv, cost_table_csv(rows), args.out)
     rate = reduction_rate(std, sigma)
     print(f"asymptotic reduction rate: {format_rate(rate)}")
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -107,7 +117,7 @@ def _cmd_bench(args) -> int:
     sigma = attention_of(resolve_config(args.sigma))
     grid = _parse_grid(args.grid)
     report = run_bench(std, sigma, grid, reps=args.reps, seed=_seed(args))
-    emit_csv(report, args.out)
+    _write(emit_csv, report, args.out)
     ratios = traffic_ratio(report, "kv_cache")
     spread, allowance, augq_ok = augq_prefix_independence(report)
     print(f"kv_cache element-traffic ratio sigma/std: {ratios[0]:.6f}" if ratios else "no ratio")
@@ -158,7 +168,7 @@ def _cmd_train_toy(args) -> int:
             print(f"step {step:5d}  loss {loss:.4f}")
     print(f"initial loss {first_loss:.4f}, final loss {loss:.4f}")
     if args.out:
-        save_checkpoint(model, args.out)
+        _write(save_checkpoint, model, args.out)
         print(f"checkpoint written to {args.out}")
     return 0
 

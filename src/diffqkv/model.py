@@ -4,10 +4,12 @@ One block = RMS pre-norm -> DiffQKV attention -> residual -> RMS pre-norm ->
 gated (SiLU) FFN -> residual.  Rotary embedding inside attention, untied
 embedding and output head, greedy decoding only.  One numpy block pass runs
 every layer's attention through :func:`diffqkv.attention.cached_attention`
-over that layer's differential KV cache: ``forward`` is the pass over fresh
-caches, attending tiles of queries against bounded blocks of keys, and
-``forward_incremental`` feeds it one position at a time, agreeing with
-``forward`` token for token.
+over that layer's differential KV cache, and one fed loop runs that pass over
+consecutive slices of positions, writing each slice's logits into place:
+``forward`` feeds fresh caches in row chunks sized by ``_chunk_rows`` (so its
+transient memory does not grow with the sequence), and
+``forward_incremental`` feeds the caller's caches one position at a time,
+agreeing with ``forward`` token for token.
 K/V stay at their stored head counts and the half-K expansion is absorbed into
 the query, so the cache is never duplicated or expanded.  ``train_step`` runs
 the same architecture through the autodiff graph, which also attends at native
@@ -142,11 +144,40 @@ def _block_pass(model: ToyModel, x: np.ndarray, caches: list[DifferentialKVCache
     return _rms_norm(x, model.norm_final) @ model.head
 
 
+# Elements of the widest [b, rows, width] activation of one fed chunk of
+# ``forward``.  2**18 float64 elements are 2 MiB: 128 rows at vocab 2048.
+_ROW_BUDGET = 1 << 18
+
+
+def _chunk_rows(model: ToyModel, b: int) -> int:
+    """Positions per ``forward`` chunk, so its widest activation holds about ``_ROW_BUDGET``."""
+    cfg = model.config
+    widest = max(cfg.d_ffn, cfg.vocab_size, cfg.attention.aug_q_dim, cfg.d_model)
+    return max(1, _ROW_BUDGET // (b * widest))
+
+
+def _feed(
+    model: ToyModel, tokens: np.ndarray, caches: list[DifferentialKVCache], rows: int
+) -> np.ndarray:
+    """Tokens [b, s] at the caches' next positions -> logits [b, s, vocab], ``rows`` at a time."""
+    b, s = tokens.shape
+    logits = np.empty((b, s, model.config.vocab_size))
+    for i in range(0, s, rows):
+        x = model.embedding[tokens[:, i : i + rows]]  # [b, rows, d_model]
+        logits[:, i : i + rows] = _block_pass(model, x, caches)
+    return logits
+
+
 def forward(model: ToyModel, tokens) -> np.ndarray:
-    """Full-context causal forward pass; tokens [b, s] -> logits [b, s, vocab]."""
+    """Full-context causal forward pass; tokens [b, s] -> logits [b, s, vocab].
+
+    Feeds fresh caches in chunks of ``_chunk_rows`` positions, so beyond the
+    returned logits and the caches it holds one chunk's activations at a time.
+    """
     tokens = _check_tokens(model, tokens)
     b, s = tokens.shape
-    return _block_pass(model, model.embedding[tokens], make_caches(model, b, max(s, 1)))
+    caches = make_caches(model, b, max(s, 1))
+    return _feed(model, tokens, caches, _chunk_rows(model, b))
 
 
 def make_caches(model: ToyModel, batch: int, capacity: int) -> list[DifferentialKVCache]:
@@ -162,21 +193,23 @@ def forward_incremental(
     caches: list[DifferentialKVCache],
     start_pos: int,
 ) -> np.ndarray:
-    """Feed tokens [b, s] through the block pass one position at a time.
+    """Feed tokens [b, s] through the fed loop one position at a time.
 
     Each position appends exactly one (k_t, v_t) pair to every layer's cache;
-    the caches must hold exactly ``start_pos`` positions.  Returns logits for
+    the caches must hold exactly ``start_pos`` positions and have room for s
+    more.  A rejected call leaves every cache unchanged.  Returns logits for
     the supplied positions only.
     """
     tokens = _check_tokens(model, tokens)
     held = sorted({cache.len for cache in caches})
     if held != [start_pos]:
         raise PositionError(f"start_pos {start_pos} does not match the caches' length {held}")
-    logits = np.empty((*tokens.shape, model.config.vocab_size))
-    for i in range(tokens.shape[1]):
-        x = model.embedding[tokens[:, i : i + 1]]  # [b, 1, d_model]
-        logits[:, i] = _block_pass(model, x, caches)[:, 0]
-    return logits
+    room = min(cache.capacity for cache in caches)
+    if start_pos + tokens.shape[1] > room:
+        raise CapacityExceededError(
+            f"feeding {tokens.shape[1]} positions after {start_pos} exceeds cache capacity {room}"
+        )
+    return _feed(model, tokens, caches, 1)
 
 
 def decode(

@@ -171,10 +171,17 @@ class TestTrainAndDecode:
         ("train lr nan", ["train-toy", "--lr", "nan"], 2),
         ("train lr inf", ["train-toy", "--lr", "inf"], 2),
         ("train lr 0", ["train-toy", "--lr", "0"], 2),
+        ("cost unwritable out", ["cost", "--grid", "8:4", "--out", "/nonexistent/x.csv"], 2),
+        ("bench unwritable out",
+         ["bench", "--grid", "8:8", "--reps", "3", "--out", "/nonexistent/x.csv"], 2),
+        ("train unwritable out", ["train-toy", "--steps", "1", "--batch", "2", "--seq-len", "6",
+                                  "--out", "/nonexistent/x.ckpt"], 2),
+        ("verify instances 0", ["verify", "--suite", "cache", "--instances", "0"], 2),
+        ("verify instances -1", ["verify", "--suite", "cache", "--instances", "-1"], 2),
     ],
 )
 def test_bad_number_exit_codes(tmp_path, capsys, case, args, code):
-    if args[0] == "cost":
+    if args[0] == "cost" and "--out" not in args:
         args = [*args, "--out", str(tmp_path / "cost.csv")]
     assert main(args) == code, case
     err = capsys.readouterr().err

@@ -16,6 +16,7 @@ from diffqkv.errors import (
 )
 from diffqkv.tensorio import ContainerFormatError, read_tensors, write_tensors
 from diffqkv.model import (
+    _chunk_rows,
     as_parameter_tensors,
     copy_task_batch,
     decode,
@@ -79,6 +80,37 @@ class TestForward:
         model = init_model(cfg, seed=2)
         tokens = np.random.default_rng(2).integers(0, 64, size=(2, 7))
         assert_allclose(forward(model, tokens), vanilla_decoder_forward(model, tokens), atol=1e-10)
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_row_chunks_join_exactly(self, b):
+        # vocab 4096 is the widest activation: 64 rows a chunk at b = 1, 32 at b = 2,
+        # so 150 positions are several whole chunks and a clipped last one.
+        model = init_model(toy_cfg(aug_q_dim=48, d_k_head=2, vocab=4096), seed=9)
+        s, rows = 150, _chunk_rows(model, b)
+        assert 1 < rows < s and s % rows
+        tokens = np.random.default_rng(9).integers(0, 4096, size=(b, s))
+        caches = make_caches(model, batch=b, capacity=s)
+        stepped = [forward_incremental(model, tokens[:, i : i + 1], caches, i) for i in range(s)]
+        assert_allclose(forward(model, tokens), np.concatenate(stepped, axis=1), rtol=0, atol=1e-12)
+
+    def test_transient_memory_bounded_by_one_chunk(self):
+        # One 1024-position pass at once holds several [s, d_ffn] and [s, vocab]
+        # arrays (46 MiB peak); row chunks hold one chunk's activations at a time.
+        attn = AttentionConfig(n_q_heads=32, n_k_heads=4, n_v_heads=16, d_head=16, d_k_head=8)
+        cfg = ModelConfig(
+            attention=attn, n_layers=1, d_model=512, d_ffn=1536, vocab_size=2048, max_seq_len=1024
+        )
+        model = init_model(cfg, seed=10)
+        tokens = np.random.default_rng(10).integers(0, 2048, size=(1, 1024))
+        tracemalloc.start()
+        try:
+            logits = forward(model, tokens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cache_bytes = 1024 * cfg.attention.cache_bracket * 8
+        allowance = 8 << 20  # four chunk-sized [128, 2048] float64 buffers
+        assert peak <= logits.nbytes + cache_bytes + allowance, f"forward peak {peak} B"
 
     @pytest.mark.parametrize("kwargs", [
         dict(), dict(aug_q_dim=48), dict(d_k_head=2), dict(n_k=8, n_v=8), dict(n_k=1, n_v=1),
@@ -149,6 +181,15 @@ class TestDecode:
                 forward_incremental(model, np.array([[3]]), caches, start_pos=wrong)
         assert all(c.len == 2 for c in caches)
         forward_incremental(model, np.array([[3]]), caches, start_pos=2)
+
+    @pytest.mark.parametrize("start_pos", [0, 3])
+    def test_rejected_feed_leaves_caches_unchanged(self, start_pos):
+        model = init_model(toy_cfg(), seed=4)
+        caches = make_caches(model, batch=1, capacity=10)
+        forward_incremental(model, np.arange(start_pos)[None, :], caches, start_pos=0)
+        with pytest.raises(CapacityExceededError):
+            forward_incremental(model, np.arange(12 - start_pos)[None, :], caches, start_pos)
+        assert all(c.len == start_pos for c in caches)
 
     def test_empty_prompt_raises(self):
         model = init_model(toy_cfg(), seed=4)
