@@ -5,7 +5,13 @@ differential KV cache it implies, one blocked causal softmax (per-block
 partials merged by log-sum-exp) behind the forward pass, decode and a
 chunked-attention kernel simulator, an analytic inference-cost model, and a
 tiny trainable causal LM that exercises all of it end to end.
+
+Importing the package sets glibc's malloc thresholds for the whole process
+(see ``_reuse_freed_memory``), so freed numpy temporaries are reused from the
+heap instead of coming back as freshly faulted pages; elsewhere it does nothing.
 """
+
+import ctypes
 
 from .attention import (
     AttentionWeights,
@@ -45,6 +51,32 @@ from .kvcache import DifferentialKVCache, cache_new, kv_group_balance
 from .model import ToyModel, decode, forward, init_model, train_step
 
 __version__ = "0.1.0"
+
+
+def _reuse_freed_memory() -> None:
+    """Let glibc serve numpy's per-step temporaries from memory freed earlier.
+
+    By default glibc maps large blocks with ``mmap`` and gives the top of the
+    heap back once a step's graph is freed, so each ``train_step`` at the
+    train-toy shape refaulted more than 4,000 fresh zeroed pages. Setting either
+    threshold turns glibc's dynamic adjustment off, so both are set. Without
+    a glibc ``mallopt``, or if it rejects a value, the default policy stays:
+    slower, not wrong, so nothing is raised.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt  # the process's own symbols: no search, no subprocess
+    except (AttributeError, OSError, TypeError):  # no mallopt (macOS); no dlopen(NULL) (Windows)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # from glibc's <malloc.h>
+    # 4 MiB: above the largest per-op train temporary, the ~1 MiB attention-score block.
+    if mallopt(m_mmap_threshold, 4 << 20):
+        # 32 MiB: above the ~17 MiB one train step frees, so it stays on the heap for the next.
+        mallopt(m_trim_threshold, 32 << 20)
+
+
+_reuse_freed_memory()
 
 __all__ = [
     "AttentionConfig",

@@ -83,6 +83,18 @@ def _write(write, content, path) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _check_out(path) -> None:
+    """Refuse an output path that cannot be written, before a long run rather than after.
+
+    The file itself is not created, so a run that fails later leaves none behind.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise UsageError(f"cannot write {path}: no directory {parent}")
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: it is a directory")
+
+
 def _cmd_verify(args) -> int:
     if args.instances < 1:
         raise UsageError(f"--instances must be >= 1, got {args.instances}")
@@ -116,6 +128,7 @@ def _cmd_bench(args) -> int:
     std = attention_of(resolve_config(args.std))
     sigma = attention_of(resolve_config(args.sigma))
     grid = _parse_grid(args.grid)
+    _check_out(args.out)
     report = run_bench(std, sigma, grid, reps=args.reps, seed=_seed(args))
     _write(emit_csv, report, args.out)
     ratios = traffic_ratio(report, "kv_cache")
@@ -151,6 +164,8 @@ def _cmd_train_toy(args) -> int:
             raise UsageError("train-toy needs a config file with a model block")
     if args.seq_len > cfg.max_seq_len:
         raise UsageError(f"--seq-len {args.seq_len} exceeds the model's max_seq_len {cfg.max_seq_len}")
+    if args.out:
+        _check_out(args.out)
     model = init_model(cfg, seed=seed)
     rng = np.random.default_rng(seed)
     make_batch = copy_task_batch if args.task == "copy" else random_token_batch

@@ -184,8 +184,10 @@ def test_bad_number_exit_codes(tmp_path, capsys, case, args, code):
     if args[0] == "cost" and "--out" not in args:
         args = [*args, "--out", str(tmp_path / "cost.csv")]
     assert main(args) == code, case
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") if code else err == ""
+    if "unwritable" in case:
+        assert out == "", case  # refused before any work is done
 
 
 class TestArgparseBehaviour:
