@@ -5,15 +5,16 @@ and V at their stored head counts: each K (or V) head multiplies the rows of
 its group of query heads, times an optional tile of consecutive query
 positions, in one product, so no head is ever duplicated.  Softmax is blocked:
 ``_partial`` turns one block of logits into an unnormalised V sum with its row
-max and sum-exp, and ``_merge`` combines partials by log-sum-exp; nothing else
-in the numpy path exponentiates logits.  ``_attend`` is the one chunked pass
-over cached keys built on them.  ``cached_attention`` projects and rotates new
-positions, absorbs the half-K expansion into the query (``q @ w_k_expand.T``,
-exact because rotary acts on K before expansion), appends their K/V rows to a
-differential cache and attends each query tile through ``_attend``.  The
-model's forward and decode, ``naive_diffqkv_attention`` and the chunked kernel
-all run on it.  Apart from the cache a caller passes in, every function is
-free of side effects.
+max and sum-exp, and ``_merge`` combines partials by log-sum-exp, also giving
+each row's log-sum-exp; nothing else in the numpy path exponentiates logits.
+``_attend`` is the one chunked pass over cached keys built on them, and
+``_causal`` runs it over tiles of queries.  ``cached_attention`` projects and
+rotates new positions, absorbs the half-K expansion into the query
+(``q @ w_k_expand.T``, exact because rotary acts on K before expansion),
+appends their K/V rows to a differential cache and attends through
+``_causal``.  The model's forward and decode, the chunked kernel and the
+autodiff twin's causal-attention op all run on it.  Apart from the cache a
+caller passes in, every function is free of side effects.
 
 Shapes follow the convention ``[batch, seq, heads, dim]``; weights are plain
 2-D matrices applied on the right (``x @ w``), bias-free throughout.
@@ -241,16 +242,18 @@ def _partial(logits: np.ndarray, v: np.ndarray | None) -> tuple[np.ndarray, np.n
     return out, row_max[..., 0], p.sum(axis=-1)
 
 
-def _merge(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Log-sum-exp merge of partials given as stacks on axis 0 -> normalised output [..., d].
+def _merge(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Log-sum-exp merge of partials given as stacks on axis 0 -> (normalised output [..., d], lse [...]).
 
     Each stack holds V sums [n, ..., d] with row maxes and sum-exps [n, ...].
     """
     out, row_max, row_sumexp = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     if len(out) == 1:  # a single partial only needs normalising
-        return out[0] / row_sumexp[0][..., None]
-    scale = np.exp(row_max - row_max.max(axis=0))
-    return np.einsum("n...d,n...->...d", out, scale) / (row_sumexp * scale).sum(axis=0)[..., None]
+        return out[0] / row_sumexp[0][..., None], row_max[0] + np.log(row_sumexp[0])
+    peak = row_max.max(axis=0)
+    scale = np.exp(row_max - peak)
+    total = (row_sumexp * scale).sum(axis=0)
+    return np.einsum("n...d,n...->...d", out, scale) / total[..., None], peak + np.log(total)
 
 
 def attention_scores(q: np.ndarray, k: np.ndarray, scale_dim: int, causal_mask_len: int) -> np.ndarray:
@@ -283,7 +286,7 @@ def weighted_value_sum(alpha: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _project_heads(o: np.ndarray, w_o: np.ndarray) -> np.ndarray:
     """Per-head outputs [b, n_q, (T,) d] -> [b, (T,) d_model]: heads in index order, @ w_o."""
     o = np.moveaxis(o, 1, -2)
-    return o.reshape(*o.shape[:-2], -1) @ w_o
+    return o.reshape(*o.shape[:-2], w_o.shape[0]) @ w_o
 
 
 def attention_output(alpha: np.ndarray, v: np.ndarray, w_o: np.ndarray) -> np.ndarray:
@@ -306,26 +309,34 @@ def _tile_sizes(b: int, s: int, n_q: int, n_k: int) -> tuple[int, int]:
     return tile, max(1, _SCORE_BUDGET // (b * n_q * tile))
 
 
-def _attend(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int, first: int, width: int
-) -> np.ndarray:
-    """Causal attention of query rows q [b, n_q, T, d] over cached K/V [b, t, n, d] -> [b, n_q, T, d_v].
+def _spans(b: int, n_q: int, rows: int, first: int, width: int) -> list[tuple[int, int, int]]:
+    """Spans (a, z, c) of keys [a, z) in chunks of c that ``_attend`` scores in one call each.
 
-    Row r sees keys [0, first + r), cut into chunks of ``width`` keys (the last
-    one clipped).  Each span of whole chunks whose scores fit ``_SCORE_BUDGET``
-    is scored in one call, masked only where it crosses the diagonal, and
-    viewed chunk-major, so one ``_partial`` call gives all its chunk partials;
-    every partial then goes into one ``_merge``.
+    Whole chunks of ``width`` fill a span up to ``_SCORE_BUDGET`` scores; a clipped last chunk stands alone.
     """
-    b, n_q, rows = q.shape[:3]
     end = first + rows - 1  # keys seen by the last row
     whole = end - end % width
     step = width * max(1, _SCORE_BUDGET // (b * n_q * rows * width))
     spans = [(a, min(a + step, whole), width) for a in range(0, whole, step)]
     if whole < end:
         spans.append((whole, end, end - whole))
+    return spans
+
+
+def _attend(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int, first: int, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Causal attention of query rows q [b, n_q, T, d] over cached K/V [b, t, n, d] -> (heads, lse).
+
+    Heads are [b, n_q, T, d_v] and lse [b, n_q, T].  Row r sees keys
+    [0, first + r), in the ``_spans`` of chunks of ``width`` keys.  Each span
+    is scored in one call, masked only where it crosses the diagonal, and
+    viewed chunk-major, so one ``_partial`` call gives all its chunk partials;
+    every partial then goes into one ``_merge``.
+    """
+    b, n_q, rows = q.shape[:3]
     parts = []
-    for a, z, c in spans:
+    for a, z, c in _spans(b, n_q, rows, first, width):
         n = (z - a) // c
         logits = _masked_logits(q, k[:, a:z], scale_dim, first - a).reshape(b, n_q, rows, n, c)
         # [n*b, ...] grids, chunk-major: V stays a view when b == 1 or n == 1.
@@ -335,6 +346,21 @@ def _attend(
     return _merge(parts)
 
 
+def _causal(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int, start: int) -> tuple:
+    """Causal attention of queries q [b, n_q, s, d] at positions start.. over K/V [b, t, n, d].
+
+    Returns (heads [b, n_q, s, d_v], lse [b, n_q, s]): ``_attend`` over tiles of
+    T queries in key chunks of width B, both from ``_tile_sizes``.
+    """
+    b, n_q, s = q.shape[:3]
+    tile, block = _tile_sizes(b, s, n_q, k.shape[2])
+    heads, lse = np.empty((b, n_q, s, v.shape[-1])), np.empty((b, n_q, s))
+    for i in range(0, s, tile):
+        rows = slice(i, i + tile)
+        heads[:, :, rows], lse[:, :, rows] = _attend(q[:, :, rows], k, v, scale_dim, start + i + 1, block)
+    return heads, lse
+
+
 def cached_attention(
     x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig, cache: DifferentialKVCache
 ) -> np.ndarray:
@@ -342,25 +368,17 @@ def cached_attention(
 
     The new positions are ``cache.len .. cache.len + s - 1``: project ->
     augmented Q -> rotary -> (half-K) expansion absorbed into the query -> one
-    append of all s K/V rows to ``cache`` -> ``_attend`` per tile of T
-    consecutive queries, in key chunks of width B -> output projection.  T and
-    B come from ``_tile_sizes``; decode is one query per tile.
+    append of all s K/V rows to ``cache`` -> ``_causal`` over the cache ->
+    output projection.
     """
     start = cache.len
     q, k, v = project_qkv(x, w, cfg)
-    b, s = q.shape[:2]
-    q, k = apply_rope(q, k, np.arange(start, start + s), cfg.rope_theta)
+    q, k = apply_rope(q, k, np.arange(start, start + q.shape[1]), cfg.rope_theta)
     if cfg.half_k:
         q = q @ w.w_k_expand.T
     cache.append(k, v)
-    k_all, v_all = cache.view()
-    q = q.transpose(0, 2, 1, 3)  # [b, n_q, s, d]: a tile is a slice of axis 2
-    tile, block = _tile_sizes(b, s, q.shape[1], k_all.shape[2])
-    out = np.empty((b, s, w.w_o.shape[1]))
-    for i in range(0, s, tile):
-        heads = _attend(q[:, :, i : i + tile], k_all, v_all, cfg.softmax_scale_dim, start + i + 1, block)
-        out[:, i : i + tile] = _project_heads(heads, w.w_o)
-    return out
+    heads, _ = _causal(q.transpose(0, 2, 1, 3), *cache.view(), cfg.softmax_scale_dim, start)
+    return _project_heads(heads, w.w_o)
 
 
 def naive_diffqkv_attention(x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Small reverse-mode automatic differentiation over float64 numpy arrays.
 
 Just enough machinery for the toy causal LM: broadcast-aware add/mul, batched
-matmul, reshapes/transposes, SiLU, RMS normalization, last-axis softmax,
-rotary embedding, embedding lookup and a fused shifted cross-entropy.  RMS
-normalization and rotary reuse the numpy formulas of :mod:`diffqkv.attention`.
+matmul, reshapes/transposes, gated SiLU, RMS normalization, rotary embedding,
+causal attention, embedding lookup and a fused shifted cross-entropy, reusing
+the numpy code of :mod:`diffqkv.attention`; no node holds a full score matrix.
 Nodes form an implicit DAG; ``backward`` walks it once in reverse topological
 order and accumulates gradients on leaves.
 
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import _inverse_rms, _rotate
+from .attention import _causal, _inverse_rms, _masked_logits, _query_groups, _rotate
+from .attention import _spans, _tile_sizes, attention_logits, silu, weighted_value_sum
 
 
 class Tensor:
@@ -169,15 +170,21 @@ def transpose(a: Tensor, axes) -> Tensor:
     )
 
 
-def silu(a: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    out = a.data * sig
-    # d/dx [x*sig(x)] = sig(x) * (1 + x * (1 - sig(x)))
-    return Tensor(
-        out,
-        parents=(a,),
-        vjp=lambda g: (g * sig * (1.0 + a.data * (1.0 - sig)),),
-    )
+def silu_gate(a: Tensor, b: Tensor) -> Tensor:
+    """silu(a) * b, the gated product of the FFN and the augmented-Q block.
+
+    Keeps only its operands: the VJP recomputes sigmoid(a) instead of storing it.
+    """
+    out = silu(a.data) * b.data
+
+    def vjp(g):
+        sig = 1.0 / (1.0 + np.exp(-a.data))
+        gated = a.data * sig  # silu(a)
+        # d/da silu(a) = sig + silu(a) * (1 - sig)
+        ga = (gated * (1.0 - sig) + sig) * b.data * g if a.requires_grad else None
+        return ga, g * gated if b.requires_grad else None
+
+    return Tensor(out, parents=(a, b), vjp=vjp)
 
 
 def rms_norm(x: Tensor, scale: Tensor) -> Tensor:
@@ -195,26 +202,47 @@ def rms_norm(x: Tensor, scale: Tensor) -> Tensor:
     return Tensor(out, parents=(x, scale), vjp=vjp)
 
 
-def softmax_last(a: Tensor, bias: np.ndarray | None = None) -> Tensor:
-    """Numerically stable softmax of ``a + bias`` over the last axis.
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale_dim: int) -> Tensor:
+    """Causal attention of q [b, n_q, s, d] over k [b, s, n_k, d] and v [b, s, n_v, d_v] -> [b, n_q, s, d_v].
 
-    ``bias`` is a constant additive mask (broadcast against ``a``); its -inf
-    entries get probability 0.  The forward pass and the VJP each work in one
-    buffer of ``a``'s size.
+    K and V stay at their native head counts.  The forward is the numpy path's
+    blocked pass, ``attention._causal``; the node keeps q, k, v, the output and
+    each row's log-sum-exp, never the scores.  The VJP walks the same query
+    tiles and key spans, recomputes each block's p = exp(logits - lse) and,
+    with D = rowsum(dO * O), forms dV += p^T dO, dS = p * (dO V^T - D) /
+    sqrt(scale_dim), dQ += dS K and dK += dS^T Q, grouped per K or V head.
     """
-    y = a.data.copy() if bias is None else a.data + bias
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    qd, kd, vd = q.data, k.data, v.data
+    heads, lse = _causal(qd, kd, vd, scale_dim, 0)
 
     def vjp(g):
-        # y * (g - sum(g * y)), reusing the g * y buffer.
-        buf = g * y
-        np.subtract(g, buf.sum(axis=-1, keepdims=True), out=buf)
-        buf *= y
-        return (buf,)
+        b, n_q, s = qd.shape[:3]
+        n_k, n_v = kd.shape[2], vd.shape[2]
+        dq, dk, dv = np.zeros_like(qd), np.zeros_like(kd), np.zeros_like(vd)
+        # D / sqrt(scale_dim): attention_logits scales dO V^T alike, so dS needs one more pass only.
+        delta = np.einsum("bhsd,bhsd->bhs", g, heads)[..., None] / np.sqrt(scale_dim)
+        tile, block = _tile_sizes(b, s, n_q, n_k)
+        for i in range(0, s, tile):
+            rows = slice(i, i + tile)
+            q_t, g_t = qd[:, :, rows], g[:, :, rows]
+            for a, z, _ in _spans(b, n_q, q_t.shape[2], i + 1, block):
+                p = _masked_logits(q_t, kd[:, a:z], scale_dim, i + 1 - a)
+                p = np.exp(np.subtract(p, lse[:, :, rows, None], out=p), out=p)
+                dv[:, a:z] += _grouped_t(p, g_t, n_v)
+                ds = attention_logits(g_t, vd[:, a:z], scale_dim)
+                ds -= delta[:, :, rows]
+                ds *= p
+                dq[:, :, rows] += weighted_value_sum(ds, kd[:, a:z])
+                dk[:, a:z] += _grouped_t(ds, q_t, n_k)
+        return dq, dk, dv
 
-    return Tensor(y, parents=(a,), vjp=vjp)
+    return Tensor(heads, parents=(q, k, v), vjp=vjp)
+
+
+def _grouped_t(p: np.ndarray, rows: np.ndarray, n_src: int) -> np.ndarray:
+    """p [b, n_q, T, t] transposed onto query rows [b, n_q, T, m], per source head -> [b, t, n_src, m]."""
+    out = np.matmul(_query_groups(p, n_src).swapaxes(-1, -2), _query_groups(rows, n_src))
+    return out.transpose(0, 2, 1, 3)
 
 
 def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
@@ -255,8 +283,7 @@ def cross_entropy_next_token(logits: Tensor, tokens: np.ndarray) -> Tensor:
     loss = -logprobs[rows[0], rows[1], targets].sum() / count
 
     def vjp(g):
-        probs = np.exp(logprobs)
-        dpred = probs.copy()
+        dpred = np.exp(logprobs)
         dpred[rows[0], rows[1], targets] -= 1.0
         dlogits = np.zeros_like(logits.data)
         dlogits[:, :-1] = dpred * (float(g) / count)

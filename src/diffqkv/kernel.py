@@ -44,4 +44,4 @@ def flexhead_attention(
     if chunk < 1:
         raise ConfigError(f"chunk must be >= 1, got {chunk}")
     k, v = cache.view()
-    return _attend(q[:, :, None], k, v, cfg.softmax_scale_dim, limit, chunk)[:, :, 0]
+    return _attend(q[:, :, None], k, v, cfg.softmax_scale_dim, limit, chunk)[0][:, :, 0]

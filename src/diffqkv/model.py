@@ -13,7 +13,8 @@ agreeing with ``forward`` token for token.
 K/V stay at their stored head counts and the half-K expansion is absorbed into
 the query, so the cache is never duplicated or expanded.  ``train_step`` runs
 the same architecture through the autodiff graph, which also attends at native
-head counts, and applies a plain gradient-descent update.
+head counts through one op that recomputes the scores in its reverse pass,
+and applies a plain gradient-descent update.
 
 ``forward``/``decode`` are pure given the model and cache ownership;
 ``train_step`` mutates the model in place and is single-threaded per model.
@@ -269,23 +270,21 @@ def as_parameter_tensors(model: ToyModel) -> dict[str, ad.Tensor]:
 def attention_graph(h: ad.Tensor, w: dict[str, ad.Tensor], acfg) -> ad.Tensor:
     """Causal DiffQKV attention over autodiff tensors; h is [b, s, d_model].
 
-    The autodiff twin of :func:`diffqkv.attention.naive_diffqkv_attention`,
-    at native head counts too: the query heads are reshaped into one group
-    per K (V) head and multiplied against that head alone, and in half-K mode
-    the K expansion is absorbed into the query.  Its forward values agree
-    with the numpy path, and its reverse pass supplies the analytic gradients
+    The autodiff twin of :func:`diffqkv.attention.naive_diffqkv_attention`:
+    projections, augmented Q, rotary and (in half-K mode) the K expansion
+    absorbed into the query are ordinary ops, and the attention itself is
+    ``ad.causal_attention`` at native head counts, whose forward is the numpy
+    path's blocked pass.  Its reverse pass supplies the analytic gradients
     that finite differences are checked against.
     """
     b, s, _ = h.data.shape
     n_q, n_k, n_v = acfg.n_q_heads, acfg.n_k_heads, acfg.n_v_heads
     d, d_k = acfg.d_head, acfg.d_k_head
     positions = np.arange(s)
-    inv_scale = 1.0 / np.sqrt(float(acfg.softmax_scale_dim))
 
     q_flat = h @ w["w_q"]
     if acfg.has_aug_q:
-        gated = ad.silu(q_flat @ w["w_q_gate"]) * (q_flat @ w["w_q_up"])
-        q_flat = gated @ w["w_q_down"]
+        q_flat = ad.silu_gate(q_flat @ w["w_q_gate"], q_flat @ w["w_q_up"]) @ w["w_q_down"]
     q = ad.rope(ad.reshape(q_flat, (b, s, n_q, d)), *rope_angles(positions, d, acfg.rope_theta))
     if acfg.half_k:
         q = q @ ad.transpose(w["w_k_expand"], (1, 0))
@@ -293,16 +292,8 @@ def attention_graph(h: ad.Tensor, w: dict[str, ad.Tensor], acfg) -> ad.Tensor:
         ad.reshape(h @ w["w_k"], (b, s, n_k, d_k)), *rope_angles(positions, d_k, acfg.rope_theta)
     )
     v = ad.reshape(h @ w["w_v"], (b, s, n_v, d))
-
-    # The rows of each group's query heads [b, n_k, n_q/n_k * s, d_k] against its keys,
-    # with one causal [s, s] mask per query head of the group.  The softmax scale goes
-    # on these rows, far smaller than the s x s scores, and the mask into the softmax.
-    q_rows = ad.reshape(ad.transpose(q, (0, 2, 1, 3)), (b, n_k, n_q // n_k * s, d_k)) * inv_scale
-    k_t = ad.transpose(k, (0, 2, 3, 1))  # [b, n_k, d_k, s]
-    causal_mask = np.tile(np.triu(np.full((s, s), -np.inf), k=1), (n_q // n_k, 1))
-    alpha = ad.reshape(ad.softmax_last(q_rows @ k_t, causal_mask), (b, n_v, n_q // n_v * s, s))
-    v_t = ad.transpose(v, (0, 2, 1, 3))  # [b, n_v, s, d]
-    ctx = ad.transpose(ad.reshape(alpha @ v_t, (b, n_q, s, d)), (0, 2, 1, 3))  # [b, s, h, d]
+    heads = ad.causal_attention(ad.transpose(q, (0, 2, 1, 3)), k, v, acfg.softmax_scale_dim)
+    ctx = ad.transpose(heads, (0, 2, 1, 3))  # [b, s, n_q, d]
     return ad.reshape(ctx, (b, s, n_q * d)) @ w["w_o"]
 
 
@@ -322,10 +313,8 @@ def forward_graph(params: dict[str, ad.Tensor], cfg: ModelConfig, tokens) -> ad.
         h = ad.rms_norm(x, params[prefix + "norm_attn"])
         x = x + attention_graph(h, attn_w, acfg)
         h2 = ad.rms_norm(x, params[prefix + "norm_ffn"])
-        ffn = (
-            ad.silu(h2 @ params[prefix + "w_ffn_gate"]) * (h2 @ params[prefix + "w_ffn_up"])
-        ) @ params[prefix + "w_ffn_down"]
-        x = x + ffn
+        gated = ad.silu_gate(h2 @ params[prefix + "w_ffn_gate"], h2 @ params[prefix + "w_ffn_up"])
+        x = x + gated @ params[prefix + "w_ffn_down"]
     x = ad.rms_norm(x, params["norm_final"])
     return x @ params["head"]
 

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from diffqkv import attention
 from diffqkv import autodiff as ad
+from diffqkv.attention import apply_rope, init_attention_weights, naive_diffqkv_attention, project_qkv
+from diffqkv.config import AttentionConfig, validate_config
+from diffqkv.reference import _one_shot_causal
 
 
 def fd_check(build, arrays, step=1e-6, rtol=1e-6, atol=1e-8):
@@ -61,8 +65,10 @@ def test_reshape_transpose():
     )
 
 
-def test_silu():
-    fd_check(ad.silu, [RNG.normal(size=(3, 5))])
+def test_gated_silu():
+    fd_check(ad.silu_gate, [RNG.normal(size=(3, 5)) * 3, RNG.normal(size=(3, 5))])
+    a, b = RNG.normal(size=(2, 4)), RNG.normal(size=(2, 4))
+    assert_allclose(ad.silu_gate(ad.Tensor(a), ad.Tensor(b)).data, a / (1 + np.exp(-a)) * b, rtol=1e-15)
 
 
 def test_rms_norm():
@@ -90,21 +96,75 @@ def test_rms_norm_scale_invariant_at_extreme_magnitudes():
         assert_allclose(b, a, rtol=1e-12)
 
 
-def test_softmax_last():
-    fd_check(ad.softmax_last, [RNG.normal(size=(2, 4, 5))])
+def _attention_inputs(heads, d_k, d_v, b, s, seed=0):
+    n_q, n_k, n_v = heads
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(b, n_q, s, d_k))
+    k = rng.normal(size=(b, s, n_k, d_k))
+    v = rng.normal(size=(b, s, n_v, d_v))
+    return q, k, v, rng.normal(size=(b, n_q, s, d_v))
 
 
-def test_softmax_with_masked_entries():
-    mask = np.triu(np.full((5, 5), -np.inf), k=1)
-    fd_check(lambda a: ad.softmax_last(ad.add(a, mask)), [RNG.normal(size=(2, 5, 5))])
+def _one_shot_heads(q, k, v, scale_dim):
+    """Per-head causal attention by duplicating K/V to n_q heads: the independent oracle."""
+    n_q = q.shape[1]
+    k = np.repeat(k, n_q // k.shape[2], axis=2)
+    v = np.repeat(v, n_q // v.shape[2], axis=2)
+    out = _one_shot_causal(q.transpose(0, 2, 1, 3), k, v, scale_dim)
+    return out.reshape(*v.shape).transpose(0, 2, 1, 3)
 
 
-def test_softmax_with_causal_bias():
-    bias = np.triu(np.full((5, 5), -np.inf), k=1)
-    fd_check(lambda a: ad.softmax_last(a, bias), [RNG.normal(size=(2, 3, 5, 5))])
-    y = ad.softmax_last(ad.Tensor(RNG.normal(size=(4, 5))), bias[:4]).data
-    assert_allclose(y.sum(axis=-1), 1.0)
-    assert (y[np.triu_indices(4, k=1, m=5)] == 0.0).all()
+# Head patterns (n_q, n_k, n_v), d_k, d_v, batch and length; the last rows of
+# each pattern run under a 64-score budget, which cuts s = 9 into several
+# query tiles and key spans.
+CAUSAL_CASES = [
+    ((4, 4, 4), 4, 4, 1, 1),
+    ((8, 2, 4), 2, 4, 3, 5),
+    ((8, 4, 2), 4, 2, 1, 5),
+    ((4, 4, 4), 4, 4, 1, 9),
+    ((8, 2, 4), 2, 4, 3, 9),
+    ((8, 4, 2), 6, 2, 1, 9),
+]
+
+
+@pytest.mark.parametrize("heads,d_k,d_v,b,s", CAUSAL_CASES)
+def test_causal_attention(monkeypatch, heads, d_k, d_v, b, s):
+    if s == 9:
+        monkeypatch.setattr(attention, "_SCORE_BUDGET", 64)
+        tile, block = attention._tile_sizes(b, s, heads[0], heads[1])
+        assert s > tile
+        assert max(len(attention._spans(b, heads[0], tile, i + 1, block)) for i in range(0, s, tile)) >= 2
+    q, k, v, coeffs = _attention_inputs(heads, d_k, d_v, b, s)
+    out = ad.causal_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), 3).data
+    assert_allclose(out, _one_shot_heads(q, k, v, 3), rtol=0, atol=1e-12)
+    fd_check(lambda *t: ad.mul(ad.causal_attention(*t, 3), coeffs), [q, k, v])
+
+
+def test_causal_attention_forward_is_the_numpy_core():
+    cfg = validate_config(AttentionConfig(n_q_heads=8, n_k_heads=2, n_v_heads=4, d_head=4, d_k_head=2))
+    rng = np.random.default_rng(3)
+    w = init_attention_weights(cfg, 32, rng)
+    x = rng.normal(size=(2, 7, 32))
+    q, k, v = project_qkv(x, w, cfg)
+    q, k = apply_rope(q, k, np.arange(7), cfg.rope_theta)
+    q = ad.Tensor((q @ w.w_k_expand.T).transpose(0, 2, 1, 3))
+    heads = ad.causal_attention(q, ad.Tensor(k), ad.Tensor(v), cfg.softmax_scale_dim).data
+    out = heads.transpose(0, 2, 1, 3).reshape(2, 7, 32) @ w.w_o
+    assert_allclose(out, naive_diffqkv_attention(x, w, cfg), rtol=0, atol=1e-12)
+
+
+def test_causal_attention_masks_exactly():
+    # Row r of the output depends on positions <= r only: the gradient of row 2
+    # reaches no later key or value, and the first row copies v[0].
+    q, k, v, _ = _attention_inputs((4, 2, 2), 4, 4, 2, 6, seed=1)
+    tensors = [ad.Tensor(a, requires_grad=True) for a in (q, k, v)]
+    out = ad.causal_attention(*tensors, 4)
+    assert_allclose(out.data[:, :, 0], np.repeat(v[:, 0], 2, axis=1), rtol=0, atol=1e-15)
+    g = np.zeros_like(out.data)
+    g[:, :, 2] = 1.0
+    _, dk, dv = out._vjp(g)
+    assert not dk[:, 3:].any() and not dv[:, 3:].any()
+    assert dv[:, :3].any()
 
 
 def test_rope():
@@ -199,7 +259,7 @@ def test_constant_operand_gets_no_gradient(op, shapes, const_at):
 def test_backward_keeps_root_and_leaf_gradients_only():
     x = ad.Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
     w = ad.Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
-    hidden = ad.silu(x @ w)
+    hidden = ad.silu_gate(x @ w, x @ w)
     logits = ad.reshape(hidden, (1, 3, 2))
     loss = ad.cross_entropy_next_token(logits, np.array([[0, 1, 1]]))
     loss.backward()

@@ -41,7 +41,7 @@ def partial(q, k, v, scale_dim, limit):
 
 
 def merge(parts):
-    return _merge([tuple(a[None] for a in part) for part in parts])
+    return _merge([tuple(a[None] for a in part) for part in parts])[0]
 
 
 def naive_heads(q, k, v, cfg, causal_limit, w=None):

@@ -260,7 +260,7 @@ class TestTraining:
         # Toy sigma-1.5b, batch 16 x 32: a reverse pass that zero-fills a buffer for
         # every node's first gradient, keeps interior gradients alive, computes
         # gradients for constants or scales and masks the s x s scores in extra
-        # nodes peaks near 40 MB; the lean pass stays near 17 MB.
+        # nodes peaks near 40 MB; the lean pass stays near 11 MB.
         cfg = toy_preset("sigma-1.5b")
         model = init_model(cfg, seed=17)
         batch = copy_task_batch(np.random.default_rng(17), 16, 32, cfg.vocab_size)
@@ -272,6 +272,22 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         assert peak <= 24e6, f"train_step peak {peak} B > 24 MB"
+
+    def test_train_step_memory_does_not_hold_the_scores(self):
+        # Toy sigma-1.5b, batch 16 x 128: dense [b, n_k, g*s, s] scores, their
+        # softmax and a tiled mask per layer peak at 139 MiB; the blocked
+        # causal-attention op keeps q, k, v, the output and the lse (about 40 MiB).
+        cfg = toy_preset("sigma-1.5b")
+        model = init_model(cfg, seed=18)
+        batch = copy_task_batch(np.random.default_rng(18), 16, 128, cfg.vocab_size)
+        train_step(model, batch, lr=0.2)
+        tracemalloc.start()
+        try:
+            train_step(model, batch, lr=0.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 2**20, f"train_step peak {peak / 2**20:.1f} MiB >= 60 MiB"
 
     def test_copy_task_structure(self):
         batch = copy_task_batch(np.random.default_rng(10), 5, 9, 64)
