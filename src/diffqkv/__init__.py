@@ -47,7 +47,7 @@ from .costmodel import (
     total_cost_curve,
 )
 from .kernel import flexhead_attention
-from .kvcache import DifferentialKVCache, cache_new, kv_group_balance
+from .kvcache import DifferentialKVCache, cache_new
 from .model import ToyModel, decode, forward, init_model, train_step
 
 __version__ = "0.1.0"
@@ -103,7 +103,6 @@ __all__ = [
     "init_attention_weights",
     "init_model",
     "kv_cache_cost",
-    "kv_group_balance",
     "load_config_file",
     "naive_diffqkv_attention",
     "preset",

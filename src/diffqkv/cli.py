@@ -54,9 +54,15 @@ DEFAULT_SEED = 42
 
 
 def _seed(args) -> int:
+    """--seed, else DIFFQKV_SEED, else DEFAULT_SEED; a seed is a non-negative integer."""
     if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("DIFFQKV_SEED", DEFAULT_SEED))
+        seed, source = args.seed, "--seed"
+    else:
+        seed, source = os.environ.get("DIFFQKV_SEED", DEFAULT_SEED), "DIFFQKV_SEED"
+    text = str(seed).strip()
+    if not text.isdecimal():
+        raise UsageError(f"{source} must be a non-negative integer, got {seed!r}")
+    return int(text)
 
 
 def _parse_grid(spec: str) -> CostGrid:

@@ -11,7 +11,7 @@ eliminates beta); floating point appears only in cost curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +24,7 @@ from .errors import ConfigError, DegenerateError
 class CostModelParams:
     """Calibration of the linear cost model.
 
+    All four must be finite.
     alpha: cache cost per element (must be positive).
     beta: fixed overhead, charged once per (prefix, output) cell.
     attn_alpha: attention-computation cost per element of the same bracket.
@@ -36,6 +37,9 @@ class CostModelParams:
     augq_cost_per_token: float = 0.0
 
     def __post_init__(self):
+        for field in fields(self):
+            if not np.isfinite(getattr(self, field.name)):
+                raise ConfigError(f"{field.name} must be finite, got {getattr(self, field.name)}")
         if not self.alpha > 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
 

@@ -69,7 +69,3 @@ class UnknownSuiteError(DiffQKVError, ValueError):
 class UsageError(DiffQKVError, ValueError):
     """A CLI/benchmark argument is outside its accepted range (exit code 2)."""
 
-
-class DegradedPathWarning(UserWarning):
-    """Emitted when KV group balancing duplicates heads: the differential
-    cache advantage is forfeited because the layout degrades to GQA."""

@@ -11,19 +11,12 @@ stay valid across later appends (appended positions never mutate earlier ones).
 
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import ValidatedConfig
-from .errors import (
-    CapacityError,
-    CapacityExceededError,
-    DegradedPathWarning,
-    DivisibilityError,
-    ShapeError,
-)
+from .errors import CapacityError, CapacityExceededError, ShapeError
 
 
 class CacheFootprint(NamedTuple):
@@ -85,37 +78,3 @@ class DifferentialKVCache:
 def cache_new(cfg: ValidatedConfig, batch: int, capacity: int) -> DifferentialKVCache:
     return DifferentialKVCache(cfg, batch, capacity)
 
-
-def kv_group_balance(k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Duplicate the smaller-head-count store so K and V head counts match.
-
-    Compatibility path for layouts that require equal K/V head counts.  This
-    is a DEGRADED path: duplicating heads restores the GQA memory layout and
-    forfeits the differential-cache saving, so a DegradedPathWarning is
-    emitted whenever duplication actually happens.
-
-    Args:
-        k: [b, len, n_k, d], v: [b, len, n_v, d].
-    Returns:
-        (k', v') with equal head counts; the larger store is returned unchanged.
-    """
-    n_k, n_v = k.shape[2], v.shape[2]
-    if n_k == n_v:
-        return k, v
-    if n_k > n_v:
-        if n_k % n_v != 0:
-            raise DivisibilityError(f"n_k={n_k} is not a multiple of n_v={n_v}")
-        warnings.warn(
-            "kv_group_balance duplicated V heads; differential-cache savings are lost",
-            DegradedPathWarning,
-            stacklevel=2,
-        )
-        return k, np.repeat(v, n_k // n_v, axis=2)
-    if n_v % n_k != 0:
-        raise DivisibilityError(f"n_v={n_v} is not a multiple of n_k={n_k}")
-    warnings.warn(
-        "kv_group_balance duplicated K heads; differential-cache savings are lost",
-        DegradedPathWarning,
-        stacklevel=2,
-    )
-    return np.repeat(k, n_v // n_k, axis=2), v

@@ -239,18 +239,14 @@ def decode(
             f"{caches[0].capacity}"
         )
     out = list(prompt[0])
-    logits = forward_incremental(model, prompt, caches, start_pos=0)
-    next_token = int(np.argmax(logits[0, -1]))
-    out.append(next_token)
-    for _ in range(n_new - 1):
-        logits = forward_incremental(
-            model, np.array([[next_token]]), caches, start_pos=len(out) - 1
-        )
-        next_token = int(np.argmax(logits[0, -1]))
-        out.append(next_token)
-    # Append the final token too: each generated token adds one (k, v) pair
-    # per layer, so the caches end at exactly prompt + n_new positions.
-    forward_incremental(model, np.array([[next_token]]), caches, start_pos=len(out) - 1)
+    fed = 0
+    # Feed the prompt, then each generated token. The final token is fed too, so
+    # the caches end at exactly prompt + n_new positions.
+    while fed < len(out):
+        logits = forward_incremental(model, np.array([out[fed:]]), caches, start_pos=fed)
+        fed = len(out)
+        if fed < prompt.shape[1] + n_new:
+            out.append(int(np.argmax(logits[0, -1])))
     return np.array(out, dtype=np.int64)
 
 

@@ -2,15 +2,14 @@
 
 Each suite runs a bundle of randomized, seeded checks and reports per-property
 instance counts and the maximum observed error.  Suites: ``equivalence``
-(kernel simulator vs naive reference, degenerate modes, selective V, group
-balancing), ``gradients`` (analytic vs central finite differences), ``cache``
+(kernel simulator vs naive reference, degenerate modes, selective V),
+``gradients`` (analytic vs central finite differences), ``cache``
 (footprint accounting and incremental consistency), ``cost`` (exact reduction
 rates and cost-curve structure), and ``all``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,8 +42,8 @@ from .costmodel import (
     reduction_rate,
     total_cost_curve,
 )
-from .errors import DegradedPathWarning, UnknownSuiteError
-from .kvcache import DifferentialKVCache, kv_group_balance
+from .errors import UnknownSuiteError
+from .kvcache import DifferentialKVCache
 from .model import as_parameter_tensors, init_model, loss_graph
 from .reference import grouped_attention_by_duplication, vanilla_mha_attention
 
@@ -205,35 +204,12 @@ def check_selective_v(instances: int = 100, seed: int = 13) -> PropertyResult:
     )
 
 
-def check_group_balance(instances: int = 30, seed: int = 17) -> PropertyResult:
-    """Balanced (duplicated) stores attend identically to the native-head stores."""
-    rng = np.random.default_rng(seed)
-    max_err = 0.0
-    for i in range(instances):
-        n_k, n_v = [(2, 8), (8, 2), (4, 4)][i % 3]
-        n_q, d, t = 8, 4, int(rng.integers(1, 10))
-        k = rng.normal(size=(1, t, n_k, d))
-        v = rng.normal(size=(1, t, n_v, d))
-        q = rng.normal(size=(1, n_q, d))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedPathWarning)
-            k_bal, v_bal = kv_group_balance(k, v)
-
-        def attend(kk, vv):
-            return weighted_value_sum(attention_scores(q, kk, d, t), vv)
-
-        err = float(np.max(np.abs(attend(k, v) - attend(k_bal, v_bal))))
-        max_err = max(max_err, err)
-    return PropertyResult("kv_group_balance equivalence", instances, max_err, max_err <= 1e-12)
-
-
 def equivalence_suite(instances: int = 200) -> list[PropertyResult]:
     return [
         check_flexhead_vs_naive(instances),
         check_degenerate_mha(),
         check_grouped_duplication(),
         check_selective_v(),
-        check_group_balance(),
     ]
 
 
@@ -376,12 +352,7 @@ def check_incremental_matches_direct(instances: int = 20, seed: int = 29) -> Pro
     )
 
 
-def cache_suite() -> list[PropertyResult]:
-    return [
-        check_footprint_accounting(),
-        check_cache_ratio(),
-        check_incremental_matches_direct(),
-    ]
+CACHE_CHECKS = (check_footprint_accounting, check_cache_ratio, check_incremental_matches_direct)
 
 
 # -- cost --------------------------------------------------------------------
@@ -445,14 +416,13 @@ def check_cost_affine() -> PropertyResult:
     return PropertyResult("kv_cache_cost affine in s", 3, worst, worst <= 1e-12)
 
 
-def cost_suite() -> list[PropertyResult]:
-    return [
-        check_reduction_rate_exact(),
-        check_cache_ratio(),
-        check_cost_curve_structure(),
-        check_crossover_monotone(),
-        check_cost_affine(),
-    ]
+COST_CHECKS = (
+    check_reduction_rate_exact,
+    check_cache_ratio,
+    check_cost_curve_structure,
+    check_crossover_monotone,
+    check_cost_affine,
+)
 
 
 def run_verify(suite: str, instances: int = 200) -> VerifyReport:
@@ -466,8 +436,9 @@ def run_verify(suite: str, instances: int = 200) -> VerifyReport:
         results += equivalence_suite(instances)
     if suite in ("gradients", "all"):
         results += gradients_suite()
-    if suite in ("cache", "all"):
-        results += cache_suite()
-    if suite in ("cost", "all"):
-        results += cost_suite()
+    checks = (CACHE_CHECKS if suite in ("cache", "all") else ()) + (
+        COST_CHECKS if suite in ("cost", "all") else ()
+    )
+    # check_cache_ratio is in both suites; "all" runs it once, in its cache position.
+    results += [check() for check in dict.fromkeys(checks)]
     return VerifyReport(suite=suite, results=results)

@@ -5,6 +5,7 @@ import diffqkv.attention
 import diffqkv.cli
 from diffqkv.cli import main
 from diffqkv.config import format_config_text, toy_preset
+from diffqkv.verify import run_verify
 
 
 class TestVerifyCommand:
@@ -17,6 +18,12 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    def test_all_suite_runs_each_property_once(self):
+        shared = "sigma/gqa-16 footprint ratio == 0.625"  # in both the cache and cost suites
+        for suite in ("cache", "cost", "all"):
+            names = [r.name for r in run_verify(suite, instances=8).results]
+            assert shared in names and len(names) == len(set(names)), suite
 
     def test_corrupted_head_map_fails_equivalence(self, monkeypatch, capsys):
         real = diffqkv.attention._query_groups
@@ -153,6 +160,15 @@ class TestTrainAndDecode:
         assert run() == with_env
         assert with_env != other_env
 
+    @pytest.mark.parametrize("command", ["bench", "train-toy"])
+    def test_env_seed_not_an_integer_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("DIFFQKV_SEED", "abc")
+        args = {"bench": ["--grid", "8:8", "--reps", "3", "--out", str(tmp_path / "b.csv")],
+                "train-toy": ["--steps", "1", "--batch", "2", "--seq-len", "6"]}[command]
+        assert main([command, *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: DIFFQKV_SEED must be a non-negative integer, got 'abc'\n"
+
 
 @pytest.mark.parametrize(
     "case,args,code",
@@ -178,11 +194,18 @@ class TestTrainAndDecode:
                                   "--out", "/nonexistent/x.ckpt"], 2),
         ("verify instances 0", ["verify", "--suite", "cache", "--instances", "0"], 2),
         ("verify instances -1", ["verify", "--suite", "cache", "--instances", "-1"], 2),
+        ("cost beta nan", ["cost", "--grid", "8:8", "--beta", "nan"], 2),
+        ("cost alpha inf", ["cost", "--grid", "8:8", "--alpha", "inf"], 2),
+        ("cost attn-alpha inf", ["cost", "--grid", "8:8", "--attn-alpha", "inf"], 2),
+        ("cost augq-cost nan", ["cost", "--grid", "8:8", "--augq-cost", "nan"], 2),
+        ("bench seed -1", ["bench", "--grid", "8:8", "--reps", "3", "--seed", "-1"], 2),
+        ("train seed -1", ["train-toy", "--steps", "1", "--batch", "2", "--seq-len", "6",
+                           "--seed", "-1"], 2),
     ],
 )
 def test_bad_number_exit_codes(tmp_path, capsys, case, args, code):
-    if args[0] == "cost" and "--out" not in args:
-        args = [*args, "--out", str(tmp_path / "cost.csv")]
+    if args[0] in ("cost", "bench") and "--out" not in args:
+        args = [*args, "--out", str(tmp_path / f"{args[0]}.csv")]
     assert main(args) == code, case
     out, err = capsys.readouterr()
     assert err.startswith("error: ") if code else err == ""

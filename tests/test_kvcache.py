@@ -2,18 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from diffqkv.attention import attention_scores, weighted_value_sum
 from diffqkv.config import AttentionConfig, PRESETS, validate_config
-from diffqkv.errors import (
-    CapacityError,
-    CapacityExceededError,
-    DegradedPathWarning,
-    DivisibilityError,
-    ShapeError,
-)
-from diffqkv.kvcache import cache_new, kv_group_balance
+from diffqkv.errors import CapacityError, CapacityExceededError, ShapeError
+from diffqkv.kvcache import cache_new
 
 SIGMA = PRESETS["sigma-1.5b"].attention
 GQA16 = PRESETS["gqa-16"].attention
@@ -188,50 +182,3 @@ class TestIncrementalConsistency:
 
         assert_array_equal(attend(k_view, v_view), attend(k, v))
 
-
-class TestGroupBalance:
-    def test_fewer_k_heads_duplicates_k(self):
-        rng = np.random.default_rng(5)
-        k = rng.normal(size=(1, 3, 4, 64))
-        v = rng.normal(size=(1, 3, 16, 64))
-        with pytest.warns(DegradedPathWarning):
-            k2, v2 = kv_group_balance(k, v)
-        assert k2.shape[2] == 16
-        assert v2 is v
-        assert_array_equal(k2, np.repeat(k, 4, axis=2))
-
-    def test_fewer_v_heads_duplicates_v(self):
-        rng = np.random.default_rng(6)
-        k = rng.normal(size=(1, 3, 16, 8))
-        v = rng.normal(size=(1, 3, 4, 8))
-        with pytest.warns(DegradedPathWarning):
-            k2, v2 = kv_group_balance(k, v)
-        assert k2 is k
-        assert_array_equal(v2, np.repeat(v, 4, axis=2))
-
-    def test_equal_heads_untouched(self):
-        k = np.zeros((1, 2, 4, 8))
-        v = np.ones((1, 2, 4, 8))
-        k2, v2 = kv_group_balance(k, v)
-        assert k2 is k and v2 is v
-
-    def test_non_divisible(self):
-        with pytest.raises(DivisibilityError):
-            kv_group_balance(np.zeros((1, 1, 3, 4)), np.zeros((1, 1, 2, 4)))
-
-    def test_balanced_attention_matches_group_share(self):
-        cfg = toy_cfg()
-        rng = np.random.default_rng(7)
-        t = 6
-        k = rng.normal(size=(1, t, 2, 4))
-        v = rng.normal(size=(1, t, 4, 4))
-        q = rng.normal(size=(1, 8, 4))
-        with pytest.warns(DegradedPathWarning):
-            k_bal, v_bal = kv_group_balance(k, v)
-
-        def attend(kk, vv):
-            k_rep = np.repeat(kk, 8 // kk.shape[2], axis=2)
-            alpha = attention_scores(q, k_rep, cfg.softmax_scale_dim, t)
-            return weighted_value_sum(alpha, np.repeat(vv, 8 // vv.shape[2], axis=2))
-
-        assert_allclose(attend(k_bal, v_bal), attend(k, v), atol=1e-12)
