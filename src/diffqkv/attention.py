@@ -23,7 +23,7 @@ Shapes follow the convention ``[batch, seq, heads, dim]``; weights are plain
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,7 +57,8 @@ class AttentionWeights:
     ``w_q`` maps d_model -> d_model when the augmented-Q block is present
     (the gated block then maps down to n_q*d_head), and d_model -> n_q*d_head
     directly when it is absent.  ``w_k_expand`` is present exactly when the
-    stored K dimension is smaller than d_head.
+    stored K dimension is smaller than d_head.  The training graph builds the
+    same structure around autodiff Tensors.
     """
 
     w_q: np.ndarray  # [d_model, d_model] or [d_model, n_q*d_head]
@@ -70,12 +71,8 @@ class AttentionWeights:
     w_k_expand: np.ndarray | None = None  # [d_k_head, d_head]
 
     def named_tensors(self, prefix: str = "") -> dict[str, np.ndarray]:
-        out = {}
-        for name in ("w_q", "w_k", "w_v", "w_o", "w_q_gate", "w_q_up", "w_q_down", "w_k_expand"):
-            value = getattr(self, name)
-            if value is not None:
-                out[prefix + name] = value
-        return out
+        present = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {prefix + name: value for name, value in present if value is not None}
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Small reverse-mode automatic differentiation over float64 numpy arrays.
 
-Just enough machinery for the toy causal LM: broadcast-aware add/mul, batched
-matmul, reshapes/transposes, gated SiLU, RMS normalization, rotary embedding,
-causal attention, embedding lookup and a fused shifted cross-entropy, reusing
-the numpy code of :mod:`diffqkv.attention`; no node holds a full score matrix.
+Just enough machinery for the toy causal LM: broadcast-aware add/mul, matmul
+by a weight, reshapes/transposes, gated SiLU, RMS normalization, rotary
+embedding, causal attention, embedding lookup and a fused shifted
+cross-entropy, reusing the numpy code of :mod:`diffqkv.attention`; no node
+holds a full score matrix.
 Nodes form an implicit DAG; ``backward`` walks it once in reverse topological
 order and accumulates gradients on leaves.
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from .attention import _causal, _inverse_rms, _masked_logits, _query_groups, _rotate
 from .attention import _spans, _tile_sizes, attention_logits, silu, weighted_value_sum
+from .errors import ShapeError
 
 
 class Tensor:
@@ -129,28 +131,22 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Batched matmul; a 2-D right operand (a weight) runs as flat 2-D GEMMs."""
+    """[..., d] @ [d, n] by a 2-D weight, run as flat 2-D GEMMs."""
     a, b = as_tensor(a), as_tensor(b)
-    if b.data.ndim == 2:
-        # [..., d] @ [d, n]: fold the leading axes into rows, so the weight
-        # gradient is one GEMM instead of a batched product summed over the batch.
-        rows = a.data.reshape(-1, a.data.shape[-1])
-        out = (rows @ b.data).reshape(*a.data.shape[:-1], b.data.shape[1])
-
-        def vjp(g):
-            g_rows = g.reshape(-1, g.shape[-1])
-            ga = (g_rows @ b.data.T).reshape(a.data.shape) if a.requires_grad else None
-            gb = rows.T @ g_rows if b.requires_grad else None
-            return ga, gb
-
-        return Tensor(out, parents=(a, b), vjp=vjp)
+    if b.data.ndim != 2:
+        raise ShapeError(f"matmul needs a 2-D right operand, got shape {b.data.shape}")
+    # Fold the leading axes into rows, so the weight gradient is one GEMM
+    # instead of a batched product summed over the batch.
+    rows = a.data.reshape(-1, a.data.shape[-1])
+    out = (rows @ b.data).reshape(*a.data.shape[:-1], b.data.shape[1])
 
     def vjp(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape) if b.requires_grad else None
+        g_rows = g.reshape(-1, g.shape[-1])
+        ga = (g_rows @ b.data.T).reshape(a.data.shape) if a.requires_grad else None
+        gb = rows.T @ g_rows if b.requires_grad else None
         return ga, gb
 
-    return Tensor(a.data @ b.data, parents=(a, b), vjp=vjp)
+    return Tensor(out, parents=(a, b), vjp=vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -15,8 +15,10 @@ given.  Config arguments accept a preset name or a config-file path.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -75,9 +77,9 @@ def _parse_grid(spec: str) -> CostGrid:
         prefixes = tuple(int(v) for v in prefix_part.split(","))
         outputs = tuple(int(v) for v in output_part.split(","))
         return CostGrid(prefix_lengths=prefixes, output_lengths=outputs)
-    except ValueError as exc:
+    except ValueError as exc:  # a malformed spec, or lengths CostGrid refuses
         raise UsageError(
-            f"bad grid spec {spec!r}; use 'scaled', 'long' or 'P1,P2,..:N1,N2,..'"
+            f"bad grid spec {spec!r} ({exc}); use 'scaled', 'long' or 'P1,P2,..:N1,N2,..'"
         ) from exc
 
 
@@ -122,7 +124,13 @@ def _cmd_cost(args) -> int:
         )
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
-    rows = total_cost_curve(std, sigma, grid, params)
+    try:
+        rows = total_cost_curve(std, sigma, grid, params)
+        finite = all(math.isfinite(value) for row in rows for value in astuple(row))
+    except OverflowError:  # a length too large to convert to float
+        finite = False
+    if not finite:
+        raise UsageError("the modeled costs overflow on this grid; lower the lengths or parameters")
     _write(emit_csv, cost_table_csv(rows), args.out)
     rate = reduction_rate(std, sigma)
     print(f"asymptotic reduction rate: {format_rate(rate)}")

@@ -5,12 +5,17 @@ dimensions.  ``AttentionConfig`` holds every such knob, ``ModelConfig`` wraps
 it with the decoder-stack dimensions, and ``validate_config`` is the single
 gate every downstream module relies on.  Config values are immutable and can
 be shared freely across threads once validated.
+
+The two dataclasses are the only place a field is named: the config-file
+keys, their value types, which keys are required and which fields
+``validate_config`` checks are all derived from ``dataclasses.fields``.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .errors import (
     ConfigError,
@@ -81,15 +86,28 @@ class ModelConfig:
     max_seq_len: int
 
 
-_POSITIVE_ATTN_FIELDS = (
-    "n_q_heads",
-    "n_k_heads",
-    "n_v_heads",
-    "d_head",
-    "d_k_head",
-    "softmax_scale_dim",
+# Every config-file key, `section.field`, with its section and dataclass field.
+# ModelConfig.attention is the attention block itself; rope_theta is the one float.
+_FILE_KEYS = {
+    f"{section}.{f.name}": (section, f)
+    for section, cls in (("attention", AttentionConfig), ("model", ModelConfig))
+    for f in fields(cls)
+    if f.name != "attention"
+}
+
+# (name, least value) of each integer field validate_config checks; aug_q_dim may be 0.
+_ATTN_LEAST, _MODEL_LEAST = (
+    tuple((f.name, int(f.name != "aug_q_dim")) for f in fields(cls) if f.type.startswith("int"))
+    for cls in (AttentionConfig, ModelConfig)
 )
-_POSITIVE_MODEL_FIELDS = ("n_layers", "d_model", "d_ffn", "vocab_size", "max_seq_len")
+
+
+def _check_integers(cfg, least_values) -> None:
+    for name, least in least_values:
+        value = getattr(cfg, name)
+        if not isinstance(value, int) or value < least:
+            kind = "positive" if least else "non-negative"
+            raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def validate_config(
@@ -98,39 +116,27 @@ def validate_config(
     """Check every structural invariant and return the config untouched.
 
     Raises:
-        ConfigError: a field that must be positive is not, or aug_q_dim < 0.
+        ConfigError: an integer field that must be positive is not,
+            aug_q_dim < 0, or rope_theta is not finite and positive.
         DivisibilityError: n_q_heads is not an exact multiple of n_k_heads
             and n_v_heads (required by grouped K/V addressing).
         DimensionError: d_k_head > d_head, or (with a model config)
             n_q_heads * d_head != d_model.
     """
-    for name in _POSITIVE_ATTN_FIELDS:
-        value = getattr(cfg, name)
-        if not isinstance(value, int) or value <= 0:
-            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    if not isinstance(cfg.aug_q_dim, int) or cfg.aug_q_dim < 0:
-        raise ConfigError(f"aug_q_dim must be a non-negative integer, got {cfg.aug_q_dim!r}")
-    if not cfg.rope_theta > 0:
-        raise ConfigError(f"rope_theta must be positive, got {cfg.rope_theta!r}")
+    _check_integers(cfg, _ATTN_LEAST)
+    if not 0 < cfg.rope_theta < math.inf:
+        raise ConfigError(f"rope_theta must be finite and positive, got {cfg.rope_theta!r}")
 
-    if cfg.n_q_heads % cfg.n_k_heads != 0:
-        raise DivisibilityError(
-            f"n_q_heads={cfg.n_q_heads} is not a multiple of n_k_heads={cfg.n_k_heads}"
-        )
-    if cfg.n_q_heads % cfg.n_v_heads != 0:
-        raise DivisibilityError(
-            f"n_q_heads={cfg.n_q_heads} is not a multiple of n_v_heads={cfg.n_v_heads}"
-        )
+    for name, heads in (("n_k_heads", cfg.n_k_heads), ("n_v_heads", cfg.n_v_heads)):
+        if cfg.n_q_heads % heads != 0:
+            raise DivisibilityError(f"n_q_heads={cfg.n_q_heads} is not a multiple of {name}={heads}")
     if cfg.d_k_head > cfg.d_head:
         raise DimensionError(
             f"d_k_head={cfg.d_k_head} must not exceed d_head={cfg.d_head}"
         )
 
     if model is not None:
-        for name in _POSITIVE_MODEL_FIELDS:
-            value = getattr(model, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        _check_integers(model, _MODEL_LEAST)
         if cfg.n_q_heads * cfg.d_head != model.d_model:
             raise DimensionError(
                 f"n_q_heads * d_head = {cfg.n_q_heads * cfg.d_head} "
@@ -144,41 +150,24 @@ def validate_model_config(model: ModelConfig) -> ModelConfig:
     return model
 
 
-def _preset(
-    heads: tuple[int, int, int],
-    d_head: int = 64,
-    d_k_head: int | None = None,
-    aug_q_dim: int = 0,
-    rope_theta: float = 50_000.0,
-    n_layers: int = 22,
-    d_model: int = 2048,
-    d_ffn: int = 5632,
-    vocab_size: int = 128_256,
-    max_seq_len: int = 4096,
-) -> ModelConfig:
-    attn = AttentionConfig(*heads, d_head, d_k_head, aug_q_dim, rope_theta=rope_theta)
-    return ModelConfig(attn, n_layers, d_model, d_ffn, vocab_size, max_seq_len)
+def _ablation(*heads: int, **attention) -> ModelConfig:
+    """One head pattern at the 22-layer / 2048-hidden ablation scale (d_head 64)."""
+    attn = AttentionConfig(*heads, d_head=64, **attention)
+    return ModelConfig(attn, n_layers=22, d_model=2048, d_ffn=5632, vocab_size=128_256, max_seq_len=4096)
 
 
-# Named configurations.  The four head-count baselines use the 22-layer /
-# 2048-hidden ablation scale; the two production scales carry their published
-# hyperparameters (26/2048/6144/augq-3072 and 32/4096/14336/augq-6144).
+# Named configurations.  The four head-count baselines use the ablation scale;
+# the two production scales carry their published hyperparameters
+# (26/2048/6144/augq-3072 and 32/4096/14336/augq-6144).
 PRESETS: dict[str, ModelConfig] = {
-    "mha-32": _preset((32, 32, 32)),
-    "gqa-16": _preset((32, 16, 16)),
-    "gqa-4": _preset((32, 4, 4)),
-    "mqa": _preset((32, 1, 1)),
-    "sigma-1.5b": _preset(
-        (32, 4, 16), aug_q_dim=3072, n_layers=26, d_ffn=6144
-    ),
-    "sigma-10b": _preset(
-        (32, 4, 16),
-        d_head=128,
-        aug_q_dim=6144,
-        rope_theta=500_000.0,
-        n_layers=32,
-        d_model=4096,
-        d_ffn=14_336,
+    "mha-32": _ablation(32, 32, 32),
+    "gqa-16": _ablation(32, 16, 16),
+    "gqa-4": _ablation(32, 4, 4),
+    "mqa": _ablation(32, 1, 1),
+    "sigma-1.5b": replace(_ablation(32, 4, 16, aug_q_dim=3072), n_layers=26, d_ffn=6144),
+    "sigma-10b": ModelConfig(
+        AttentionConfig(32, 4, 16, d_head=128, aug_q_dim=6144, rope_theta=500_000.0),
+        n_layers=32, d_model=4096, d_ffn=14_336, vocab_size=128_256, max_seq_len=4096,
     ),
 }
 
@@ -223,29 +212,18 @@ def toy_preset(name: str, half_k: bool = False) -> ModelConfig:
 # ---------------------------------------------------------------------------
 # Plain-text config files: one `key = value` per line, `#` comments, keys are
 # the field names prefixed with their section (`attention.n_q_heads`,
-# `model.d_model`).  Unknown keys are an error.
+# `model.d_model`).  Unknown and repeated keys are an error.
 # ---------------------------------------------------------------------------
-
-_ATTN_INT_KEYS = {
-    "n_q_heads",
-    "n_k_heads",
-    "n_v_heads",
-    "d_head",
-    "d_k_head",
-    "aug_q_dim",
-    "softmax_scale_dim",
-}
-_ATTN_REQUIRED = {"n_q_heads", "n_k_heads", "n_v_heads", "d_head"}
-_MODEL_KEYS = set(_POSITIVE_MODEL_FIELDS)
 
 
 def parse_config_text(text: str) -> AttentionConfig | ModelConfig:
     """Parse config-file text; returns a ModelConfig when a model block is present.
 
-    The returned config has been validated.
+    The returned config has been validated.  The keys without a default are
+    required: the attention block's always, the model block's once any
+    ``model.`` key is present.
     """
-    attn_kwargs: dict[str, int | float] = {}
-    model_kwargs: dict[str, int] = {}
+    kwargs: dict[str, dict[str, int | float]] = {"attention": {}, "model": {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -254,57 +232,41 @@ def parse_config_text(text: str) -> AttentionConfig | ModelConfig:
             raise ConfigFileError(f"line {lineno}: expected `key = value`, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key.startswith("attention."):
-            field = key[len("attention.") :]
-            if field == "rope_theta":
-                attn_kwargs[field] = _parse_number(value, lineno, allow_float=True)
-            elif field in _ATTN_INT_KEYS:
-                attn_kwargs[field] = _parse_number(value, lineno)
-            else:
-                raise ConfigFileError(f"line {lineno}: unknown key {key!r}")
-        elif key.startswith("model."):
-            field = key[len("model.") :]
-            if field not in _MODEL_KEYS:
-                raise ConfigFileError(f"line {lineno}: unknown key {key!r}")
-            model_kwargs[field] = _parse_number(value, lineno)
-        else:
+        if key not in _FILE_KEYS:
             raise ConfigFileError(f"line {lineno}: unknown key {key!r}")
+        section, field = _FILE_KEYS[key]
+        if field.name in kwargs[section]:
+            raise ConfigFileError(f"line {lineno}: repeated key {key!r}")
+        kind = float if field.type == "float" else int
+        try:
+            kwargs[section][field.name] = kind(value)
+        except ValueError:
+            expected = "number" if kind is float else "integer"
+            raise ConfigFileError(f"line {lineno}: expected {expected}, got {value!r}") from None
 
-    missing = _ATTN_REQUIRED - attn_kwargs.keys()
+    missing = [
+        key
+        for key, (section, field) in _FILE_KEYS.items()
+        if field.default is MISSING
+        and field.name not in kwargs[section]
+        and (section == "attention" or kwargs["model"])
+    ]
     if missing:
-        raise ConfigFileError(f"missing required keys: {sorted('attention.' + m for m in missing)}")
-    attn = AttentionConfig(**attn_kwargs)
-
-    if not model_kwargs:
+        raise ConfigFileError(f"missing required keys: {missing}")
+    attn = AttentionConfig(**kwargs["attention"])
+    if not kwargs["model"]:
         return validate_config(attn)
-    missing = _MODEL_KEYS - model_kwargs.keys()
-    if missing:
-        raise ConfigFileError(f"missing required keys: {sorted('model.' + m for m in missing)}")
-    model = ModelConfig(attention=attn, **model_kwargs)
-    return validate_model_config(model)
-
-
-def _parse_number(value: str, lineno: int, allow_float: bool = False):
-    try:
-        if allow_float:
-            return float(value)
-        return int(value)
-    except ValueError:
-        kind = "number" if allow_float else "integer"
-        raise ConfigFileError(f"line {lineno}: expected {kind}, got {value!r}") from None
+    return validate_model_config(ModelConfig(attention=attn, **kwargs["model"]))
 
 
 def format_config_text(cfg: AttentionConfig | ModelConfig) -> str:
     """Render a config in the plain-text file format (round-trips with parse)."""
-    if isinstance(cfg, ModelConfig):
-        attn, model = cfg.attention, cfg
-    else:
-        attn, model = cfg, None
+    sections = {"attention": attention_of(cfg), "model": cfg}
     lines = [
-        f"attention.{f.name} = {getattr(attn, f.name)}" for f in fields(AttentionConfig)
+        f"{key} = {getattr(sections[section], field.name)}"
+        for key, (section, field) in _FILE_KEYS.items()
+        if isinstance(cfg, ModelConfig) or section == "attention"
     ]
-    if model is not None:
-        lines += [f"model.{name} = {getattr(model, name)}" for name in _POSITIVE_MODEL_FIELDS]
     return "\n".join(lines) + "\n"
 
 

@@ -24,7 +24,7 @@ from .errors import ConfigError, DegenerateError
 class CostModelParams:
     """Calibration of the linear cost model.
 
-    All four must be finite.
+    All four must be finite and non-negative.
     alpha: cache cost per element (must be positive).
     beta: fixed overhead, charged once per (prefix, output) cell.
     attn_alpha: attention-computation cost per element of the same bracket.
@@ -38,29 +38,35 @@ class CostModelParams:
 
     def __post_init__(self):
         for field in fields(self):
-            if not np.isfinite(getattr(self, field.name)):
-                raise ConfigError(f"{field.name} must be finite, got {getattr(self, field.name)}")
+            value = getattr(self, field.name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{field.name} must be finite and non-negative, got {value}")
         if not self.alpha > 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
 
 
 @dataclass(frozen=True)
 class CostGrid:
-    """Ascending prefix/output length grids plus a batch size."""
+    """Ascending prefix/output length grids plus a batch size.
+
+    Prefixes may be 0 (no prompt); every cell generates at least one token.
+    """
 
     prefix_lengths: tuple[int, ...]
     output_lengths: tuple[int, ...]
     batch: int = 1
 
     def __post_init__(self):
-        for name, values in (
-            ("prefix_lengths", self.prefix_lengths),
-            ("output_lengths", self.output_lengths),
+        for name, values, least in (
+            ("prefix_lengths", self.prefix_lengths, 0),
+            ("output_lengths", self.output_lengths, 1),
         ):
             if not values:
                 raise ConfigError(f"{name} must be non-empty")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigError(f"{name} must be strictly ascending, got {values}")
+            if values[0] < least:
+                raise ConfigError(f"{name} must be >= {least}, got {values}")
         if self.batch < 1:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
 

@@ -22,7 +22,7 @@ and applies a plain gradient-descent update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,8 +47,6 @@ from .errors import (
 from .kvcache import DifferentialKVCache
 from .tensorio import ContainerFormatError, read_tensors, write_tensors
 
-_BLOCK_TENSORS = ("w_ffn_gate", "w_ffn_up", "w_ffn_down", "norm_attn", "norm_ffn")
-
 
 @dataclass
 class TransformerBlock:
@@ -58,6 +56,9 @@ class TransformerBlock:
     w_ffn_down: np.ndarray  # [d_ffn, d_model]
     norm_attn: np.ndarray  # [d_model]
     norm_ffn: np.ndarray  # [d_model]
+
+
+_BLOCK_TENSORS = tuple(f.name for f in fields(TransformerBlock) if f.name != "attn")
 
 
 @dataclass
@@ -90,11 +91,11 @@ def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _assemble(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> ToyModel:
-    """Build a model around the named arrays of ``_tensor_shapes(cfg)`` (no copies)."""
+def _assemble(cfg: ModelConfig, tensors: dict) -> ToyModel:
+    """Build a model around the named arrays or Tensors of ``_tensor_shapes(cfg)`` (no copies)."""
+    attn = attention_weight_shapes(cfg.attention, cfg.d_model)
 
     def block(i: int) -> TransformerBlock:
-        attn = attention_weight_shapes(cfg.attention, cfg.d_model)
         return TransformerBlock(
             AttentionWeights(**{name: tensors[f"blocks.{i}.attn.{name}"] for name in attn}),
             *(tensors[f"blocks.{i}.{name}"] for name in _BLOCK_TENSORS),
@@ -263,8 +264,8 @@ def as_parameter_tensors(model: ToyModel) -> dict[str, ad.Tensor]:
     }
 
 
-def attention_graph(h: ad.Tensor, w: dict[str, ad.Tensor], acfg) -> ad.Tensor:
-    """Causal DiffQKV attention over autodiff tensors; h is [b, s, d_model].
+def attention_graph(h: ad.Tensor, w: AttentionWeights, acfg) -> ad.Tensor:
+    """Causal DiffQKV attention over autodiff tensors; h is [b, s, d_model], w holds Tensors.
 
     The autodiff twin of :func:`diffqkv.attention.naive_diffqkv_attention`:
     projections, augmented Q, rotary and (in half-K mode) the K expansion
@@ -278,41 +279,30 @@ def attention_graph(h: ad.Tensor, w: dict[str, ad.Tensor], acfg) -> ad.Tensor:
     d, d_k = acfg.d_head, acfg.d_k_head
     positions = np.arange(s)
 
-    q_flat = h @ w["w_q"]
+    q_flat = h @ w.w_q
     if acfg.has_aug_q:
-        q_flat = ad.silu_gate(q_flat @ w["w_q_gate"], q_flat @ w["w_q_up"]) @ w["w_q_down"]
+        q_flat = ad.silu_gate(q_flat @ w.w_q_gate, q_flat @ w.w_q_up) @ w.w_q_down
     q = ad.rope(ad.reshape(q_flat, (b, s, n_q, d)), *rope_angles(positions, d, acfg.rope_theta))
     if acfg.half_k:
-        q = q @ ad.transpose(w["w_k_expand"], (1, 0))
+        q = q @ ad.transpose(w.w_k_expand, (1, 0))
     k = ad.rope(
-        ad.reshape(h @ w["w_k"], (b, s, n_k, d_k)), *rope_angles(positions, d_k, acfg.rope_theta)
+        ad.reshape(h @ w.w_k, (b, s, n_k, d_k)), *rope_angles(positions, d_k, acfg.rope_theta)
     )
-    v = ad.reshape(h @ w["w_v"], (b, s, n_v, d))
+    v = ad.reshape(h @ w.w_v, (b, s, n_v, d))
     heads = ad.causal_attention(ad.transpose(q, (0, 2, 1, 3)), k, v, acfg.softmax_scale_dim)
     ctx = ad.transpose(heads, (0, 2, 1, 3))  # [b, s, n_q, d]
-    return ad.reshape(ctx, (b, s, n_q * d)) @ w["w_o"]
+    return ad.reshape(ctx, (b, s, n_q * d)) @ w.w_o
 
 
 def forward_graph(params: dict[str, ad.Tensor], cfg: ModelConfig, tokens) -> ad.Tensor:
-    """The toy-model forward expressed over autodiff tensors."""
-    acfg = cfg.attention
-    tokens = np.asarray(tokens)
-    b, s = tokens.shape
-    x = ad.embedding(params["embedding"], tokens)
-    for i in range(cfg.n_layers):
-        prefix = f"blocks.{i}."
-        attn_w = {
-            name[len(prefix + "attn.") :]: t
-            for name, t in params.items()
-            if name.startswith(prefix + "attn.")
-        }
-        h = ad.rms_norm(x, params[prefix + "norm_attn"])
-        x = x + attention_graph(h, attn_w, acfg)
-        h2 = ad.rms_norm(x, params[prefix + "norm_ffn"])
-        gated = ad.silu_gate(h2 @ params[prefix + "w_ffn_gate"], h2 @ params[prefix + "w_ffn_up"])
-        x = x + gated @ params[prefix + "w_ffn_down"]
-    x = ad.rms_norm(x, params["norm_final"])
-    return x @ params["head"]
+    """The toy-model forward over autodiff tensors, on the model's own structure."""
+    model = _assemble(cfg, params)
+    x = ad.embedding(model.embedding, np.asarray(tokens))
+    for blk in model.blocks:
+        x = x + attention_graph(ad.rms_norm(x, blk.norm_attn), blk.attn, cfg.attention)
+        h = ad.rms_norm(x, blk.norm_ffn)
+        x = x + ad.silu_gate(h @ blk.w_ffn_gate, h @ blk.w_ffn_up) @ blk.w_ffn_down
+    return ad.rms_norm(x, model.norm_final) @ model.head
 
 
 def loss_graph(params: dict[str, ad.Tensor], cfg: ModelConfig, tokens) -> ad.Tensor:

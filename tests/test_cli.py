@@ -201,6 +201,16 @@ class TestTrainAndDecode:
         ("bench seed -1", ["bench", "--grid", "8:8", "--reps", "3", "--seed", "-1"], 2),
         ("train seed -1", ["train-toy", "--steps", "1", "--batch", "2", "--seq-len", "6",
                            "--seed", "-1"], 2),
+        ("cost grid 0:0", ["cost", "--grid", "0:0"], 2),
+        ("cost attn-alpha -1", ["cost", "--grid", "8:8", "--attn-alpha", "-1"], 2),
+        ("cost negative output", ["cost", "--grid=8:-8"], 2),
+        ("bench negative prefix", ["bench", "--grid=-4:8", "--reps", "3"], 2),
+        ("bench grid 0:0", ["bench", "--grid", "0:0", "--reps", "3"], 2),
+        ("cost overflows to inf", ["cost", "--grid", "long", "--alpha", "1e300"], 2),
+        ("cost output past float range", ["cost", "--grid", "8:" + "9" * 400], 2),
+        ("cost beta -1", ["cost", "--grid", "8:8", "--beta", "-1"], 2),
+        ("cost augq-cost -1", ["cost", "--grid", "8:8", "--augq-cost", "-1"], 2),
+        ("cost prefix 0 ok", ["cost", "--grid", "0:1"], 0),
     ],
 )
 def test_bad_number_exit_codes(tmp_path, capsys, case, args, code):
@@ -209,6 +219,7 @@ def test_bad_number_exit_codes(tmp_path, capsys, case, args, code):
     assert main(args) == code, case
     out, err = capsys.readouterr()
     assert err.startswith("error: ") if code else err == ""
+    assert code == 0 or not (tmp_path / f"{args[0]}.csv").exists(), case
     if "unwritable" in case:
         assert out == "", case  # refused before any work is done
 

@@ -1,3 +1,6 @@
+import math
+from dataclasses import MISSING, fields
+
 import pytest
 
 from diffqkv.config import (
@@ -11,7 +14,7 @@ from diffqkv.config import (
     validate_config,
     validate_model_config,
 )
-from diffqkv.errors import ConfigFileError, DimensionError, DivisibilityError
+from diffqkv.errors import ConfigError, ConfigFileError, DimensionError, DivisibilityError
 
 
 def attn(n_q, n_k, n_v, **kw):
@@ -75,6 +78,11 @@ class TestValidate:
             validate_model_config(toy_preset(name))
             validate_model_config(toy_preset(name, half_k=True))
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_rope_theta_must_be_finite_and_positive(self, theta):
+        with pytest.raises(ConfigError, match="rope_theta must be finite and positive"):
+            validate_config(attn(8, 2, 4, d_head=4, rope_theta=theta))
+
     def test_defaults_fill_in(self):
         cfg = attn(8, 2, 4, d_head=6)
         assert cfg.d_k_head == 6
@@ -129,3 +137,52 @@ class TestConfigFiles:
         assert resolve_config(str(path)) == toy_preset("sigma-1.5b")
         with pytest.raises(ConfigFileError):
             resolve_config("no-such-thing")
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1e4"])
+    def test_file_rope_theta_must_be_finite_and_positive(self, value):
+        text = format_config_text(attn(8, 2, 4, d_head=4)).replace("50000.0", value)
+        with pytest.raises(ConfigError, match="rope_theta must be finite and positive"):
+            parse_config_text(text)
+
+    def test_repeated_key(self):
+        text = format_config_text(attn(8, 2, 4, d_head=4)) + "attention.n_k_heads = 4\n"
+        with pytest.raises(ConfigFileError, match="line 9: repeated key 'attention.n_k_heads'"):
+            parse_config_text(text)
+
+    def test_nested_attention_is_not_a_key(self):
+        with pytest.raises(ConfigFileError, match="line 1: unknown key 'model.attention'"):
+            parse_config_text("model.attention = 3")
+
+
+# Every field at a valid value unlike its default and unlike every other field's,
+# so a key dropped from, or crossed in, the file format cannot round-trip.
+EVERY_FIELD = ModelConfig(
+    AttentionConfig(
+        n_q_heads=4, n_k_heads=2, n_v_heads=1, d_head=8, d_k_head=6,
+        aug_q_dim=12, softmax_scale_dim=5, rope_theta=1e4,
+    ),
+    n_layers=3, d_model=32, d_ffn=40, vocab_size=50, max_seq_len=70,
+)
+
+
+class TestNamedOnce:
+    def test_every_field_is_set_apart(self):
+        given = EVERY_FIELD.attention
+        values = [getattr(given, f.name) for f in fields(AttentionConfig)]
+        values += [getattr(EVERY_FIELD, f.name) for f in fields(ModelConfig) if f.name != "attention"]
+        assert len(set(values)) == len(values)
+        required = {f.name: getattr(given, f.name) for f in fields(given) if f.default is MISSING}
+        defaults = AttentionConfig(**required)
+        for f in fields(AttentionConfig):
+            assert f.name in required or getattr(given, f.name) != getattr(defaults, f.name), f.name
+
+    @pytest.mark.parametrize("cfg", [EVERY_FIELD, EVERY_FIELD.attention], ids=["model", "attention"])
+    def test_every_field_round_trips(self, cfg):
+        assert validate_model_config(EVERY_FIELD) is EVERY_FIELD
+        assert parse_config_text(format_config_text(cfg)) == cfg
+
+    def test_written_keys_are_the_dataclass_fields(self):
+        written = [line.split(" = ")[0] for line in format_config_text(EVERY_FIELD).splitlines()]
+        expected = [f"attention.{f.name}" for f in fields(AttentionConfig)]
+        expected += [f"model.{f.name}" for f in fields(ModelConfig) if f.name != "attention"]
+        assert written == expected

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from diffqkv import autodiff as ad
-from diffqkv.attention import init_attention_weights, naive_diffqkv_attention
+from diffqkv.attention import AttentionWeights, init_attention_weights, naive_diffqkv_attention
 from diffqkv.config import AttentionConfig, validate_config
 from diffqkv.model import attention_graph
 from diffqkv.verify import GRADCHECK_VARIANTS, _gradcheck_model_config, gradient_check
@@ -37,7 +37,7 @@ def test_attention_weight_gradients_match_numpy_fd(label):
     coeffs = rng.normal(size=(2, 5, d_model))
 
     tensors = {name: ad.Tensor(arr, requires_grad=True) for name, arr in weights.named_tensors().items()}
-    out = attention_graph(ad.Tensor(x), tensors, cfg)
+    out = attention_graph(ad.Tensor(x), AttentionWeights(**tensors), cfg)
     np.testing.assert_allclose(out.data, naive_diffqkv_attention(x, weights, cfg), atol=1e-12)
 
     loss = ad.mul(out, coeffs)
