@@ -95,6 +95,22 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def leaves(out: Tensor) -> list[Tensor]:
+    """The parentless Tensors ``out`` is computed from, constants included."""
+    found: list[Tensor] = []
+    seen: set[int] = set()
+    stack = [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if not node._parents:
+            found.append(node)
+        stack.extend(node._parents)
+    return found
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcasted gradient back down to ``shape``."""
     extra = grad.ndim - len(shape)

@@ -22,6 +22,7 @@ clock.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -129,6 +130,15 @@ class _ConfigFixture:
         return best
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return page * pages if page > 0 and pages > 0 else None
+
+
 def run_bench(
     std_cfg: ValidatedConfig,
     sigma_cfg: ValidatedConfig,
@@ -138,11 +148,23 @@ def run_bench(
     std_name: str = "std",
     sigma_name: str = "sigma",
 ) -> BenchReport:
-    """Measure both configs over every grid cell; reps must be >= 3."""
+    """Measure both configs over every grid cell; reps must be >= 3.
+
+    Raises UsageError, before allocating anything, when the two configs'
+    caches and copy buffers for the grid's longest cell exceed physical memory.
+    """
     if reps < 3:
         raise UsageError(f"reps must be >= 3, got {reps}")
-    rng = np.random.default_rng(seed)
     max_s = grid.prefix_lengths[-1] + grid.output_lengths[-1]
+    # Each fixture holds its cache and a copy buffer of the same size.
+    reserved = sum(2 * (max_s + 1) * cfg.cache_bracket * 8 for cfg in (std_cfg, sigma_cfg))
+    memory = _physical_memory()
+    if memory is not None and reserved > memory:
+        raise UsageError(
+            f"the grid's caches need {reserved / 2**30:.1f} GiB at length {max_s}, "
+            f"more than this machine's {memory / 2**30:.1f} GiB; lower the lengths"
+        )
+    rng = np.random.default_rng(seed)
     fixtures = [
         _ConfigFixture(std_name, std_cfg, max_s, rng),
         _ConfigFixture(sigma_name, sigma_cfg, max_s, rng),

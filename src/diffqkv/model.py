@@ -14,7 +14,10 @@ K/V stay at their stored head counts and the half-K expansion is absorbed into
 the query, so the cache is never duplicated or expanded.  ``train_step`` runs
 the same architecture through the autodiff graph, which also attends at native
 head counts through one op that recomputes the scores in its reverse pass,
-and applies a plain gradient-descent update.
+and applies a plain gradient-descent update.  ``forward_graph`` is the
+sequence of ``graph_stages``: the embedding, each block's attention half and
+FFN half, and the final norm with the head, so a gradient check can rerun a
+perturbed loss from the first stage that reads the perturbed tensor.
 
 ``forward``/``decode`` are pure given the model and cache ownership;
 ``train_step`` mutates the model in place and is single-threaded per model.
@@ -294,15 +297,61 @@ def attention_graph(h: ad.Tensor, w: AttentionWeights, acfg) -> ad.Tensor:
     return ad.reshape(ctx, (b, s, n_q * d)) @ w.w_o
 
 
-def forward_graph(params: dict[str, ad.Tensor], cfg: ModelConfig, tokens) -> ad.Tensor:
-    """The toy-model forward over autodiff tensors, on the model's own structure."""
-    model = _assemble(cfg, params)
-    x = ad.embedding(model.embedding, np.asarray(tokens))
+def graph_stages(model: ToyModel) -> list:
+    """The training forward over a model of Tensors, as consecutive stages.
+
+    Each maps the previous stage's output to its own: the embedding lookup
+    (token ids -> [b, s, d_model]), each block's attention half and FFN half
+    (pre-normed residual updates), then the final norm and the head (-> logits).
+    """
+    acfg = model.config.attention
+
+    def attention_half(blk: TransformerBlock):
+        return lambda x: x + attention_graph(ad.rms_norm(x, blk.norm_attn), blk.attn, acfg)
+
+    def ffn_half(blk: TransformerBlock):
+        def run(x):
+            h = ad.rms_norm(x, blk.norm_ffn)
+            return x + ad.silu_gate(h @ blk.w_ffn_gate, h @ blk.w_ffn_up) @ blk.w_ffn_down
+
+        return run
+
+    stages = [lambda ids: ad.embedding(model.embedding, ids)]
     for blk in model.blocks:
-        x = x + attention_graph(ad.rms_norm(x, blk.norm_attn), blk.attn, cfg.attention)
-        h = ad.rms_norm(x, blk.norm_ffn)
-        x = x + ad.silu_gate(h @ blk.w_ffn_gate, h @ blk.w_ffn_up) @ blk.w_ffn_down
-    return ad.rms_norm(x, model.norm_final) @ model.head
+        stages += [attention_half(blk), ffn_half(blk)]
+    stages.append(lambda x: ad.rms_norm(x, model.norm_final) @ model.head)
+    return stages
+
+
+def staged_forward(model: ToyModel, tokens) -> tuple[list, list, list[set[str]]]:
+    """Run ``graph_stages`` once over constant Tensors that share the model's arrays.
+
+    Each stage runs on a constant Tensor over the previous stage's output,
+    made read-only, so its graph starts at its own input and an in-place
+    change to a model array shows through on the next run of a stage.
+    Returns the stages, each stage's input (the token ids first) and the
+    names of the parameters each stage's graph reads.
+    """
+    constants = {name: ad.Tensor(arr) for name, arr in model.named_tensors().items()}
+    name_of = {id(t): name for name, t in constants.items()}
+    stages = graph_stages(_assemble(model.config, constants))
+    inputs, reads = [], []
+    x = np.asarray(tokens)
+    for stage in stages:
+        inputs.append(x)
+        out = stage(x)
+        reads.append({name_of[id(t)] for t in ad.leaves(out) if id(t) in name_of})
+        out.data.flags.writeable = False
+        x = ad.Tensor(out.data)
+    return stages, inputs, reads
+
+
+def forward_graph(params: dict[str, ad.Tensor], cfg: ModelConfig, tokens) -> ad.Tensor:
+    """The toy-model forward over autodiff tensors: ``graph_stages`` run in order."""
+    x = np.asarray(tokens)
+    for stage in graph_stages(_assemble(cfg, params)):
+        x = stage(x)
+    return x
 
 
 def loss_graph(params: dict[str, ad.Tensor], cfg: ModelConfig, tokens) -> ad.Tensor:

@@ -3,7 +3,8 @@
 Each suite runs a bundle of randomized, seeded checks and reports per-property
 instance counts and the maximum observed error.  Suites: ``equivalence``
 (kernel simulator vs naive reference, degenerate modes, selective V),
-``gradients`` (analytic vs central finite differences), ``cache``
+``gradients`` (analytic vs central finite differences, each perturbed loss
+rerun from the first graph stage that reads the perturbed tensor), ``cache``
 (footprint accounting and incremental consistency), ``cost`` (exact reduction
 rates and cost-curve structure), and ``all``.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernel
+from . import autodiff as ad, kernel
 from .attention import (
     SelectivePolicy,
     apply_rope,
@@ -44,7 +45,7 @@ from .costmodel import (
 )
 from .errors import UnknownSuiteError
 from .kvcache import DifferentialKVCache
-from .model import as_parameter_tensors, init_model, loss_graph
+from .model import as_parameter_tensors, init_model, loss_graph, staged_forward
 from .reference import grouped_attention_by_duplication, vanilla_mha_attention
 
 SUITES = ("equivalence", "gradients", "cache", "cost", "all")
@@ -244,7 +245,10 @@ def gradient_check(
     Returns the max relative error per tensor name.  The denominator is
     floored at 1e-4 so near-zero gradients do not amplify finite-difference
     noise: a floored ratio below the 1e-4 threshold means the absolute
-    disagreement is under 1e-8.
+    disagreement is under 1e-8.  Each perturbed loss reruns the graph stages
+    from the first one that reads the perturbed tensor, on that stage's saved
+    input; the stages before it see unchanged inputs and weights, so the
+    losses are those of a whole forward pass, bit for bit.
     """
     model = init_model(cfg, seed)
     rng = np.random.default_rng(seed + 1)
@@ -255,12 +259,18 @@ def gradient_check(
     loss.backward()
     analytic = {name: t.grad for name, t in params.items()}
 
-    def loss_value() -> float:
-        return float(loss_graph(as_parameter_tensors(model), cfg, tokens).data)
+    stages, inputs, reads = staged_forward(model, tokens)
+
+    def loss_value(start: int) -> float:
+        x = inputs[start]
+        for stage in stages[start:]:
+            x = stage(x)
+        return float(ad.cross_entropy_next_token(x, tokens).data)
 
     errors: dict[str, float] = {}
     arrays = model.named_tensors()
     for name, arr in arrays.items():
+        start = next(k for k, names in enumerate(reads) if name in names)
         flat = arr.ravel()
         n = min(samples_per_tensor, flat.size)
         idxs = rng.choice(flat.size, size=n, replace=False)
@@ -269,9 +279,9 @@ def gradient_check(
         for idx in idxs:
             original = flat[idx]
             flat[idx] = original + step
-            f_plus = loss_value()
+            f_plus = loss_value(start)
             flat[idx] = original - step
-            f_minus = loss_value()
+            f_minus = loss_value(start)
             flat[idx] = original
             fd = (f_plus - f_minus) / (2 * step)
             a = grad_flat[idx]

@@ -1,5 +1,6 @@
 import pytest
 
+from diffqkv import bench
 from diffqkv.bench import (
     BENCH_CSV_HEADER,
     BenchReport,
@@ -26,6 +27,15 @@ class TestRunBench:
     def test_rejects_few_reps(self):
         with pytest.raises(UsageError):
             run_bench(STD, SIGMA, TINY_GRID, reps=2)
+
+    def test_refuses_caches_past_physical_memory(self, monkeypatch):
+        # Cache plus copy buffer per config, at the longest cell 64 + 16 (+1 appended).
+        reserved = sum(2 * 81 * cfg.cache_bracket * 8 for cfg in (STD, SIGMA))
+        monkeypatch.setattr(bench, "_physical_memory", lambda: reserved - 1)
+        with pytest.raises(UsageError, match="more than this machine's"):
+            run_bench(STD, SIGMA, TINY_GRID, reps=3)
+        monkeypatch.setattr(bench, "_physical_memory", lambda: reserved)
+        assert run_bench(STD, SIGMA, TINY_GRID, reps=3).rows
 
     def test_modules_present(self, tiny_report):
         std_modules = {r.module for r in tiny_report.select(config_name="std")}

@@ -211,6 +211,7 @@ class TestTrainAndDecode:
         ("cost beta -1", ["cost", "--grid", "8:8", "--beta", "-1"], 2),
         ("cost augq-cost -1", ["cost", "--grid", "8:8", "--augq-cost", "-1"], 2),
         ("cost prefix 0 ok", ["cost", "--grid", "0:1"], 0),
+        ("bench caches past physical memory", ["bench", "--grid", "0:100000000", "--reps", "3"], 2),
     ],
 )
 def test_bad_number_exit_codes(tmp_path, capsys, case, args, code):
