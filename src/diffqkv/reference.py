@@ -1,9 +1,11 @@
 """Independent attention references for equivalence checking.
 
-Deliberately separate code paths from :mod:`diffqkv.attention`: everything is
-computed with one-shot full score matrices and explicit masks, no group
-sharing, no shared softmax helper.  Used by the kernel, degenerate-mode and
-grouped-mode equivalence suites.
+Deliberately separate code paths from :mod:`diffqkv.attention`: each scored
+query row is computed in one shot against every key, with an explicit causal
+mask, no group sharing and no shared softmax helper.  A caller that compares
+only some rows asks for those (``rows``); every row is computed as it would be
+in the full call.  Used by the kernel, degenerate-mode and grouped-mode
+equivalence suites.
 """
 
 from __future__ import annotations
@@ -27,16 +29,21 @@ def _rotary(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
-def _one_shot_causal(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int) -> np.ndarray:
-    # q, k, v: [b, s, h, d] at one head count; per head, the full causal s x s softmax -> [b, s, h*d].
-    causal = np.tril(np.ones((v.shape[1], v.shape[1]), dtype=bool))
-    out = np.empty(v.shape)
-    for i in range(v.shape[2]):  # one head's [b, s, s] scores at a time
+def _one_shot_causal(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int, rows: list[int] | None = None
+) -> np.ndarray:
+    # q, k, v: [b, s, h, d] at one head count; per head, the causal softmax of the
+    # query rows (all s by default) over all s keys -> [b, len(rows), h*d].
+    rows = slice(None) if rows is None else rows
+    causal = np.tril(np.ones((v.shape[1], v.shape[1]), dtype=bool))[rows]
+    q = q[:, rows]
+    out = np.empty((*q.shape[:3], v.shape[3]))
+    for i in range(v.shape[2]):  # one head's [b, rows, s] scores at a time
         scores = (q[:, :, i] / np.sqrt(float(scale_dim))) @ k[:, :, i].transpose(0, 2, 1)
         scores -= scores.max(axis=-1, keepdims=True, where=causal, initial=-np.inf)
         weights = np.exp(scores, out=np.zeros_like(scores), where=causal)
         out[:, :, i] = weights @ v[:, :, i] / weights.sum(axis=-1, keepdims=True)
-    return out.reshape(*v.shape[:2], -1)
+    return out.reshape(*q.shape[:2], -1)
 
 
 def vanilla_mha_attention(
@@ -55,13 +62,15 @@ def vanilla_mha_attention(
 
 
 def grouped_attention_by_duplication(
-    x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig
+    x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig, rows: list[int] | None = None
 ) -> np.ndarray:
     """Grouped/differential attention via explicit head duplication.
 
     Projects at native head counts, duplicates K and V heads up to n_q with
     np.repeat, then runs the one-shot masked-softmax path above.  Handles
-    augmented Q and half-K configurations too.
+    augmented Q and half-K configurations too.  ``rows`` (query positions,
+    default all) picks the output rows: ``[b, len(rows), d_model]``, each
+    equal to that row of the full result.
     """
     b, s, _ = x.shape
     n_q, d = cfg.n_q_heads, cfg.d_head
@@ -81,4 +90,4 @@ def grouped_attention_by_duplication(
 
     k = np.repeat(k, n_q // cfg.n_k_heads, axis=2)
     v = np.repeat(v, n_q // cfg.n_v_heads, axis=2)
-    return _one_shot_causal(q, k, v, cfg.softmax_scale_dim) @ w.w_o
+    return _one_shot_causal(q, k, v, cfg.softmax_scale_dim, rows) @ w.w_o

@@ -26,6 +26,7 @@ from diffqkv.config import AttentionConfig, PRESETS, validate_config
 from diffqkv.errors import ConfigError, DimensionError, ShapeError
 from diffqkv.kvcache import DifferentialKVCache
 from diffqkv.reference import grouped_attention_by_duplication, vanilla_mha_attention
+from diffqkv.verify import _EQUIV_CONFIGS, _make_config
 
 from oracles import brute_force_diffqkv
 
@@ -321,6 +322,21 @@ class TestNaiveAttention:
         w = init_attention_weights(cfg, 32, seed=8)
         x = np.random.default_rng(8).normal(size=(2, 5, 32))
         assert_allclose(naive_diffqkv_attention(x, w, cfg), brute_force_diffqkv(x, w, cfg), atol=1e-12)
+
+    @pytest.mark.parametrize("t", [1, 7, 257])
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("config", _EQUIV_CONFIGS, ids=[c[0] for c in _EQUIV_CONFIGS])
+    def test_reference_rows_equal_full_reference_rows(self, config, b, t):
+        cfg = _make_config(*config[1:])
+        d_model = cfg.n_q_heads * cfg.d_head
+        rng = np.random.default_rng(t * 10 + b)
+        w = init_attention_weights(cfg, d_model, rng)
+        x = rng.normal(size=(b, t, d_model))
+        rows = sorted({0, t // 2, t - 1})
+        assert np.array_equal(
+            grouped_attention_by_duplication(x, w, cfg, rows),
+            grouped_attention_by_duplication(x, w, cfg)[:, rows],
+        )
 
     def test_causality(self):
         cfg = make_cfg(aug_q_dim=24)

@@ -3,8 +3,10 @@ import pytest
 
 import diffqkv.attention
 import diffqkv.cli
+import diffqkv.verify
 from diffqkv.cli import main
 from diffqkv.config import format_config_text, toy_preset
+from diffqkv.kvcache import DifferentialKVCache
 from diffqkv.verify import run_verify
 
 
@@ -36,6 +38,22 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "equivalence", "--instances", "8"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] grouped-attention duplication equivalence" in out
+
+    def test_early_failures_report_property_name_and_instances_run(self, monkeypatch):
+        monkeypatch.setattr(diffqkv.verify, "select_top_k", lambda alpha, policy: alpha.copy())
+        real_footprint = DifferentialKVCache.footprint
+
+        def overcounted(cache):
+            fp = real_footprint(cache)
+            return fp._replace(total=fp.total + 1)
+
+        monkeypatch.setattr(DifferentialKVCache, "footprint", overcounted)
+        for check, name in [
+            (diffqkv.verify.check_selective_v, "selective-V exactness and error bound"),
+            (diffqkv.verify.check_footprint_accounting, "cache footprint accounting"),
+        ]:
+            result = check()
+            assert (result.name, result.instances, result.passed) == (name, 1, False)
 
 
 class TestCostCommand:

@@ -107,12 +107,17 @@ def full_forward_gradient_check(cfg, seed=0, samples_per_tensor=4, step=1e-5, ba
     return errors
 
 
-@pytest.mark.parametrize("seed", [0, 5])
+# Four samples per tensor stack 8 perturbations in one tail, as ``verify`` runs it.
+@pytest.mark.parametrize(
+    "seed,samples_per_tensor", [(0, 2), (5, 2), (0, 4)], ids=["0", "5", "0-samples4"]
+)
 @pytest.mark.parametrize("label", list(GRADCHECK_VARIANTS))
-def test_staged_gradient_check_equals_full_forward_oracle(label, seed):
+def test_staged_gradient_check_equals_full_forward_oracle(label, seed, samples_per_tensor):
     cfg = _gradcheck_model_config(*GRADCHECK_VARIANTS[label])
-    staged = gradient_check(cfg, seed=seed, samples_per_tensor=2)
-    assert staged == full_forward_gradient_check(cfg, seed=seed, samples_per_tensor=2)
+    staged = gradient_check(cfg, seed=seed, samples_per_tensor=samples_per_tensor)
+    assert staged == full_forward_gradient_check(
+        cfg, seed=seed, samples_per_tensor=samples_per_tensor
+    )
 
 
 @pytest.mark.parametrize("label", list(GRADCHECK_VARIANTS))
