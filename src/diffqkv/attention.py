@@ -8,13 +8,15 @@ positions, in one product, so no head is ever duplicated.  Softmax is blocked:
 max and sum-exp, and ``_merge`` combines partials by log-sum-exp, also giving
 each row's log-sum-exp; nothing else in the numpy path exponentiates logits.
 ``_attend`` is the one chunked pass over cached keys built on them, and
-``_causal`` runs it over tiles of queries.  ``cached_attention`` projects and
-rotates new positions, absorbs the half-K expansion into the query
-(``q @ w_k_expand.T``, exact because rotary acts on K before expansion),
-appends their K/V rows to a differential cache and attends through
-``_causal``.  The model's forward and decode, the chunked kernel and the
-autodiff twin's causal-attention op all run on it.  Apart from the cache a
-caller passes in, every function is free of side effects.
+``_causal`` runs it over tiles of queries.  ``attention_layer`` is a layer's
+one composition, over ``NUMPY_OPS`` or the same-named ops of
+:mod:`diffqkv.autodiff`: it projects and rotates new positions, absorbs the
+half-K expansion into the query (``q @ w_k_expand.T``, exact because rotary
+acts on K before expansion) and hands q, k, v to the caller's ``attend``:
+``cached_attention`` appends them to a differential cache and runs
+``_causal``, training runs ``autodiff.causal_attention`` (the same
+``_causal`` with a VJP).  Apart from the cache a caller passes in, every
+function is free of side effects.
 
 Shapes follow the convention ``[batch, seq, heads, dim]``; weights are plain
 2-D matrices applied on the right (``x @ w``), bias-free throughout.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,7 +43,7 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def _inverse_rms(x: np.ndarray) -> np.ndarray:
-    """1 / sqrt(mean(x^2) + eps) over the last axis: the RMS norm of the model and its autodiff twin.
+    """1 / sqrt(mean(x^2) + eps) over the last axis: the RMS norm of both op namespaces.
 
     Rows are divided by their largest |x| (1 if all zero) before squaring, so none overflows.
     """
@@ -48,6 +51,32 @@ def _inverse_rms(x: np.ndarray) -> np.ndarray:
     peak[peak == 0.0] = 1.0
     rms = peak * np.sqrt(((x / peak) ** 2).sum(axis=-1, keepdims=True) / x.shape[-1])
     return 1.0 / np.hypot(rms, math.sqrt(RMS_NORM_EPS))
+
+
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    # x: [..., s, n, d]; cos/sin: [s, d/2]. Consecutive pairs (x0, x1) rotate to
+    # (x0*cos - x1*sin, x0*sin + x1*cos).
+    even = x[..., 0::2]
+    odd = x[..., 1::2]
+    c = cos[:, None, :]
+    s = sin[:, None, :]
+    out = np.empty_like(x)
+    out[..., 0::2] = even * c - odd * s
+    out[..., 1::2] = even * s + odd * c
+    return out
+
+
+# The array ops ``attention_layer`` and the model's stages are written over, for
+# inference.  :mod:`diffqkv.autodiff` has the same names and signatures over
+# Tensors; ``@`` and ``+`` stay operators in both.
+NUMPY_OPS = SimpleNamespace(
+    reshape=np.reshape,
+    transpose=np.transpose,
+    rope=_rotate,
+    silu_gate=lambda a, b: silu(a) * b,
+    rms_norm=lambda x, scale: x * _inverse_rms(x) * scale,
+    embedding=lambda table, ids: table[ids],
+)
 
 
 @dataclass
@@ -114,7 +143,7 @@ def init_attention_weights(
     return AttentionWeights(**{name: rng.normal(0.0, 0.02, s) for name, s in shapes.items()})
 
 
-def augment_q(q_base: np.ndarray, w: AttentionWeights) -> np.ndarray:
+def augment_q(q_base, w: AttentionWeights, ops=NUMPY_OPS):
     """Gated query expansion: w_down @ (silu(w_gate(q)) * w_up(q)).
 
     ``q_base`` is the output of the base query projection, shape [..., d_model];
@@ -122,12 +151,10 @@ def augment_q(q_base: np.ndarray, w: AttentionWeights) -> np.ndarray:
     """
     if w.w_q_gate is None or w.w_q_up is None or w.w_q_down is None:
         raise ConfigError("augment_q called but the augmented-Q weights are absent")
-    return (silu(q_base @ w.w_q_gate) * (q_base @ w.w_q_up)) @ w.w_q_down
+    return ops.silu_gate(q_base @ w.w_q_gate, q_base @ w.w_q_up) @ w.w_q_down
 
 
-def project_qkv(
-    x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def project_qkv(x, w: AttentionWeights, cfg: ValidatedConfig, ops=NUMPY_OPS) -> tuple:
     """Project hidden states to per-head q, k, v (no bias terms anywhere).
 
     Args:
@@ -135,17 +162,15 @@ def project_qkv(
     Returns:
         q [b, s, n_q, d_head], k [b, s, n_k, d_k_head], v [b, s, n_v, d_head].
     """
-    if x.ndim != 3 or x.shape[-1] != w.w_q.shape[0]:
-        raise ShapeError(
-            f"expected x of shape [b, s, {w.w_q.shape[0]}], got {x.shape}"
-        )
+    if len(x.shape) != 3 or x.shape[-1] != w.w_q.shape[0]:
+        raise ShapeError(f"expected x of shape [b, s, {w.w_q.shape[0]}], got {x.shape}")
     b, s, _ = x.shape
     q_flat = x @ w.w_q
     if cfg.has_aug_q:
-        q_flat = augment_q(q_flat, w)
-    q = q_flat.reshape(b, s, cfg.n_q_heads, cfg.d_head)
-    k = (x @ w.w_k).reshape(b, s, cfg.n_k_heads, cfg.d_k_head)
-    v = (x @ w.w_v).reshape(b, s, cfg.n_v_heads, cfg.d_head)
+        q_flat = augment_q(q_flat, w, ops)
+    q = ops.reshape(q_flat, (b, s, cfg.n_q_heads, cfg.d_head))
+    k = ops.reshape(x @ w.w_k, (b, s, cfg.n_k_heads, cfg.d_k_head))
+    v = ops.reshape(x @ w.w_v, (b, s, cfg.n_v_heads, cfg.d_head))
     return q, k, v
 
 
@@ -157,22 +182,7 @@ def rope_angles(positions: np.ndarray, dim: int, theta: float) -> tuple[np.ndarr
     return np.cos(angles), np.sin(angles)
 
 
-def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    # x: [..., s, n, d]; cos/sin: [s, d/2]. Consecutive pairs (x0, x1) rotate to
-    # (x0*cos - x1*sin, x0*sin + x1*cos).
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
-    c = cos[:, None, :]
-    s = sin[:, None, :]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * c - odd * s
-    out[..., 1::2] = even * s + odd * c
-    return out
-
-
-def apply_rope(
-    q: np.ndarray, k: np.ndarray, positions, theta: float
-) -> tuple[np.ndarray, np.ndarray]:
+def apply_rope(q, k, positions, theta: float, ops=NUMPY_OPS) -> tuple:
     """Rotary position embedding on the last dimension of q and k.
 
     ``positions`` gives the absolute position of each sequence index; q and k
@@ -184,7 +194,7 @@ def apply_rope(
     positions = np.asarray(positions)
     q_cos, q_sin = rope_angles(positions, q.shape[-1], theta)
     k_cos, k_sin = rope_angles(positions, k.shape[-1], theta)
-    return _rotate(q, q_cos, q_sin), _rotate(k, k_cos, k_sin)
+    return ops.rope(q, q_cos, q_sin), ops.rope(k, k_cos, k_sin)
 
 
 def _query_groups(rows: np.ndarray, n_src: int) -> np.ndarray:
@@ -280,15 +290,10 @@ def weighted_value_sum(alpha: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out.reshape(*alpha.shape[:-1], v.shape[-1])
 
 
-def _project_heads(o: np.ndarray, w_o: np.ndarray) -> np.ndarray:
-    """Per-head outputs [b, n_q, (T,) d] -> [b, (T,) d_model]: heads in index order, @ w_o."""
-    o = np.moveaxis(o, 1, -2)
-    return o.reshape(*o.shape[:-2], w_o.shape[0]) @ w_o
-
-
 def attention_output(alpha: np.ndarray, v: np.ndarray, w_o: np.ndarray) -> np.ndarray:
     """alpha [b, n_q, (T,) t] -> [b, (T,) d_model]: weighted V sums, heads in index order, @ w_o."""
-    return _project_heads(weighted_value_sum(alpha, v), w_o)
+    o = np.moveaxis(weighted_value_sum(alpha, v), 1, -2)
+    return o.reshape(*o.shape[:-2], w_o.shape[0]) @ w_o
 
 
 # Elements of one [b, n_q, T, B] block of scores.  Larger blocks mean fewer
@@ -358,24 +363,39 @@ def _causal(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int, start: 
     return heads, lse
 
 
+def attention_layer(
+    x, w: AttentionWeights, cfg: ValidatedConfig, start: int, attend, ops=NUMPY_OPS
+):
+    """Causal DiffQKV attention of s positions start.., x [b, s, d_model] -> [b, s, d_model].
+
+    Project -> augmented Q -> rotary -> (half-K) expansion absorbed into the
+    query -> ``attend(q [b, n_q, s, d], k, v)``, which returns the heads
+    [b, n_q, s, d_v] -> output projection, all in ``ops``: ``NUMPY_OPS`` or
+    :mod:`diffqkv.autodiff`.
+    """
+    q, k, v = project_qkv(x, w, cfg, ops)
+    b, s = q.shape[:2]
+    q, k = apply_rope(q, k, np.arange(start, start + s), cfg.rope_theta, ops)
+    if cfg.half_k:
+        q = q @ ops.transpose(w.w_k_expand, (1, 0))
+    heads = attend(ops.transpose(q, (0, 2, 1, 3)), k, v)
+    return ops.reshape(ops.transpose(heads, (0, 2, 1, 3)), (b, s, w.w_o.shape[0])) @ w.w_o
+
+
 def cached_attention(
     x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig, cache: DifferentialKVCache
 ) -> np.ndarray:
-    """Causal DiffQKV attention of s new positions, x [b, s, d_model] -> [b, s, d_model].
+    """``attention_layer`` of s new positions at ``cache.len``.., x [b, s, d_model] -> [b, s, d_model].
 
-    The new positions are ``cache.len .. cache.len + s - 1``: project ->
-    augmented Q -> rotary -> (half-K) expansion absorbed into the query -> one
-    append of all s K/V rows to ``cache`` -> ``_causal`` over the cache ->
-    output projection.
+    It attends by one append of all s K/V rows to ``cache`` and ``_causal`` over the cache.
     """
     start = cache.len
-    q, k, v = project_qkv(x, w, cfg)
-    q, k = apply_rope(q, k, np.arange(start, start + q.shape[1]), cfg.rope_theta)
-    if cfg.half_k:
-        q = q @ w.w_k_expand.T
-    cache.append(k, v)
-    heads, _ = _causal(q.transpose(0, 2, 1, 3), *cache.view(), cfg.softmax_scale_dim, start)
-    return _project_heads(heads, w.w_o)
+
+    def attend(q, k, v):
+        cache.append(k, v)
+        return _causal(q, *cache.view(), cfg.softmax_scale_dim, start)[0]
+
+    return attention_layer(x, w, cfg, start, attend)
 
 
 def naive_diffqkv_attention(x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig) -> np.ndarray:

@@ -4,7 +4,8 @@ Just enough machinery for the toy causal LM: broadcast-aware add/mul, matmul
 by a weight, reshapes/transposes, gated SiLU, RMS normalization, rotary
 embedding, causal attention, embedding lookup and a fused shifted
 cross-entropy, reusing the numpy code of :mod:`diffqkv.attention`; no node
-holds a full score matrix.
+holds a full score matrix.  Its ops share names and signatures with
+``attention.NUMPY_OPS``, so the model's stages are written once over either.
 Nodes form an implicit DAG; ``backward`` walks it once in reverse topological
 order and accumulates gradients on leaves.
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .attention import _causal, _inverse_rms, _masked_logits, _query_groups, _rotate
 from .attention import _spans, _tile_sizes, attention_logits, silu, weighted_value_sum
-from .errors import ShapeError
+from .errors import LengthError, ShapeError
 
 
 class Tensor:
@@ -63,7 +64,7 @@ class Tensor:
 
     def backward(self):
         if self.data.size != 1:
-            raise ValueError("backward() expects a scalar loss")
+            raise ShapeError(f"backward() expects a scalar loss, got shape {self.data.shape}")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack = [(self, False)]
@@ -284,7 +285,7 @@ def cross_entropy_next_token(logits: Tensor, tokens: np.ndarray) -> Tensor:
     tokens = np.asarray(tokens)
     b, s, _ = logits.data.shape
     if s < 2:
-        raise ValueError("need at least 2 positions for next-token loss")
+        raise LengthError(f"next-token loss needs at least 2 positions, got {s}")
     pred = logits.data[:, :-1]
     targets = tokens[:, 1:]
     shifted = pred - pred.max(axis=-1, keepdims=True)

@@ -67,5 +67,6 @@ class UnknownSuiteError(DiffQKVError, ValueError):
 
 
 class UsageError(DiffQKVError, ValueError):
-    """A CLI/benchmark argument is outside its accepted range (exit code 2)."""
+    """A CLI, benchmark or library argument is outside its accepted range
+    (exit code 2 in the CLI)."""
 

@@ -2,22 +2,25 @@
 
 One block = RMS pre-norm -> DiffQKV attention -> residual -> RMS pre-norm ->
 gated (SiLU) FFN -> residual.  Rotary embedding inside attention, untied
-embedding and output head, greedy decoding only.  One numpy block pass runs
-every layer's attention through :func:`diffqkv.attention.cached_attention`
-over that layer's differential KV cache, and one fed loop runs that pass over
-consecutive slices of positions, writing each slice's logits into place:
-``forward`` feeds fresh caches in row chunks sized by ``_chunk_rows`` (so its
-transient memory does not grow with the sequence), and
-``forward_incremental`` feeds the caller's caches one position at a time,
-agreeing with ``forward`` token for token.
-K/V stay at their stored head counts and the half-K expansion is absorbed into
-the query, so the cache is never duplicated or expanded.  ``train_step`` runs
-the same architecture through the autodiff graph, which also attends at native
-head counts through one op that recomputes the scores in its reverse pass,
-and applies a plain gradient-descent update.  ``forward_graph`` is the
-sequence of ``graph_stages``: the embedding, each block's attention half and
-FFN half, and the final norm with the head, so a gradient check can rerun a
-perturbed loss from the first stage that reads the perturbed tensor.
+embedding and output head, greedy decoding only.
+
+The forward is written once, as ``forward_stages`` over an ops namespace and
+a per-layer attention: the embedding, each block's attention half and FFN
+half, and the final norm with the head.  Inference runs it over
+``attention.NUMPY_OPS``, each layer's ``cached_attention`` over that layer's
+differential KV cache, and creates no autodiff Tensor.  One fed loop runs the
+stages over consecutive slices of positions, writing each slice's logits
+into place: ``forward`` feeds fresh caches in row chunks sized by
+``_chunk_rows`` (so its transient memory does not grow with the sequence),
+and ``forward_incremental`` feeds the caller's caches one position at a
+time, agreeing with ``forward`` token for token.  K/V stay at their stored
+head counts and the half-K expansion is absorbed into the query, so the
+cache is never duplicated or expanded.  Training (``graph_stages``) runs the
+same stages over :mod:`diffqkv.autodiff`, attending from position 0 through
+``autodiff.causal_attention``; ``train_step`` applies a plain
+gradient-descent update, and a gradient check reruns a perturbed loss from
+the first stage that reads the perturbed tensor, so it differentiates the
+code ``forward`` and ``decode`` run.
 
 ``forward``/``decode`` are pure given the model and cache ownership;
 ``train_step`` mutates the model in place and is single-threaded per model.
@@ -25,18 +28,19 @@ perturbed loss from the first stage that reads the perturbed tensor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
 from .attention import (
+    NUMPY_OPS,
     AttentionWeights,
-    _inverse_rms,
+    attention_layer,
     attention_weight_shapes,
     cached_attention,
-    rope_angles,
-    silu,
 )
 from .config import ModelConfig, format_config_text, parse_config_text, validate_model_config
 from .errors import (
@@ -46,6 +50,7 @@ from .errors import (
     PositionError,
     ShapeError,
     TokenRangeError,
+    UsageError,
 )
 from .kvcache import DifferentialKVCache
 from .tensorio import ContainerFormatError, read_tensors, write_tensors
@@ -117,22 +122,14 @@ def init_model(cfg: ModelConfig, seed: int = 0) -> ToyModel:
     return _assemble(cfg, draw)
 
 
-def _rms_norm(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    return x * _inverse_rms(x) * scale
-
-
-def _ffn(x: np.ndarray, blk: TransformerBlock) -> np.ndarray:
-    return (silu(x @ blk.w_ffn_gate) * (x @ blk.w_ffn_up)) @ blk.w_ffn_down
-
-
 def _check_tokens(model: ToyModel, tokens) -> np.ndarray:
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ShapeError(f"tokens must be [batch, seq], got shape {tokens.shape}")
+    if tokens.size and not np.issubdtype(tokens.dtype, np.integer):
+        raise TokenRangeError(f"token ids must be integers, got dtype {tokens.dtype}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= model.config.vocab_size):
-        raise TokenRangeError(
-            f"token ids must lie in [0, {model.config.vocab_size})"
-        )
+        raise TokenRangeError(f"token ids must lie in [0, {model.config.vocab_size})")
     if tokens.shape[1] > model.config.max_seq_len:
         raise LengthError(
             f"sequence length {tokens.shape[1]} exceeds max_seq_len {model.config.max_seq_len}"
@@ -140,13 +137,36 @@ def _check_tokens(model: ToyModel, tokens) -> np.ndarray:
     return tokens
 
 
-def _block_pass(model: ToyModel, x: np.ndarray, caches: list[DifferentialKVCache]) -> np.ndarray:
-    """Embedded inputs [b, s, d_model] at the caches' next positions -> logits [b, s, vocab]."""
-    acfg = model.config.attention
-    for blk, cache in zip(model.blocks, caches):
-        x = x + cached_attention(_rms_norm(x, blk.norm_attn), blk.attn, acfg, cache)
-        x = x + _ffn(_rms_norm(x, blk.norm_ffn), blk)
-    return _rms_norm(x, model.norm_final) @ model.head
+def forward_stages(model: ToyModel, ops, attentions: list) -> list:
+    """The model's forward as consecutive stages over ``ops`` (``NUMPY_OPS`` or ``autodiff``).
+
+    Each maps the previous stage's output to its own: the embedding lookup
+    (token ids -> [b, s, d_model]), each block's attention half and FFN half
+    (pre-normed residual updates), then the final norm and the head (-> logits).
+    ``attentions[i](h, w)`` attends block i's normed inputs h with its weights w.
+    """
+
+    def attention_half(blk: TransformerBlock, attention):
+        return lambda x: x + attention(ops.rms_norm(x, blk.norm_attn), blk.attn)
+
+    def ffn_half(blk: TransformerBlock):
+        def run(x):
+            h = ops.rms_norm(x, blk.norm_ffn)
+            return x + ops.silu_gate(h @ blk.w_ffn_gate, h @ blk.w_ffn_up) @ blk.w_ffn_down
+
+        return run
+
+    stages = [lambda ids: ops.embedding(model.embedding, ids)]
+    for blk, attention in zip(model.blocks, attentions):
+        stages += [attention_half(blk, attention), ffn_half(blk)]
+    stages.append(lambda x: ops.rms_norm(x, model.norm_final) @ model.head)
+    return stages
+
+
+def _run(stages: list, x):
+    for stage in stages:
+        x = stage(x)
+    return x
 
 
 # Elements of the widest [b, rows, width] activation of one fed chunk of
@@ -166,10 +186,11 @@ def _feed(
 ) -> np.ndarray:
     """Tokens [b, s] at the caches' next positions -> logits [b, s, vocab], ``rows`` at a time."""
     b, s = tokens.shape
+    attentions = [partial(cached_attention, cfg=model.config.attention, cache=c) for c in caches]
+    stages = forward_stages(model, NUMPY_OPS, attentions)
     logits = np.empty((b, s, model.config.vocab_size))
     for i in range(0, s, rows):
-        x = model.embedding[tokens[:, i : i + rows]]  # [b, rows, d_model]
-        logits[:, i : i + rows] = _block_pass(model, x, caches)
+        logits[:, i : i + rows] = _run(stages, tokens[:, i : i + rows])
     return logits
 
 
@@ -227,8 +248,9 @@ def decode(
 
     Produces tokens identical to recomputing the full context at every step.
     """
-    prompt = np.asarray(prompt, dtype=np.int64).reshape(1, -1)
-    _check_tokens(model, prompt)
+    if isinstance(n_new, bool) or not isinstance(n_new, (int, np.integer)) or n_new < 0:
+        raise UsageError(f"n_new must be a non-negative integer, got {n_new!r}")
+    prompt = _check_tokens(model, np.asarray(prompt).reshape(1, -1)).astype(np.int64)
     if prompt.shape[1] == 0:
         raise EmptyInputError("decode needs a prompt of at least one token")
     if n_new == 0:
@@ -255,7 +277,7 @@ def decode(
 
 
 # ---------------------------------------------------------------------------
-# Training path (autodiff twin of the numpy forward)
+# Training path: the same stages over autodiff Tensors
 # ---------------------------------------------------------------------------
 
 
@@ -267,60 +289,12 @@ def as_parameter_tensors(model: ToyModel) -> dict[str, ad.Tensor]:
     }
 
 
-def attention_graph(h: ad.Tensor, w: AttentionWeights, acfg) -> ad.Tensor:
-    """Causal DiffQKV attention over autodiff tensors; h is [b, s, d_model], w holds Tensors.
-
-    The autodiff twin of :func:`diffqkv.attention.naive_diffqkv_attention`:
-    projections, augmented Q, rotary and (in half-K mode) the K expansion
-    absorbed into the query are ordinary ops, and the attention itself is
-    ``ad.causal_attention`` at native head counts, whose forward is the numpy
-    path's blocked pass.  Its reverse pass supplies the analytic gradients
-    that finite differences are checked against.
-    """
-    b, s, _ = h.data.shape
-    n_q, n_k, n_v = acfg.n_q_heads, acfg.n_k_heads, acfg.n_v_heads
-    d, d_k = acfg.d_head, acfg.d_k_head
-    positions = np.arange(s)
-
-    q_flat = h @ w.w_q
-    if acfg.has_aug_q:
-        q_flat = ad.silu_gate(q_flat @ w.w_q_gate, q_flat @ w.w_q_up) @ w.w_q_down
-    q = ad.rope(ad.reshape(q_flat, (b, s, n_q, d)), *rope_angles(positions, d, acfg.rope_theta))
-    if acfg.half_k:
-        q = q @ ad.transpose(w.w_k_expand, (1, 0))
-    k = ad.rope(
-        ad.reshape(h @ w.w_k, (b, s, n_k, d_k)), *rope_angles(positions, d_k, acfg.rope_theta)
-    )
-    v = ad.reshape(h @ w.w_v, (b, s, n_v, d))
-    heads = ad.causal_attention(ad.transpose(q, (0, 2, 1, 3)), k, v, acfg.softmax_scale_dim)
-    ctx = ad.transpose(heads, (0, 2, 1, 3))  # [b, s, n_q, d]
-    return ad.reshape(ctx, (b, s, n_q * d)) @ w.w_o
-
-
 def graph_stages(model: ToyModel) -> list:
-    """The training forward over a model of Tensors, as consecutive stages.
-
-    Each maps the previous stage's output to its own: the embedding lookup
-    (token ids -> [b, s, d_model]), each block's attention half and FFN half
-    (pre-normed residual updates), then the final norm and the head (-> logits).
-    """
+    """``forward_stages`` over a model of Tensors: autodiff ops, every layer attending from position 0."""
     acfg = model.config.attention
-
-    def attention_half(blk: TransformerBlock):
-        return lambda x: x + attention_graph(ad.rms_norm(x, blk.norm_attn), blk.attn, acfg)
-
-    def ffn_half(blk: TransformerBlock):
-        def run(x):
-            h = ad.rms_norm(x, blk.norm_ffn)
-            return x + ad.silu_gate(h @ blk.w_ffn_gate, h @ blk.w_ffn_up) @ blk.w_ffn_down
-
-        return run
-
-    stages = [lambda ids: ad.embedding(model.embedding, ids)]
-    for blk in model.blocks:
-        stages += [attention_half(blk), ffn_half(blk)]
-    stages.append(lambda x: ad.rms_norm(x, model.norm_final) @ model.head)
-    return stages
+    attend = partial(ad.causal_attention, scale_dim=acfg.softmax_scale_dim)
+    attention = partial(attention_layer, cfg=acfg, start=0, attend=attend, ops=ad)
+    return forward_stages(model, ad, [attention] * len(model.blocks))
 
 
 def staged_forward(model: ToyModel, tokens) -> tuple[list, list, list[set[str]]]:
@@ -348,10 +322,7 @@ def staged_forward(model: ToyModel, tokens) -> tuple[list, list, list[set[str]]]
 
 def forward_graph(params: dict[str, ad.Tensor], cfg: ModelConfig, tokens) -> ad.Tensor:
     """The toy-model forward over autodiff tensors: ``graph_stages`` run in order."""
-    x = np.asarray(tokens)
-    for stage in graph_stages(_assemble(cfg, params)):
-        x = stage(x)
-    return x
+    return _run(graph_stages(_assemble(cfg, params)), np.asarray(tokens))
 
 
 def loss_graph(params: dict[str, ad.Tensor], cfg: ModelConfig, tokens) -> ad.Tensor:
@@ -360,6 +331,8 @@ def loss_graph(params: dict[str, ad.Tensor], cfg: ModelConfig, tokens) -> ad.Ten
 
 def train_step(model: ToyModel, batch, lr: float) -> float:
     """One cross-entropy next-token step with a plain gradient-descent update."""
+    if not math.isfinite(lr):
+        raise UsageError(f"lr must be finite, got {lr}")
     batch = _check_tokens(model, batch)
     params = as_parameter_tensors(model)
     loss = loss_graph(params, model.config, batch)

@@ -8,7 +8,7 @@ from diffqkv import attention
 from diffqkv import autodiff as ad
 from diffqkv.attention import apply_rope, init_attention_weights, naive_diffqkv_attention, project_qkv
 from diffqkv.config import AttentionConfig, validate_config
-from diffqkv.errors import ShapeError
+from diffqkv.errors import LengthError, ShapeError
 from diffqkv.reference import _one_shot_causal
 
 
@@ -213,8 +213,14 @@ def test_operator_sugar_matches_functions():
 
 def test_backward_requires_scalar():
     t = ad.Tensor(np.zeros((2, 2)), requires_grad=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError, match="scalar"):
         ad.add(t, t).backward()
+
+
+def test_next_token_loss_needs_two_positions():
+    logits = ad.Tensor(np.zeros((2, 1, 5)), requires_grad=True)
+    with pytest.raises(LengthError, match="2 positions"):
+        ad.cross_entropy_next_token(logits, np.zeros((2, 1), dtype=int))
 
 
 def test_grad_accumulates_across_shared_nodes():

@@ -1,19 +1,26 @@
 """Analytic gradients vs central finite differences.
 
-The attention-level check differentiates through the autodiff graph while the
-finite differences probe the plain-numpy naive reference, so agreement pins
-down both the gradients and the equality of the two forward paths.
+The attention-level check differentiates ``attention_layer`` over autodiff ops
+while the finite differences probe the same layer over numpy ops (the naive
+reference), so agreement pins down both the gradients and the equality of the
+two op namespaces.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
 
 from diffqkv import autodiff as ad
-from diffqkv.attention import AttentionWeights, init_attention_weights, naive_diffqkv_attention
+from diffqkv.attention import (
+    AttentionWeights,
+    attention_layer,
+    init_attention_weights,
+    naive_diffqkv_attention,
+)
 from diffqkv.config import AttentionConfig, validate_config
 from diffqkv.model import (
     as_parameter_tensors,
-    attention_graph,
     init_model,
     loss_graph,
     staged_forward,
@@ -43,7 +50,8 @@ def test_attention_weight_gradients_match_numpy_fd(label):
     coeffs = rng.normal(size=(2, 5, d_model))
 
     tensors = {name: ad.Tensor(arr, requires_grad=True) for name, arr in weights.named_tensors().items()}
-    out = attention_graph(ad.Tensor(x), AttentionWeights(**tensors), cfg)
+    attend = partial(ad.causal_attention, scale_dim=cfg.softmax_scale_dim)
+    out = attention_layer(ad.Tensor(x), AttentionWeights(**tensors), cfg, 0, attend, ad)
     np.testing.assert_allclose(out.data, naive_diffqkv_attention(x, weights, cfg), atol=1e-12)
 
     loss = ad.mul(out, coeffs)

@@ -285,8 +285,14 @@ class TestFlexheadAttention:
         x = rng.normal(size=(2, t, d_model))
         cache = cache_new(cfg, batch=2, capacity=t)
         attention.cached_attention(x[:, :-1], w, cfg, cache)
-        real, merged = attention._project_heads, []
-        monkeypatch.setattr(attention, "_project_heads", lambda o, w_o: merged.append(o) or real(o, w_o))
+        real, merged = attention._causal, []
+
+        def spy(*args):
+            heads, lse = real(*args)
+            merged.append(heads)
+            return heads, lse
+
+        monkeypatch.setattr(attention, "_causal", spy)
         attention.cached_attention(x[:, -1:], w, cfg, cache)
         q, k, _ = project_qkv(x[:, -1:], w, cfg)
         q, _ = apply_rope(q, k, [t - 1], cfg.rope_theta)

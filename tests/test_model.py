@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from diffqkv import attention
+from diffqkv import model as model_module
 from diffqkv.config import AttentionConfig, ModelConfig, toy_preset
 from diffqkv.errors import (
     CapacityExceededError,
@@ -15,6 +17,7 @@ from diffqkv.errors import (
     TokenRangeError,
 )
 from diffqkv.tensorio import ContainerFormatError, read_tensors, write_tensors
+from diffqkv.verify import _EQUIV_CONFIGS
 from diffqkv.model import (
     _chunk_rows,
     as_parameter_tensors,
@@ -112,15 +115,48 @@ class TestForward:
         allowance = 8 << 20  # four chunk-sized [128, 2048] float64 buffers
         assert peak <= logits.nbytes + cache_bytes + allowance, f"forward peak {peak} B"
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(), dict(aug_q_dim=48), dict(d_k_head=2), dict(n_k=8, n_v=8), dict(n_k=1, n_v=1),
-    ])
-    def test_graph_forward_matches_numpy_forward(self, kwargs):
-        cfg = toy_cfg(**kwargs)
-        model = init_model(cfg, seed=3)
-        tokens = np.random.default_rng(3).integers(0, 64, size=(2, 6))
-        graph_logits = forward_graph(as_parameter_tensors(model), cfg, tokens).data
-        assert_allclose(graph_logits, forward(model, tokens), atol=1e-10)
+    @pytest.mark.parametrize(
+        "heads,d_head,d_k_head,aug", [c[1:] for c in _EQUIV_CONFIGS], ids=[c[0] for c in _EQUIV_CONFIGS]
+    )
+    def test_graph_forward_equals_numpy_forward(self, heads, d_head, d_k_head, aug):
+        # Both run the same stages; at b = 1 every product sees the same rows in
+        # both, so the logits are bit-equal.  For b > 1 numpy's batched 3-D
+        # matmul and autodiff's flattened [b*s, d] GEMM may round differently
+        # (by ~2e-16), so there the two only agree to a tolerance.
+        attn = AttentionConfig(*heads, d_head=d_head, d_k_head=d_k_head, aug_q_dim=aug)
+        cfg = ModelConfig(attention=attn, n_layers=2, d_model=heads[0] * d_head, d_ffn=48,
+                          vocab_size=64, max_seq_len=64)
+        rng = np.random.default_rng(3)
+        for seed in range(5):
+            model = init_model(cfg, seed=seed)
+            params = as_parameter_tensors(model)
+            for s in (1, 7, 40):
+                tokens = rng.integers(0, 64, size=(1, s))
+                assert np.array_equal(forward(model, tokens), forward_graph(params, cfg, tokens).data)
+            tokens = rng.integers(0, 64, size=(3, 9))
+            assert_allclose(forward_graph(params, cfg, tokens).data, forward(model, tokens), atol=1e-10)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_fed_pass_calls_project_qkv_once_per_layer_and_position(self, monkeypatch, s):
+        # The traced benchmark run counts prefill positions by the project_qkv
+        # calls it wraps at diffqkv.attention.project_qkv.
+        model = init_model(toy_cfg(aug_q_dim=48, d_k_head=2, layers=3), seed=4)
+        real, calls = attention.project_qkv, []
+        monkeypatch.setattr(attention, "project_qkv", lambda *a: calls.append(a) or real(*a))
+        forward_incremental(model, np.ones((1, s), dtype=int), make_caches(model, 1, s), 0)
+        assert len(calls) == 3 * s
+
+    @pytest.mark.parametrize("tokens", [[[1.0, 2.0]], [[True, False]]], ids=["float", "bool"])
+    def test_non_integer_token_ids_rejected(self, tokens):
+        model = init_model(toy_cfg(), seed=0)
+        caches = make_caches(model, batch=1, capacity=4)
+        with pytest.raises(TokenRangeError, match="integers"):
+            forward(model, np.array(tokens))
+        with pytest.raises(TokenRangeError, match="integers"):
+            forward_incremental(model, np.array(tokens), caches, start_pos=0)
+        assert all(c.len == 0 for c in caches)
+        with pytest.raises(TokenRangeError, match="integers"):
+            train_step(model, np.array(tokens), lr=0.1)
 
 
 class TestDecode:
@@ -197,6 +233,28 @@ class TestDecode:
             with pytest.raises(EmptyInputError):
                 decode(model, [], n_new)
 
+    @pytest.mark.parametrize("prompt", [[1.5, 2], [1.0, 2.0], [True, False]])
+    def test_non_integer_prompt_rejected(self, prompt):
+        # Casting first would truncate [1.5, 2] to [1, 2] and decode it.
+        model = init_model(toy_cfg(), seed=4)
+        with pytest.raises(TokenRangeError, match="integers"):
+            decode(model, prompt, 2)
+
+    @pytest.mark.parametrize("n_new", [1.5, True, -1, np.float64(2.0), "2"])
+    def test_n_new_must_be_a_non_negative_integer(self, monkeypatch, n_new):
+        model = init_model(toy_cfg(), seed=4)
+        caches = make_caches(model, batch=1, capacity=8)
+        with pytest.raises(DiffQKVError, match="n_new"):
+            decode(model, [1, 2], n_new, caches)
+        assert all(c.len == 0 for c in caches)
+        monkeypatch.setattr(model_module, "make_caches", None)  # no cache may be made either
+        with pytest.raises(DiffQKVError, match="n_new"):
+            decode(model, [1, 2], n_new)
+
+    def test_numpy_integer_n_new_accepted(self):
+        model = init_model(toy_cfg(), seed=4)
+        assert_array_equal(decode(model, [1, 2], np.int64(3)), decode(model, [1, 2], 3))
+
     def test_decode_step_does_not_reinflate_cache(self):
         # 32/4/16 heads in half-K mode: duplicating K/V to 32 heads, or expanding
         # K to d_head, would allocate several times the cache's own bytes.
@@ -235,6 +293,22 @@ class TestTraining:
         for name, arr in model.named_tensors().items():
             assert_array_equal(arr, before[name])
         assert train_step(model, batch, lr=0.0) == first
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lr_rejected_before_any_update(self, lr):
+        cfg = toy_cfg()
+        model = init_model(cfg, seed=8)
+        before = {k: v.copy() for k, v in model.named_tensors().items()}
+        batch = random_token_batch(np.random.default_rng(8), 2, 6, cfg.vocab_size)
+        with pytest.raises(DiffQKVError, match="lr"):
+            train_step(model, batch, lr)
+        for name, arr in model.named_tensors().items():
+            assert_array_equal(arr, before[name])
+
+    def test_single_position_batch_raises_length_error(self):
+        model = init_model(toy_cfg(), seed=8)
+        with pytest.raises(LengthError, match="2 positions"):
+            train_step(model, np.array([[3], [4]]), lr=0.1)
 
     def test_loss_decreases_on_copy_task(self):
         cfg = toy_cfg()
