@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .config import ValidatedConfig
+from .config import AttentionConfig, check_int
 from .errors import ConfigError, DimensionError, ShapeError
 from .kvcache import DifferentialKVCache
 
@@ -112,11 +112,12 @@ class SelectivePolicy:
     renormalize: bool = False
 
     def __post_init__(self):
-        if self.k_top < 1:
-            raise ConfigError(f"k_top must be >= 1, got {self.k_top}")
+        check_int("k_top", self.k_top, 1)
+        if not isinstance(self.renormalize, bool):
+            raise ConfigError(f"renormalize must be a bool, got {self.renormalize!r}")
 
 
-def attention_weight_shapes(cfg: ValidatedConfig, d_model: int) -> dict[str, tuple[int, int]]:
+def attention_weight_shapes(cfg: AttentionConfig, d_model: int) -> dict[str, tuple[int, int]]:
     """Shape of every projection one layer has, in ``AttentionWeights`` field order."""
     q_heads, aug = cfg.n_q_heads * cfg.d_head, cfg.aug_q_dim
     shapes = {
@@ -133,7 +134,7 @@ def attention_weight_shapes(cfg: ValidatedConfig, d_model: int) -> dict[str, tup
 
 
 def init_attention_weights(
-    cfg: ValidatedConfig, d_model: int | None = None, seed: int | np.random.Generator = 0
+    cfg: AttentionConfig, d_model: int | None = None, seed: int | np.random.Generator = 0
 ) -> AttentionWeights:
     """Seeded N(0, 0.02) initialization of all projection weights."""
     if d_model is None:
@@ -154,7 +155,7 @@ def augment_q(q_base, w: AttentionWeights, ops=NUMPY_OPS):
     return ops.silu_gate(q_base @ w.w_q_gate, q_base @ w.w_q_up) @ w.w_q_down
 
 
-def project_qkv(x, w: AttentionWeights, cfg: ValidatedConfig, ops=NUMPY_OPS) -> tuple:
+def project_qkv(x, w: AttentionWeights, cfg: AttentionConfig, ops=NUMPY_OPS) -> tuple:
     """Project hidden states to per-head q, k, v (no bias terms anywhere).
 
     Args:
@@ -364,7 +365,7 @@ def _causal(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int, start: 
 
 
 def attention_layer(
-    x, w: AttentionWeights, cfg: ValidatedConfig, start: int, attend, ops=NUMPY_OPS
+    x, w: AttentionWeights, cfg: AttentionConfig, start: int, attend, ops=NUMPY_OPS
 ):
     """Causal DiffQKV attention of s positions start.., x [b, s, d_model] -> [b, s, d_model].
 
@@ -383,7 +384,7 @@ def attention_layer(
 
 
 def cached_attention(
-    x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig, cache: DifferentialKVCache
+    x: np.ndarray, w: AttentionWeights, cfg: AttentionConfig, cache: DifferentialKVCache
 ) -> np.ndarray:
     """``attention_layer`` of s new positions at ``cache.len``.., x [b, s, d_model] -> [b, s, d_model].
 
@@ -398,7 +399,7 @@ def cached_attention(
     return attention_layer(x, w, cfg, start, attend)
 
 
-def naive_diffqkv_attention(x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig) -> np.ndarray:
+def naive_diffqkv_attention(x: np.ndarray, w: AttentionWeights, cfg: AttentionConfig) -> np.ndarray:
     """Causal attention over a whole sequence through the cached pass, on a scratch cache."""
     b, s = x.shape[:2]
     return cached_attention(x, w, cfg, DifferentialKVCache(cfg, b, max(s, 1)))

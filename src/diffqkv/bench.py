@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttentionWeights, augment_q, init_attention_weights
-from .config import ValidatedConfig
+from .config import AttentionConfig
 from .costmodel import CostGrid
 from .errors import UsageError
 from .kernel import flexhead_attention
@@ -89,7 +89,7 @@ class _ConfigFixture:
     cell's boundary.  Rewinding is a bench-only trick on a bench-owned cache.
     """
 
-    def __init__(self, name: str, cfg: ValidatedConfig, max_s: int, rng: np.random.Generator):
+    def __init__(self, name: str, cfg: AttentionConfig, max_s: int, rng: np.random.Generator):
         self.name = name
         self.cfg = cfg
         d_model = cfg.n_q_heads * cfg.d_head
@@ -140,8 +140,8 @@ def _physical_memory() -> int | None:
 
 
 def run_bench(
-    std_cfg: ValidatedConfig,
-    sigma_cfg: ValidatedConfig,
+    std_cfg: AttentionConfig,
+    sigma_cfg: AttentionConfig,
     grid: CostGrid,
     reps: int = 5,
     seed: int = 42,

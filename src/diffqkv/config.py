@@ -1,19 +1,21 @@
 """Architecture knobs for DiffQKV attention and the toy model.
 
 DiffQKV attention lets Q, K and V carry distinct head counts and head
-dimensions.  ``AttentionConfig`` holds every such knob, ``ModelConfig`` wraps
-it with the decoder-stack dimensions, and ``validate_config`` is the single
-gate every downstream module relies on.  Config values are immutable and can
-be shared freely across threads once validated.
+dimensions.  ``AttentionConfig`` holds every such knob and ``ModelConfig``
+wraps it with the decoder-stack dimensions.  A config checks itself whenever
+it is built, from a file, a preset, ``dataclasses.replace`` or plain code, so
+every config object is valid.  Config values are immutable and can be shared
+freely across threads.
 
 The two dataclasses are the only place a field is named: the config-file
-keys, their value types, which keys are required and which fields
-``validate_config`` checks are all derived from ``dataclasses.fields``.
+keys, their value types, which keys are required and which fields are
+checked as integers are all derived from ``dataclasses.fields``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import MISSING, dataclass, fields, replace
 
@@ -23,6 +25,19 @@ from .errors import (
     DimensionError,
     DivisibilityError,
 )
+
+
+def check_int(name: str, value, least: int, error=ConfigError, kind=numbers.Integral) -> None:
+    """Raise ``error`` unless ``value`` is a ``kind`` (never a bool) of at least ``least`` (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, kind) or value < least:
+        raise error(f"{name} must be a {'positive' if least else 'non-negative'} integer, got {value!r}")
+
+
+def _check_int_fields(cfg) -> None:
+    """Every int field of a config is a plain int >= 1; aug_q_dim may be 0."""
+    for f in fields(cfg):
+        if f.type.startswith("int"):
+            check_int(f.name, getattr(cfg, f.name), int(f.name != "aug_q_dim"), kind=int)
 
 
 @dataclass(frozen=True)
@@ -35,7 +50,10 @@ class AttentionConfig:
     vectors up to ``d_head``; attention applies it to the query instead
     (``q @ w_k_expand.T``), so the cache is scored without being expanded.
     ``aug_q_dim`` is the total intermediate dimension of the gated augmented-Q
-    block; 0 disables it.
+    block; 0 disables it.  Construction raises ``ConfigError`` for a
+    non-positive integer field (aug_q_dim may be 0) or a rope_theta that is not
+    finite and positive, ``DivisibilityError`` unless n_q_heads is a multiple of
+    n_k_heads and n_v_heads, and ``DimensionError`` if d_k_head > d_head.
     """
 
     n_q_heads: int
@@ -54,6 +72,15 @@ class AttentionConfig:
             # Logits are formed after K expansion, so the natural scale is the
             # dimension the dot product actually runs in.
             object.__setattr__(self, "softmax_scale_dim", self.d_head)
+        _check_int_fields(self)
+        theta = self.rope_theta
+        if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not 0 < theta < math.inf:
+            raise ConfigError(f"rope_theta must be finite and positive, got {theta!r}")
+        for name, heads in (("n_k_heads", self.n_k_heads), ("n_v_heads", self.n_v_heads)):
+            if self.n_q_heads % heads != 0:
+                raise DivisibilityError(f"n_q_heads={self.n_q_heads} is not a multiple of {name}={heads}")
+        if self.d_k_head > self.d_head:
+            raise DimensionError(f"d_k_head={self.d_k_head} must not exceed d_head={self.d_head}")
 
     @property
     def half_k(self) -> bool:
@@ -69,14 +96,9 @@ class AttentionConfig:
         return self.n_k_heads * self.d_k_head + self.n_v_heads * self.d_head
 
 
-# A validated config is an AttentionConfig that passed validate_config();
-# downstream modules accept only configs that went through the gate.
-ValidatedConfig = AttentionConfig
-
-
 @dataclass(frozen=True)
 class ModelConfig:
-    """Decoder-stack dimensions around one attention configuration."""
+    """Decoder-stack dimensions around one attention configuration (n_q_heads * d_head == d_model)."""
 
     attention: AttentionConfig
     n_layers: int
@@ -84,6 +106,17 @@ class ModelConfig:
     d_ffn: int
     vocab_size: int
     max_seq_len: int
+
+    def __post_init__(self):
+        if not isinstance(self.attention, AttentionConfig):
+            raise ConfigError(f"attention must be an AttentionConfig, got {self.attention!r}")
+        _check_int_fields(self)
+        attn = self.attention
+        if attn.n_q_heads * attn.d_head != self.d_model:
+            raise DimensionError(
+                f"n_q_heads * d_head = {attn.n_q_heads * attn.d_head} "
+                f"must equal d_model = {self.d_model}"
+            )
 
 
 # Every config-file key, `section.field`, with its section and dataclass field.
@@ -95,58 +128,15 @@ _FILE_KEYS = {
     if f.name != "attention"
 }
 
-# (name, least value) of each integer field validate_config checks; aug_q_dim may be 0.
-_ATTN_LEAST, _MODEL_LEAST = (
-    tuple((f.name, int(f.name != "aug_q_dim")) for f in fields(cls) if f.type.startswith("int"))
-    for cls in (AttentionConfig, ModelConfig)
-)
 
-
-def _check_integers(cfg, least_values) -> None:
-    for name, least in least_values:
-        value = getattr(cfg, name)
-        if not isinstance(value, int) or value < least:
-            kind = "positive" if least else "non-negative"
-            raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
-
-
-def validate_config(
-    cfg: AttentionConfig, model: ModelConfig | None = None
-) -> ValidatedConfig:
-    """Check every structural invariant and return the config untouched.
-
-    Raises:
-        ConfigError: an integer field that must be positive is not,
-            aug_q_dim < 0, or rope_theta is not finite and positive.
-        DivisibilityError: n_q_heads is not an exact multiple of n_k_heads
-            and n_v_heads (required by grouped K/V addressing).
-        DimensionError: d_k_head > d_head, or (with a model config)
-            n_q_heads * d_head != d_model.
-    """
-    _check_integers(cfg, _ATTN_LEAST)
-    if not 0 < cfg.rope_theta < math.inf:
-        raise ConfigError(f"rope_theta must be finite and positive, got {cfg.rope_theta!r}")
-
-    for name, heads in (("n_k_heads", cfg.n_k_heads), ("n_v_heads", cfg.n_v_heads)):
-        if cfg.n_q_heads % heads != 0:
-            raise DivisibilityError(f"n_q_heads={cfg.n_q_heads} is not a multiple of {name}={heads}")
-    if cfg.d_k_head > cfg.d_head:
-        raise DimensionError(
-            f"d_k_head={cfg.d_k_head} must not exceed d_head={cfg.d_head}"
-        )
-
+def validate_config(cfg: AttentionConfig, model: ModelConfig | None = None) -> AttentionConfig:
+    """Return ``cfg`` (checked when built); with ``model``, check the pair by building it."""
     if model is not None:
-        _check_integers(model, _MODEL_LEAST)
-        if cfg.n_q_heads * cfg.d_head != model.d_model:
-            raise DimensionError(
-                f"n_q_heads * d_head = {cfg.n_q_heads * cfg.d_head} "
-                f"must equal d_model = {model.d_model}"
-            )
+        replace(model, attention=cfg)
     return cfg
 
 
 def validate_model_config(model: ModelConfig) -> ModelConfig:
-    validate_config(model.attention, model)
     return model
 
 
@@ -219,7 +209,7 @@ def toy_preset(name: str, half_k: bool = False) -> ModelConfig:
 def parse_config_text(text: str) -> AttentionConfig | ModelConfig:
     """Parse config-file text; returns a ModelConfig when a model block is present.
 
-    The returned config has been validated.  The keys without a default are
+    The returned config is checked as it is built.  The keys without a default are
     required: the attention block's always, the model block's once any
     ``model.`` key is present.
     """
@@ -254,9 +244,7 @@ def parse_config_text(text: str) -> AttentionConfig | ModelConfig:
     if missing:
         raise ConfigFileError(f"missing required keys: {missing}")
     attn = AttentionConfig(**kwargs["attention"])
-    if not kwargs["model"]:
-        return validate_config(attn)
-    return validate_model_config(ModelConfig(attention=attn, **kwargs["model"]))
+    return ModelConfig(attention=attn, **kwargs["model"]) if kwargs["model"] else attn
 
 
 def format_config_text(cfg: AttentionConfig | ModelConfig) -> str:
@@ -278,7 +266,7 @@ def load_config_file(path: str | os.PathLike) -> AttentionConfig | ModelConfig:
 def resolve_config(spec: str) -> AttentionConfig | ModelConfig:
     """Resolve a CLI config argument: a preset name, else a config file path."""
     if spec in PRESETS:
-        return validate_model_config(PRESETS[spec])
+        return PRESETS[spec]
     if os.path.exists(spec):
         return load_config_file(spec)
     raise ConfigFileError(f"{spec!r} is neither a known preset nor a config file")

@@ -11,12 +11,14 @@ eliminates beta); floating point appears only in cost curves.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
-from .config import ValidatedConfig
+from .config import AttentionConfig, check_int
 from .errors import ConfigError, DegenerateError
 
 
@@ -39,7 +41,7 @@ class CostModelParams:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if not (np.isfinite(value) and value >= 0):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
                 raise ConfigError(f"{field.name} must be finite and non-negative, got {value}")
         if not self.alpha > 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
@@ -61,14 +63,13 @@ class CostGrid:
             ("prefix_lengths", self.prefix_lengths, 0),
             ("output_lengths", self.output_lengths, 1),
         ):
-            if not values:
-                raise ConfigError(f"{name} must be non-empty")
+            if not isinstance(values, tuple) or not values:
+                raise ConfigError(f"{name} must be a non-empty tuple, got {values!r}")
+            for value in values:
+                check_int(name, value, least)
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigError(f"{name} must be strictly ascending, got {values}")
-            if values[0] < least:
-                raise ConfigError(f"{name} must be >= {least}, got {values}")
-        if self.batch < 1:
-            raise ConfigError(f"batch must be >= 1, got {self.batch}")
+        check_int("batch", self.batch, 1)
 
 
 #: Desk-scale default grid; runs in seconds.
@@ -85,12 +86,12 @@ LONG_CONTEXT_GRID = CostGrid(
 )
 
 
-def kv_cache_cost(cfg: ValidatedConfig, b: int, s: int, p: CostModelParams) -> float:
+def kv_cache_cost(cfg: AttentionConfig, b: int, s: int, p: CostModelParams) -> float:
     """alpha * [b * s * (n_k*d_k + n_v*d_v)] + beta."""
     return p.alpha * (b * s * cfg.cache_bracket) + p.beta
 
 
-def reduction_rate(base: ValidatedConfig, variant: ValidatedConfig) -> Fraction:
+def reduction_rate(base: AttentionConfig, variant: AttentionConfig) -> Fraction:
     """Asymptotic cache-cost reduction of variant over base, exact.
 
     r = 1 - bracket(variant) / bracket(base), where bracket = n_k*d_k + n_v*d_v.
@@ -119,7 +120,7 @@ class CostCurveRow:
 COST_CSV_HEADER = "prefix,output,cost_std,cost_sigma,abs_improvement,rel_improvement"
 
 
-def _total_cost(cfg: ValidatedConfig, b: int, prefix: int, output: int, p: CostModelParams) -> float:
+def _total_cost(cfg: AttentionConfig, b: int, prefix: int, output: int, p: CostModelParams) -> float:
     # Sum over generated steps t = 1..N of the per-step cache and attention
     # costs at sequence length P + t; beta amortized once per cell; the gated
     # Q block adds a constant per generated token when the config carries it.
@@ -132,8 +133,8 @@ def _total_cost(cfg: ValidatedConfig, b: int, prefix: int, output: int, p: CostM
 
 
 def total_cost_curve(
-    std: ValidatedConfig,
-    sigma: ValidatedConfig,
+    std: AttentionConfig,
+    sigma: AttentionConfig,
     grid: CostGrid,
     p: CostModelParams,
 ) -> list[CostCurveRow]:
@@ -167,8 +168,8 @@ def cost_table_csv(rows: list[CostCurveRow]) -> str:
 
 
 def crossover_prefix(
-    std: ValidatedConfig,
-    sigma: ValidatedConfig,
+    std: AttentionConfig,
+    sigma: AttentionConfig,
     output_len: int,
     p: CostModelParams,
     batch: int = 1,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import AttentionWeights, _attend
-from .config import ValidatedConfig
+from .config import AttentionConfig, check_int
 from .errors import ConfigError, EmptyInputError, PositionError, ShapeError
 from .kvcache import DifferentialKVCache
 
@@ -20,7 +20,7 @@ def flexhead_attention(
     q: np.ndarray,
     cache: DifferentialKVCache,
     chunk: int,
-    cfg: ValidatedConfig,
+    cfg: AttentionConfig,
     w: AttentionWeights | None = None,
     causal_limit: int | None = None,
 ) -> np.ndarray:
@@ -41,7 +41,6 @@ def flexhead_attention(
         raise EmptyInputError(f"flexhead_attention: no key below causal limit {limit} in {cache.len} cached")
     if limit > cache.len:
         raise PositionError(f"causal limit {limit} is past the {cache.len} cached positions")
-    if chunk < 1:
-        raise ConfigError(f"chunk must be >= 1, got {chunk}")
+    check_int("chunk", chunk, 1)
     k, v = cache.view()
     return _attend(q[:, :, None], k, v, cfg.softmax_scale_dim, limit, chunk)[0][:, :, 0]

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ValidatedConfig
+from .config import AttentionConfig, check_int
 from .errors import CapacityError, CapacityExceededError, ShapeError
 
 
@@ -28,11 +28,9 @@ class CacheFootprint(NamedTuple):
 class DifferentialKVCache:
     """Append-only K/V store for incremental decoding."""
 
-    def __init__(self, cfg: ValidatedConfig, batch: int, capacity: int):
-        if capacity < 1:
-            raise CapacityError(f"capacity must be >= 1, got {capacity}")
-        if batch < 1:
-            raise CapacityError(f"batch must be >= 1, got {batch}")
+    def __init__(self, cfg: AttentionConfig, batch: int, capacity: int):
+        check_int("capacity", capacity, 1, CapacityError)
+        check_int("batch", batch, 1, CapacityError)
         self.cfg = cfg
         self.batch = batch
         self.capacity = capacity
@@ -75,6 +73,6 @@ class DifferentialKVCache:
         return CacheFootprint(k_elements, v_elements, k_elements + v_elements)
 
 
-def cache_new(cfg: ValidatedConfig, batch: int, capacity: int) -> DifferentialKVCache:
+def cache_new(cfg: AttentionConfig, batch: int, capacity: int) -> DifferentialKVCache:
     return DifferentialKVCache(cfg, batch, capacity)
 

@@ -42,7 +42,7 @@ from .attention import (
     attention_weight_shapes,
     cached_attention,
 )
-from .config import ModelConfig, format_config_text, parse_config_text, validate_model_config
+from .config import ModelConfig, check_int, format_config_text, parse_config_text
 from .errors import (
     CapacityExceededError,
     EmptyInputError,
@@ -116,7 +116,7 @@ def _assemble(cfg: ModelConfig, tensors: dict) -> ToyModel:
 def init_model(cfg: ModelConfig, seed: int = 0) -> ToyModel:
     """Seeded init: projections and embeddings N(0, 0.02), norm scales 1."""
     rng = np.random.default_rng(seed)
-    shapes = _tensor_shapes(validate_model_config(cfg))
+    shapes = _tensor_shapes(cfg)
     # The norm scales are the only vectors.
     draw = {n: np.ones(s) if len(s) == 1 else rng.normal(0.0, 0.02, s) for n, s in shapes.items()}
     return _assemble(cfg, draw)
@@ -213,6 +213,15 @@ def make_caches(model: ToyModel, batch: int, capacity: int) -> list[Differential
     ]
 
 
+def _check_caches(model: ToyModel, caches: list[DifferentialKVCache], batch: int) -> None:
+    """One cache per layer (``UsageError``), each of batch ``batch`` (``ShapeError``)."""
+    if len(caches) != model.config.n_layers:
+        raise UsageError(f"{len(caches)} caches given for {model.config.n_layers} layers")
+    for i, cache in enumerate(caches):
+        if cache.batch != batch:
+            raise ShapeError(f"cache {i} has batch {cache.batch}, the tokens have batch {batch}")
+
+
 def forward_incremental(
     model: ToyModel,
     tokens,
@@ -222,11 +231,12 @@ def forward_incremental(
     """Feed tokens [b, s] through the fed loop one position at a time.
 
     Each position appends exactly one (k_t, v_t) pair to every layer's cache;
-    the caches must hold exactly ``start_pos`` positions and have room for s
-    more.  A rejected call leaves every cache unchanged.  Returns logits for
-    the supplied positions only.
+    there must be one cache per layer, each of batch b, holding exactly
+    ``start_pos`` positions and with room for s more.  A rejected call leaves
+    every cache unchanged.  Returns logits for the supplied positions only.
     """
     tokens = _check_tokens(model, tokens)
+    _check_caches(model, caches, tokens.shape[0])
     held = sorted({cache.len for cache in caches})
     if held != [start_pos]:
         raise PositionError(f"start_pos {start_pos} does not match the caches' length {held}")
@@ -248,9 +258,11 @@ def decode(
 
     Produces tokens identical to recomputing the full context at every step.
     """
-    if isinstance(n_new, bool) or not isinstance(n_new, (int, np.integer)) or n_new < 0:
-        raise UsageError(f"n_new must be a non-negative integer, got {n_new!r}")
-    prompt = _check_tokens(model, np.asarray(prompt).reshape(1, -1)).astype(np.int64)
+    check_int("n_new", n_new, 0, UsageError)
+    prompt = np.asarray(prompt)
+    if prompt.ndim != 1:
+        raise ShapeError(f"prompt must be 1-D token ids, got shape {prompt.shape}")
+    prompt = _check_tokens(model, prompt[None]).astype(np.int64)
     if prompt.shape[1] == 0:
         raise EmptyInputError("decode needs a prompt of at least one token")
     if n_new == 0:
@@ -259,10 +271,11 @@ def decode(
         raise LengthError(f"prompt + n_new exceeds max_seq_len {model.config.max_seq_len}")
     if caches is None:
         caches = make_caches(model, 1, prompt.shape[1] + n_new)
-    if prompt.shape[1] + n_new > caches[0].capacity:
+    _check_caches(model, caches, 1)
+    room = min(cache.capacity for cache in caches)
+    if prompt.shape[1] + n_new > room:
         raise CapacityExceededError(
-            f"prompt ({prompt.shape[1]}) + n_new ({n_new}) exceeds cache capacity "
-            f"{caches[0].capacity}"
+            f"prompt ({prompt.shape[1]}) + n_new ({n_new}) exceeds cache capacity {room}"
         )
     out = list(prompt[0])
     fed = 0

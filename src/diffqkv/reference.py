@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import AttentionWeights
-from .config import ValidatedConfig
+from .config import AttentionConfig
 
 
 def _rotary(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarray:
@@ -47,7 +47,7 @@ def _one_shot_causal(
 
 
 def vanilla_mha_attention(
-    x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig
+    x: np.ndarray, w: AttentionWeights, cfg: AttentionConfig
 ) -> np.ndarray:
     """Plain multi-head attention; valid when n_q = n_k = n_v and d_k = d_head."""
     assert cfg.n_q_heads == cfg.n_k_heads == cfg.n_v_heads
@@ -62,7 +62,7 @@ def vanilla_mha_attention(
 
 
 def grouped_attention_by_duplication(
-    x: np.ndarray, w: AttentionWeights, cfg: ValidatedConfig, rows: list[int] | None = None
+    x: np.ndarray, w: AttentionWeights, cfg: AttentionConfig, rows: list[int] | None = None
 ) -> np.ndarray:
     """Grouped/differential attention via explicit head duplication.
 

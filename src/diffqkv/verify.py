@@ -28,12 +28,7 @@ from .attention import (
     select_top_k,
     weighted_value_sum,
 )
-from .config import (
-    AttentionConfig,
-    ModelConfig,
-    PRESETS,
-    validate_config,
-)
+from .config import AttentionConfig, ModelConfig, PRESETS
 from .costmodel import (
     CostGrid,
     CostModelParams,
@@ -98,10 +93,6 @@ _EQUIV_CONFIGS = [
 ]
 
 
-def _make_config(heads, d_head, d_k_head, aug_q_dim) -> AttentionConfig:
-    return validate_config(AttentionConfig(*heads, d_head, d_k_head, aug_q_dim))
-
-
 def check_flexhead_vs_naive(instances: int = 200, seed: int = 42) -> PropertyResult:
     """Chunked kernel attention equals the one-shot head-duplication reference (<= 1e-9)."""
     rng = np.random.default_rng(seed)
@@ -112,7 +103,7 @@ def check_flexhead_vs_naive(instances: int = 200, seed: int = 42) -> PropertyRes
         for label, heads, d_head, d_k_head, aug in _EQUIV_CONFIGS:
             if count >= instances:
                 break
-            cfg = _make_config(heads, d_head, d_k_head, aug)
+            cfg = AttentionConfig(*heads, d_head, d_k_head, aug)
             t = int(rng.choice(lengths))
             d_model = cfg.n_q_heads * cfg.d_head
             w = init_attention_weights(cfg, d_model, rng)
@@ -145,7 +136,7 @@ def check_flexhead_vs_naive(instances: int = 200, seed: int = 42) -> PropertyRes
 def check_degenerate_mha(instances: int = 50, seed: int = 7) -> PropertyResult:
     """DiffQKV with equal heads, no AugQ, full K dim == vanilla MHA (<= 1e-12)."""
     rng = np.random.default_rng(seed)
-    cfg = _make_config((4, 4, 4), 8, None, 0)
+    cfg = AttentionConfig(4, 4, 4, 8)
     max_err = 0.0
     for _ in range(instances):
         w = init_attention_weights(cfg, 32, rng)
@@ -163,7 +154,7 @@ def check_grouped_duplication(instances: int = 50, seed: int = 11) -> PropertyRe
     max_err = 0.0
     for i in range(instances):
         label, heads, d_head, d_k_head, aug = _EQUIV_CONFIGS[i % len(_EQUIV_CONFIGS)]
-        cfg = _make_config(heads, d_head, d_k_head, aug)
+        cfg = AttentionConfig(*heads, d_head, d_k_head, aug)
         d_model = cfg.n_q_heads * cfg.d_head
         w = init_attention_weights(cfg, d_model, rng)
         x = rng.normal(size=(1, int(rng.integers(1, 12)), d_model))
@@ -351,7 +342,7 @@ def check_cache_ratio() -> PropertyResult:
 def check_incremental_matches_direct(instances: int = 20, seed: int = 29) -> PropertyResult:
     """Attention on cache views is bit-identical to the same full tensors."""
     rng = np.random.default_rng(seed)
-    cfg = _make_config((8, 2, 4), 8, None, 0)
+    cfg = AttentionConfig(8, 2, 4, 8)
     max_err = 0.0
     for _ in range(instances):
         b, t = 2, int(rng.integers(1, 20))

@@ -22,19 +22,17 @@ from diffqkv.attention import (
     selective_v_attention,
     weighted_value_sum,
 )
-from diffqkv.config import AttentionConfig, PRESETS, validate_config
+from diffqkv.config import AttentionConfig, PRESETS
 from diffqkv.errors import ConfigError, DimensionError, ShapeError
 from diffqkv.kvcache import DifferentialKVCache
 from diffqkv.reference import grouped_attention_by_duplication, vanilla_mha_attention
-from diffqkv.verify import _EQUIV_CONFIGS, _make_config
+from diffqkv.verify import _EQUIV_CONFIGS
 
 from oracles import brute_force_diffqkv
 
 
 def make_cfg(n_q=8, n_k=2, n_v=4, d_head=4, **kw):
-    return validate_config(
-        AttentionConfig(n_q_heads=n_q, n_k_heads=n_k, n_v_heads=n_v, d_head=d_head, **kw)
-    )
+    return AttentionConfig(n_q_heads=n_q, n_k_heads=n_k, n_v_heads=n_v, d_head=d_head, **kw)
 
 
 class TestProjectQKV:
@@ -95,7 +93,6 @@ class TestAugmentQ:
 
     def test_gqa16_with_augq_is_valid_config(self):
         cfg = AttentionConfig(n_q_heads=32, n_k_heads=16, n_v_heads=16, d_head=64, aug_q_dim=3072)
-        validate_config(cfg)
         assert cfg.has_aug_q
 
 
@@ -327,7 +324,8 @@ class TestNaiveAttention:
     @pytest.mark.parametrize("b", [1, 2])
     @pytest.mark.parametrize("config", _EQUIV_CONFIGS, ids=[c[0] for c in _EQUIV_CONFIGS])
     def test_reference_rows_equal_full_reference_rows(self, config, b, t):
-        cfg = _make_config(*config[1:])
+        _, heads, *dims = config
+        cfg = AttentionConfig(*heads, *dims)
         d_model = cfg.n_q_heads * cfg.d_head
         rng = np.random.default_rng(t * 10 + b)
         w = init_attention_weights(cfg, d_model, rng)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from diffqkv import attention
 from diffqkv import autodiff as ad
 from diffqkv.attention import apply_rope, init_attention_weights, naive_diffqkv_attention, project_qkv
-from diffqkv.config import AttentionConfig, validate_config
+from diffqkv.config import AttentionConfig
 from diffqkv.errors import LengthError, ShapeError
 from diffqkv.reference import _one_shot_causal
 
@@ -143,7 +143,7 @@ def test_causal_attention(monkeypatch, heads, d_k, d_v, b, s):
 
 
 def test_causal_attention_forward_is_the_numpy_core():
-    cfg = validate_config(AttentionConfig(n_q_heads=8, n_k_heads=2, n_v_heads=4, d_head=4, d_k_head=2))
+    cfg = AttentionConfig(n_q_heads=8, n_k_heads=2, n_v_heads=4, d_head=4, d_k_head=2)
     rng = np.random.default_rng(3)
     w = init_attention_weights(cfg, 32, rng)
     x = rng.normal(size=(2, 7, 32))

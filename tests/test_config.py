@@ -1,8 +1,10 @@
 import math
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
+import numpy as np
 import pytest
 
+from diffqkv.attention import SelectivePolicy, init_attention_weights, naive_diffqkv_attention
 from diffqkv.config import (
     AttentionConfig,
     ModelConfig,
@@ -14,7 +16,15 @@ from diffqkv.config import (
     validate_config,
     validate_model_config,
 )
-from diffqkv.errors import ConfigError, ConfigFileError, DimensionError, DivisibilityError
+from diffqkv.costmodel import CostGrid, CostModelParams, kv_cache_cost
+from diffqkv.errors import (
+    ConfigError,
+    ConfigFileError,
+    DiffQKVError,
+    DimensionError,
+    DivisibilityError,
+)
+from diffqkv.kvcache import DifferentialKVCache
 
 
 def attn(n_q, n_k, n_v, **kw):
@@ -52,9 +62,21 @@ class TestValidate:
 
     def test_head_times_dim_must_match_d_model(self):
         cfg = attn(8, 2, 4, d_head=4)
-        model = ModelConfig(cfg, n_layers=1, d_model=64, d_ffn=16, vocab_size=10, max_seq_len=8)
         with pytest.raises(DimensionError):
-            validate_config(cfg, model)
+            ModelConfig(cfg, n_layers=1, d_model=64, d_ffn=16, vocab_size=10, max_seq_len=8)
+
+    def test_pairing_checked_against_another_attention(self):
+        model = toy_preset("sigma-1.5b")
+        assert validate_config(model.attention, model) is model.attention
+        with pytest.raises(DimensionError, match="must equal d_model = 32"):
+            validate_config(attn(8, 2, 4, d_head=8), model)
+
+    def test_replace_is_checked(self):
+        cfg = attn(8, 2, 4, d_head=4)
+        with pytest.raises(DivisibilityError):
+            replace(cfg, n_k_heads=3)
+        with pytest.raises(DimensionError):
+            replace(toy_preset("gqa-4"), d_model=64)
 
     @pytest.mark.parametrize("field,value", [
         ("n_q_heads", 0), ("n_k_heads", -1), ("d_head", 0), ("aug_q_dim", -1),
@@ -186,3 +208,98 @@ class TestNamedOnce:
         expected = [f"attention.{f.name}" for f in fields(AttentionConfig)]
         expected += [f"model.{f.name}" for f in fields(ModelConfig) if f.name != "attention"]
         assert written == expected
+
+
+# One valid value for every field of each value object; TYPE_CASES spoils one field at a time.
+VALID_FIELDS = {
+    AttentionConfig: dict(
+        n_q_heads=8, n_k_heads=2, n_v_heads=4, d_head=4, d_k_head=2,
+        aug_q_dim=48, softmax_scale_dim=4, rope_theta=1e4,
+    ),
+    ModelConfig: dict(
+        attention=AttentionConfig(8, 2, 4, 4), n_layers=2, d_model=32, d_ffn=96,
+        vocab_size=64, max_seq_len=512,
+    ),
+    SelectivePolicy: dict(k_top=2, renormalize=True),
+    CostGrid: dict(prefix_lengths=(0, 8), output_lengths=(1, 4), batch=2),
+    CostModelParams: dict(alpha=1.0, beta=2.0, attn_alpha=0.5, augq_cost_per_token=3.0),
+}
+
+TYPE_CASES = [
+    (cls, f.name, bad)
+    for cls in VALID_FIELDS
+    for f in fields(cls)
+    for bad in ((1, "5") if f.name == "renormalize" else (True, "5"))
+] + [
+    (AttentionConfig, "rope_theta", math.nan),
+    (AttentionConfig, "d_head", 4.0),
+    (SelectivePolicy, "k_top", 1.5),
+    (CostGrid, "prefix_lengths", (1.5,)),
+    (CostGrid, "output_lengths", (True,)),
+    (CostGrid, "prefix_lengths", [0, 8]),
+    (CostModelParams, "alpha", "x"),
+]
+
+
+class TestConstructionChecksTypes:
+    @pytest.mark.parametrize("cls", list(VALID_FIELDS), ids=lambda cls: cls.__name__)
+    def test_valid_fields_construct(self, cls):
+        obj = cls(**VALID_FIELDS[cls])
+        assert {name: getattr(obj, name) for name in VALID_FIELDS[cls]} == VALID_FIELDS[cls]
+
+    @pytest.mark.parametrize(
+        "cls,name,bad", TYPE_CASES, ids=[f"{c.__name__}.{n}={b!r}" for c, n, b in TYPE_CASES]
+    )
+    def test_wrong_type_rejected(self, cls, name, bad):
+        with pytest.raises(DiffQKVError, match=name):
+            cls(**{**VALID_FIELDS[cls], name: bad})
+
+    def test_invalid_config_cannot_reach_its_consumers(self):
+        valid = attn(8, 2, 4, d_head=4)
+        x = np.zeros((1, 3, 32))
+        w = init_attention_weights(valid, 32)
+        for change in (dict(d_k_head=-2), dict(rope_theta=math.nan), dict(n_v_heads=3)):
+            with pytest.raises(ConfigError):
+                kv_cache_cost(replace(valid, **change), 1, 1, CostModelParams())
+            with pytest.raises(ConfigError):
+                DifferentialKVCache(replace(valid, **change), 1, 4)
+            with pytest.raises(ConfigError):
+                naive_diffqkv_attention(x, w, replace(valid, **change))
+
+
+class TestBenchmarkConfigs:
+    """perfbench's configs, built as perfbench/workloads.py builds them."""
+
+    def test_chat(self):
+        sigma = PRESETS["sigma-1.5b"]
+        model = validate_model_config(
+            ModelConfig(
+                attention=sigma.attention,
+                n_layers=1,
+                d_model=sigma.d_model,
+                d_ffn=2048,
+                vocab_size=2048,
+                max_seq_len=4096,
+            )
+        )
+        assert model.d_model == 2048 and model.attention == sigma.attention
+
+    def test_long_context(self):
+        sigma = PRESETS["sigma-1.5b"].attention
+        attn_cfg = AttentionConfig(
+            n_q_heads=sigma.n_q_heads,
+            n_k_heads=sigma.n_k_heads,
+            n_v_heads=sigma.n_v_heads,
+            d_head=16,
+            d_k_head=8,
+            aug_q_dim=768,
+            rope_theta=sigma.rope_theta,
+        )
+        model = validate_model_config(
+            ModelConfig(
+                attention=attn_cfg, n_layers=2, d_model=512, d_ffn=1536, vocab_size=2048,
+                max_seq_len=4096,
+            )
+        )
+        assert (attn_cfg.n_q_heads, attn_cfg.n_k_heads, attn_cfg.n_v_heads) == (32, 4, 16)
+        assert model.attention.half_k and model.attention.has_aug_q

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from diffqkv.config import AttentionConfig, PRESETS, validate_config
+from diffqkv.config import AttentionConfig, PRESETS
 from diffqkv.costmodel import (
     COST_CSV_HEADER,
     CostGrid,
@@ -66,9 +66,7 @@ class TestReductionRate:
 
     def test_half_k_dim_only(self):
         # MHA-32 vs half-K: 1 - (32*32 + 32*64)/(32*64 + 32*64) = 1/4
-        half_k = validate_config(
-            AttentionConfig(n_q_heads=32, n_k_heads=32, n_v_heads=32, d_head=64, d_k_head=32)
-        )
+        half_k = AttentionConfig(n_q_heads=32, n_k_heads=32, n_v_heads=32, d_head=64, d_k_head=32)
         assert reduction_rate(MHA32, half_k) == Fraction(1, 4)
 
     def test_antisymmetry_ratio(self):

@@ -18,7 +18,7 @@ from diffqkv.attention import (
     init_attention_weights,
     naive_diffqkv_attention,
 )
-from diffqkv.config import AttentionConfig, validate_config
+from diffqkv.config import AttentionConfig
 from diffqkv.model import (
     as_parameter_tensors,
     init_model,
@@ -31,11 +31,9 @@ STEP = 1e-5
 
 
 def attention_variant(heads, d_k_head, aug):
-    return validate_config(
-        AttentionConfig(
-            n_q_heads=heads[0], n_k_heads=heads[1], n_v_heads=heads[2],
-            d_head=4, d_k_head=d_k_head, aug_q_dim=aug,
-        )
+    return AttentionConfig(
+        n_q_heads=heads[0], n_k_heads=heads[1], n_v_heads=heads[2],
+        d_head=4, d_k_head=d_k_head, aug_q_dim=aug,
     )
 
 

@@ -16,16 +16,14 @@ from diffqkv.attention import (
     project_qkv,
     weighted_value_sum,
 )
-from diffqkv.config import AttentionConfig, validate_config
+from diffqkv.config import AttentionConfig
 from diffqkv.errors import ConfigError, EmptyInputError, PositionError, ShapeError
 from diffqkv.kernel import flexhead_attention
 from diffqkv.kvcache import cache_new
 
 
 def make_cfg(n_q=8, n_k=2, n_v=4, d_head=4, **kw):
-    return validate_config(
-        AttentionConfig(n_q_heads=n_q, n_k_heads=n_k, n_v_heads=n_v, d_head=d_head, **kw)
-    )
+    return AttentionConfig(n_q_heads=n_q, n_k_heads=n_k, n_v_heads=n_v, d_head=d_head, **kw)
 
 
 def fill_cache(cfg, k, v):
@@ -347,8 +345,8 @@ class TestFlexheadAttention:
         cfg = make_cfg()
         rng = np.random.default_rng(18)
         cache = fill_cache(cfg, rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
-        for chunk in (0, -1):
-            with pytest.raises(ConfigError):
+        for chunk in (0, -1, 1.5, True):  # a float or bool used to raise a raw TypeError
+            with pytest.raises(ConfigError, match="chunk"):
                 flexhead_attention(np.zeros((1, 8, 4)), cache, chunk, cfg)
 
     def test_query_without_batch_axis_raises(self):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from diffqkv.attention import attention_scores, weighted_value_sum
-from diffqkv.config import AttentionConfig, PRESETS, validate_config
+from diffqkv.config import AttentionConfig, PRESETS
 from diffqkv.errors import CapacityError, CapacityExceededError, ShapeError
 from diffqkv.kvcache import cache_new
 
@@ -14,7 +14,7 @@ GQA16 = PRESETS["gqa-16"].attention
 
 
 def toy_cfg():
-    return validate_config(AttentionConfig(n_q_heads=8, n_k_heads=2, n_v_heads=4, d_head=4))
+    return AttentionConfig(n_q_heads=8, n_k_heads=2, n_v_heads=4, d_head=4)
 
 
 def kv_pair(rng, cfg, b=1):
@@ -33,6 +33,16 @@ class TestCacheBasics:
     def test_zero_capacity_rejected(self):
         with pytest.raises(CapacityError):
             cache_new(SIGMA, batch=1, capacity=0)
+
+    @pytest.mark.parametrize("bad", [0, True, 1.5, "4"])
+    def test_batch_and_capacity_must_be_positive_integers(self, bad):
+        with pytest.raises(CapacityError, match="batch"):
+            cache_new(SIGMA, batch=bad, capacity=4)
+        with pytest.raises(CapacityError, match="capacity"):
+            cache_new(SIGMA, batch=1, capacity=bad)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert cache_new(SIGMA, batch=np.int64(2), capacity=np.int32(3)).capacity == 3
 
     def test_equal_head_config_reserves_equal_shapes(self):
         cache = cache_new(GQA16, batch=2, capacity=8)

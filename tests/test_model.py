@@ -13,8 +13,11 @@ from diffqkv.errors import (
     DiffQKVError,
     EmptyInputError,
     LengthError,
+    CapacityError,
     PositionError,
+    ShapeError,
     TokenRangeError,
+    UsageError,
 )
 from diffqkv.tensorio import ContainerFormatError, read_tensors, write_tensors
 from diffqkv.verify import _EQUIV_CONFIGS
@@ -250,6 +253,39 @@ class TestDecode:
         monkeypatch.setattr(model_module, "make_caches", None)  # no cache may be made either
         with pytest.raises(DiffQKVError, match="n_new"):
             decode(model, [1, 2], n_new)
+
+    @pytest.mark.parametrize("n_caches", [0, 1, 3])
+    def test_one_cache_per_layer(self, n_caches):
+        # With one cache of two, the fed loop used to run only the first block.
+        model = init_model(toy_cfg(), seed=4)
+        caches = (make_caches(model, 1, 4) + make_caches(model, 1, 4))[:n_caches]
+        with pytest.raises(UsageError, match="2 layers"):
+            forward_incremental(model, np.array([[1, 2]]), caches, start_pos=0)
+        with pytest.raises(UsageError, match="2 layers"):
+            decode(model, [1, 2], 2, caches)
+        assert all(c.len == 0 for c in caches)
+
+    def test_cache_batch_must_match_tokens_before_any_append(self):
+        model = init_model(toy_cfg(), seed=4)
+        caches = [make_caches(model, b, 4)[0] for b in (1, 2)]
+        with pytest.raises(ShapeError, match="cache 1 has batch 2"):
+            forward_incremental(model, np.array([[1, 2]]), caches, start_pos=0)
+        assert all(c.len == 0 for c in caches)
+        with pytest.raises(ShapeError, match="cache 0 has batch 2"):
+            decode(model, [1, 2], 2, make_caches(model, 2, 4))
+
+    @pytest.mark.parametrize("prompt", [[[1, 2], [3, 4]], [[1, 2]], 5])
+    def test_prompt_must_be_one_dimensional(self, prompt):
+        # A 2-D prompt used to be flattened and decoded as one sequence.
+        model = init_model(toy_cfg(), seed=4)
+        with pytest.raises(ShapeError, match="1-D"):
+            decode(model, prompt, 1)
+
+    @pytest.mark.parametrize("batch", [1.5, True])
+    def test_make_caches_rejects_a_non_integer_batch(self, batch):
+        model = init_model(toy_cfg(), seed=4)
+        with pytest.raises(CapacityError, match="batch"):
+            make_caches(model, batch, 4)
 
     def test_numpy_integer_n_new_accepted(self):
         model = init_model(toy_cfg(), seed=4)
