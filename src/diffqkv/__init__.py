@@ -33,8 +33,6 @@ from .config import (
     load_config_file,
     preset,
     toy_preset,
-    validate_config,
-    validate_model_config,
 )
 from .costmodel import (
     CostGrid,
@@ -112,6 +110,4 @@ __all__ = [
     "total_cost_curve",
     "toy_preset",
     "train_step",
-    "validate_config",
-    "validate_model_config",
 ]

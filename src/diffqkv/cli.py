@@ -40,7 +40,7 @@ from .costmodel import (
     reduction_rate,
     total_cost_curve,
 )
-from .errors import ConfigError, DiffQKVError, DivergenceError, UnknownSuiteError, UsageError
+from .errors import ConfigError, DiffQKVError, DivergenceError, UsageError
 from .model import (
     copy_task_batch,
     decode,
@@ -274,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UnknownSuiteError, UsageError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DiffQKVError as exc:

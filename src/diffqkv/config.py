@@ -129,14 +129,8 @@ _FILE_KEYS = {
 }
 
 
-def validate_config(cfg: AttentionConfig, model: ModelConfig | None = None) -> AttentionConfig:
-    """Return ``cfg`` (checked when built); with ``model``, check the pair by building it."""
-    if model is not None:
-        replace(model, attention=cfg)
-    return cfg
-
-
 def validate_model_config(model: ModelConfig) -> ModelConfig:
+    """Return ``model`` (checked when built); kept only for ``perfbench/workloads.py``."""
     return model
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import AttentionConfig, check_int
-from .errors import ConfigError, DegenerateError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,7 @@ def reduction_rate(base: AttentionConfig, variant: AttentionConfig) -> Fraction:
 
     r = 1 - bracket(variant) / bracket(base), where bracket = n_k*d_k + n_v*d_v.
     """
-    base_bracket = base.cache_bracket
-    if base_bracket == 0:
-        raise DegenerateError("base config has an empty cache bracket")
-    return 1 - Fraction(variant.cache_bracket, base_bracket)
+    return 1 - Fraction(variant.cache_bracket, base.cache_bracket)
 
 
 def format_rate(rate: Fraction) -> str:
@@ -201,33 +198,14 @@ def crossover_prefix(
     return hi
 
 
-def fit_cost_params(
-    cache_points: list[tuple[int, float]],
-    attn_points: list[tuple[int, float]] | None = None,
-    augq_times: list[float] | None = None,
-) -> CostModelParams:
-    """Least-squares calibration against measured timings.
+def fit_cost_params(cache_points: list[tuple[int, float]]) -> CostModelParams:
+    """Least-squares calibration of alpha and beta against measured cache timings.
 
-    ``cache_points`` and ``attn_points`` are (element_count, seconds) pairs;
-    alpha/beta come from an affine fit of the cache points, attn_alpha from a
-    proportional fit of the attention points, and the augmented-Q constant is
-    the mean of its per-token timings.
+    ``cache_points`` are (element_count, seconds) pairs; alpha and beta come
+    from an affine fit of them, and the other parameters keep their defaults.
     """
     elements = np.array([e for e, _ in cache_points], dtype=float)
     seconds = np.array([t for _, t in cache_points], dtype=float)
     design = np.stack([elements, np.ones_like(elements)], axis=1)
     (alpha, beta), *_ = np.linalg.lstsq(design, seconds, rcond=None)
-
-    attn_alpha = 1.0
-    if attn_points:
-        ae = np.array([e for e, _ in attn_points], dtype=float)
-        at = np.array([t for _, t in attn_points], dtype=float)
-        attn_alpha = float(ae @ at / (ae @ ae))
-
-    augq = float(np.mean(augq_times)) if augq_times else 0.0
-    return CostModelParams(
-        alpha=float(max(alpha, np.finfo(float).tiny)),
-        beta=float(max(beta, 0.0)),
-        attn_alpha=attn_alpha,
-        augq_cost_per_token=max(augq, 0.0),
-    )
+    return CostModelParams(alpha=float(max(alpha, np.finfo(float).tiny)), beta=float(max(beta, 0.0)))

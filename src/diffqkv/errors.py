@@ -28,11 +28,7 @@ class CapacityError(DiffQKVError, ValueError):
 
 
 class CapacityExceededError(DiffQKVError, RuntimeError):
-    """Append or decode would grow a cache past its reserved capacity."""
-
-
-class DegenerateError(DiffQKVError, ZeroDivisionError):
-    """Reduction rate requested against a base with an empty cache bracket."""
+    """An append or incremental feed would grow a cache past its reserved capacity."""
 
 
 class EmptyInputError(DiffQKVError, ValueError):
@@ -60,10 +56,6 @@ class DivergenceError(DiffQKVError, ArithmeticError):
 class ConfigFileError(ConfigError):
     """A config file contains an unknown key, a malformed line, or is missing
     a required field."""
-
-
-class UnknownSuiteError(DiffQKVError, ValueError):
-    """An unrecognised verification suite name."""
 
 
 class UsageError(DiffQKVError, ValueError):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import AttentionConfig, check_int
-from .errors import CapacityError, CapacityExceededError, ShapeError
+from .errors import CapacityError, CapacityExceededError, ConfigError, ShapeError
 
 
 class CacheFootprint(NamedTuple):
@@ -29,6 +29,8 @@ class DifferentialKVCache:
     """Append-only K/V store for incremental decoding."""
 
     def __init__(self, cfg: AttentionConfig, batch: int, capacity: int):
+        if not isinstance(cfg, AttentionConfig):
+            raise ConfigError(f"cfg must be an AttentionConfig, got {cfg!r}")
         check_int("capacity", capacity, 1, CapacityError)
         check_int("batch", batch, 1, CapacityError)
         self.cfg = cfg

@@ -12,17 +12,17 @@ differential KV cache, and creates no autodiff Tensor.  One fed loop runs the
 stages over consecutive slices of positions, writing each slice's logits
 into place: ``forward`` feeds fresh caches in row chunks sized by
 ``_chunk_rows`` (so its transient memory does not grow with the sequence),
-and ``forward_incremental`` feeds the caller's caches one position at a
-time, agreeing with ``forward`` token for token.  K/V stay at their stored
-head counts and the half-K expansion is absorbed into the query, so the
-cache is never duplicated or expanded.  Training (``graph_stages``) runs the
-same stages over :mod:`diffqkv.autodiff`, attending from position 0 through
-``autodiff.causal_attention``; ``train_step`` applies a plain
-gradient-descent update, and a gradient check reruns a perturbed loss from
-the first stage that reads the perturbed tensor, so it differentiates the
-code ``forward`` and ``decode`` run.
+while ``forward_incremental`` feeds the caller's caches, and ``decode`` its
+own, one position at a time, agreeing with ``forward`` token for token.
+K/V stay at their stored head counts and the half-K expansion is absorbed
+into the query, so the cache is never duplicated or expanded.  Training
+(``graph_stages``) runs the same stages over :mod:`diffqkv.autodiff`,
+attending from position 0 through ``autodiff.causal_attention``;
+``train_step`` applies a plain gradient-descent update, and a gradient check
+reruns a perturbed loss from the first stage that reads the perturbed
+tensor, so it differentiates the code ``forward`` and ``decode`` run.
 
-``forward``/``decode`` are pure given the model and cache ownership;
+``forward``/``decode`` make their own caches and are pure given the model;
 ``train_step`` mutates the model in place and is single-threaded per model.
 """
 
@@ -237,6 +237,7 @@ def forward_incremental(
     """
     tokens = _check_tokens(model, tokens)
     _check_caches(model, caches, tokens.shape[0])
+    check_int("start_pos", start_pos, 0, PositionError)
     held = sorted({cache.len for cache in caches})
     if held != [start_pos]:
         raise PositionError(f"start_pos {start_pos} does not match the caches' length {held}")
@@ -248,14 +249,11 @@ def forward_incremental(
     return _feed(model, tokens, caches, 1)
 
 
-def decode(
-    model: ToyModel,
-    prompt,
-    n_new: int,
-    caches: list[DifferentialKVCache] | None = None,
-) -> np.ndarray:
+def decode(model: ToyModel, prompt, n_new: int) -> np.ndarray:
     """Greedy decoding of ``n_new`` tokens after ``prompt`` (1-D token ids).
 
+    Feeds the prompt, then each generated token but the last (nothing reads
+    its logits), through caches of its own: ``n_new`` fed steps in all.
     Produces tokens identical to recomputing the full context at every step.
     """
     check_int("n_new", n_new, 0, UsageError)
@@ -265,27 +263,16 @@ def decode(
     prompt = _check_tokens(model, prompt[None]).astype(np.int64)
     if prompt.shape[1] == 0:
         raise EmptyInputError("decode needs a prompt of at least one token")
-    if n_new == 0:
-        return prompt[0].copy()
-    if prompt.shape[1] + n_new > model.config.max_seq_len:
+    total = prompt.shape[1] + n_new
+    if total > model.config.max_seq_len:
         raise LengthError(f"prompt + n_new exceeds max_seq_len {model.config.max_seq_len}")
-    if caches is None:
-        caches = make_caches(model, 1, prompt.shape[1] + n_new)
-    _check_caches(model, caches, 1)
-    room = min(cache.capacity for cache in caches)
-    if prompt.shape[1] + n_new > room:
-        raise CapacityExceededError(
-            f"prompt ({prompt.shape[1]}) + n_new ({n_new}) exceeds cache capacity {room}"
-        )
+    caches = make_caches(model, 1, total)
     out = list(prompt[0])
     fed = 0
-    # Feed the prompt, then each generated token. The final token is fed too, so
-    # the caches end at exactly prompt + n_new positions.
-    while fed < len(out):
-        logits = forward_incremental(model, np.array([out[fed:]]), caches, start_pos=fed)
+    while len(out) < total:
+        logits = _feed(model, np.array([out[fed:]]), caches, 1)
         fed = len(out)
-        if fed < prompt.shape[1] + n_new:
-            out.append(int(np.argmax(logits[0, -1])))
+        out.append(int(np.argmax(logits[0, -1])))
     return np.array(out, dtype=np.int64)
 
 

@@ -39,7 +39,7 @@ from .costmodel import (
     reduction_rate,
     total_cost_curve,
 )
-from .errors import UnknownSuiteError
+from .errors import UsageError
 from .kvcache import DifferentialKVCache
 from .model import as_parameter_tensors, init_model, loss_graph, staged_forward
 from .reference import grouped_attention_by_duplication, vanilla_mha_attention
@@ -439,11 +439,9 @@ COST_CHECKS = (
 
 
 def run_verify(suite: str, instances: int = 200) -> VerifyReport:
-    """Run one named property suite; raises UnknownSuiteError for bad names."""
+    """Run one named property suite; raises UsageError for bad names."""
     if suite not in SUITES:
-        raise UnknownSuiteError(
-            f"unknown suite {suite!r}; choose from {', '.join(SUITES)}"
-        )
+        raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     results: list[PropertyResult] = []
     if suite in ("equivalence", "all"):
         results += equivalence_suite(instances)

@@ -13,7 +13,6 @@ from diffqkv.config import (
     parse_config_text,
     resolve_config,
     toy_preset,
-    validate_config,
     validate_model_config,
 )
 from diffqkv.costmodel import CostGrid, CostModelParams, kv_cache_cost
@@ -41,24 +40,24 @@ class TestValidate:
         assert cfg.rope_theta == 50_000.0
         assert (model.n_layers, model.d_model, model.d_ffn) == (26, 2048, 6144)
         assert model.vocab_size == 128_256
-        assert validate_config(cfg, model) is cfg
+        assert replace(model, attention=cfg) == model
 
     def test_non_divisible_k_heads(self):
         with pytest.raises(DivisibilityError):
-            validate_config(attn(32, 5, 16))
+            attn(32, 5, 16)
 
     def test_non_divisible_v_heads(self):
         with pytest.raises(DivisibilityError):
-            validate_config(attn(32, 4, 3))
+            attn(32, 4, 3)
 
     def test_mha_degenerate_valid(self):
         cfg = attn(32, 32, 32)
         model = ModelConfig(cfg, n_layers=2, d_model=2048, d_ffn=128, vocab_size=10, max_seq_len=8)
-        assert validate_config(cfg, model) is cfg
+        assert replace(model, attention=cfg) == model
 
     def test_k_dim_larger_than_head_dim(self):
         with pytest.raises(DimensionError):
-            validate_config(attn(8, 2, 4, d_head=4, d_k_head=8))
+            attn(8, 2, 4, d_head=4, d_k_head=8)
 
     def test_head_times_dim_must_match_d_model(self):
         cfg = attn(8, 2, 4, d_head=4)
@@ -67,9 +66,9 @@ class TestValidate:
 
     def test_pairing_checked_against_another_attention(self):
         model = toy_preset("sigma-1.5b")
-        assert validate_config(model.attention, model) is model.attention
+        assert replace(model, attention=model.attention) == model
         with pytest.raises(DimensionError, match="must equal d_model = 32"):
-            validate_config(attn(8, 2, 4, d_head=8), model)
+            replace(model, attention=attn(8, 2, 4, d_head=8))
 
     def test_replace_is_checked(self):
         cfg = attn(8, 2, 4, d_head=4)
@@ -85,11 +84,7 @@ class TestValidate:
         kwargs = dict(n_q_heads=8, n_k_heads=2, n_v_heads=4, d_head=4)
         kwargs[field] = value
         with pytest.raises(ValueError):
-            validate_config(AttentionConfig(**kwargs))
-
-    def test_idempotent(self):
-        cfg = validate_config(attn(8, 2, 4, d_head=4))
-        assert validate_config(cfg) == cfg
+            AttentionConfig(**kwargs)
 
     def test_all_presets_validate(self):
         for name, model in PRESETS.items():
@@ -103,7 +98,7 @@ class TestValidate:
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan, 0.0, -1.0])
     def test_rope_theta_must_be_finite_and_positive(self, theta):
         with pytest.raises(ConfigError, match="rope_theta must be finite and positive"):
-            validate_config(attn(8, 2, 4, d_head=4, rope_theta=theta))
+            attn(8, 2, 4, d_head=4, rope_theta=theta)
 
     def test_defaults_fill_in(self):
         cfg = attn(8, 2, 4, d_head=6)

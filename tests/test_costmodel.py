@@ -1,5 +1,4 @@
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from diffqkv.costmodel import (
     reduction_rate,
     total_cost_curve,
 )
-from diffqkv.errors import ConfigError, DegenerateError
+from diffqkv.errors import ConfigError
 
 SIGMA = PRESETS["sigma-1.5b"].attention
 GQA16 = PRESETS["gqa-16"].attention
@@ -73,10 +72,6 @@ class TestReductionRate:
         r_ab = reduction_rate(GQA16, SIGMA)
         r_ba = reduction_rate(SIGMA, GQA16)
         assert (1 - r_ab) * (1 - r_ba) == 1
-
-    def test_degenerate_base(self):
-        with pytest.raises(DegenerateError):
-            reduction_rate(SimpleNamespace(cache_bracket=0), SIGMA)
 
     def test_format(self):
         assert format_rate(Fraction(3, 8)) == "3/8 (37.5000%)"
@@ -160,14 +155,10 @@ class TestCrossover:
 
 class TestCalibration:
     def test_recovers_known_parameters(self):
-        rng = np.random.default_rng(0)
-        true = CostModelParams(alpha=3e-9, beta=2e-4, attn_alpha=1.5e-9, augq_cost_per_token=5e-4)
+        true = CostModelParams(alpha=3e-9, beta=2e-4)
         elements = np.array([1e5, 5e5, 2e6, 8e6, 3e7])
         cache_points = [(int(e), true.alpha * e + true.beta) for e in elements]
-        attn_points = [(int(e), true.attn_alpha * e) for e in elements]
-        augq_times = list(true.augq_cost_per_token + rng.normal(0, 1e-6, size=6))
-        fitted = fit_cost_params(cache_points, attn_points, augq_times)
+        fitted = fit_cost_params(cache_points)
         assert fitted.alpha == pytest.approx(true.alpha, rel=1e-6)
         assert fitted.beta == pytest.approx(true.beta, rel=1e-3)
-        assert fitted.attn_alpha == pytest.approx(true.attn_alpha, rel=1e-6)
-        assert fitted.augq_cost_per_token == pytest.approx(true.augq_cost_per_token, rel=1e-2)
+        assert (fitted.attn_alpha, fitted.augq_cost_per_token) == (1.0, 0.0)

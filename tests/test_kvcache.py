@@ -6,7 +6,7 @@ from numpy.testing import assert_array_equal
 
 from diffqkv.attention import attention_scores, weighted_value_sum
 from diffqkv.config import AttentionConfig, PRESETS
-from diffqkv.errors import CapacityError, CapacityExceededError, ShapeError
+from diffqkv.errors import CapacityError, CapacityExceededError, ConfigError, ShapeError
 from diffqkv.kvcache import cache_new
 
 SIGMA = PRESETS["sigma-1.5b"].attention
@@ -40,6 +40,12 @@ class TestCacheBasics:
             cache_new(SIGMA, batch=bad, capacity=4)
         with pytest.raises(CapacityError, match="capacity"):
             cache_new(SIGMA, batch=1, capacity=bad)
+
+    @pytest.mark.parametrize("cfg", ["x", None, PRESETS["sigma-1.5b"]], ids=["str", "none", "model"])
+    def test_cfg_must_be_an_attention_config(self, cfg):
+        # A non-config cfg used to raise a raw AttributeError.
+        with pytest.raises(ConfigError, match="AttentionConfig"):
+            cache_new(cfg, batch=1, capacity=4)
 
     def test_numpy_integer_sizes_accepted(self):
         assert cache_new(SIGMA, batch=np.int64(2), capacity=np.int32(3)).capacity == 3

@@ -168,17 +168,19 @@ class TestDecode:
         prompt = np.array([5, 6, 7])
         assert_array_equal(decode(model, prompt, 0), prompt)
 
-    def test_cache_length_accounting(self):
+    def test_feeds_the_prompt_then_every_generated_token_but_the_last(self, monkeypatch):
+        # Nothing reads the last token's logits, so n_new tokens take n_new feeds.
         model = init_model(toy_cfg(), seed=4)
-        caches = make_caches(model, batch=1, capacity=32)
-        decode(model, np.array([1, 2, 3, 4, 5]), 7, caches)
-        assert all(c.len == 5 + 7 for c in caches)
+        fed = []
+        feed = model_module._feed
 
-    def test_capacity_guard(self):
-        model = init_model(toy_cfg(), seed=4)
-        caches = make_caches(model, batch=1, capacity=8)
-        with pytest.raises(CapacityExceededError):
-            decode(model, np.array([1, 2, 3, 4, 5]), 7, caches)
+        def counting_feed(model, tokens, caches, rows):
+            fed.append(tokens.shape[1])
+            return feed(model, tokens, caches, rows)
+
+        monkeypatch.setattr(model_module, "_feed", counting_feed)
+        decode(model, np.array([1, 2, 3, 4, 5]), 7)
+        assert fed == [5, 1, 1, 1, 1, 1, 1]
 
     @pytest.mark.parametrize("preset_name,half_k", [
         ("mha-32", False), ("mqa", False), ("gqa-16", False),
@@ -221,6 +223,18 @@ class TestDecode:
         assert all(c.len == 2 for c in caches)
         forward_incremental(model, np.array([[3]]), caches, start_pos=2)
 
+    @pytest.mark.parametrize(
+        "start_pos", [True, 1.0, np.float64(1.0), -1], ids=["bool", "float", "numpy-float", "negative"]
+    )
+    def test_start_pos_must_be_a_non_negative_integer(self, start_pos):
+        # True used to be taken as position 1 and a second position appended.
+        model = init_model(toy_cfg(), seed=4)
+        caches = make_caches(model, batch=1, capacity=8)
+        forward_incremental(model, np.array([[1]]), caches, start_pos=0)
+        with pytest.raises(PositionError, match="start_pos"):
+            forward_incremental(model, np.array([[2]]), caches, start_pos)
+        assert all(c.len == 1 for c in caches)
+
     @pytest.mark.parametrize("start_pos", [0, 3])
     def test_rejected_feed_leaves_caches_unchanged(self, start_pos):
         model = init_model(toy_cfg(), seed=4)
@@ -246,10 +260,6 @@ class TestDecode:
     @pytest.mark.parametrize("n_new", [1.5, True, -1, np.float64(2.0), "2"])
     def test_n_new_must_be_a_non_negative_integer(self, monkeypatch, n_new):
         model = init_model(toy_cfg(), seed=4)
-        caches = make_caches(model, batch=1, capacity=8)
-        with pytest.raises(DiffQKVError, match="n_new"):
-            decode(model, [1, 2], n_new, caches)
-        assert all(c.len == 0 for c in caches)
         monkeypatch.setattr(model_module, "make_caches", None)  # no cache may be made either
         with pytest.raises(DiffQKVError, match="n_new"):
             decode(model, [1, 2], n_new)
@@ -261,8 +271,6 @@ class TestDecode:
         caches = (make_caches(model, 1, 4) + make_caches(model, 1, 4))[:n_caches]
         with pytest.raises(UsageError, match="2 layers"):
             forward_incremental(model, np.array([[1, 2]]), caches, start_pos=0)
-        with pytest.raises(UsageError, match="2 layers"):
-            decode(model, [1, 2], 2, caches)
         assert all(c.len == 0 for c in caches)
 
     def test_cache_batch_must_match_tokens_before_any_append(self):
@@ -271,8 +279,6 @@ class TestDecode:
         with pytest.raises(ShapeError, match="cache 1 has batch 2"):
             forward_incremental(model, np.array([[1, 2]]), caches, start_pos=0)
         assert all(c.len == 0 for c in caches)
-        with pytest.raises(ShapeError, match="cache 0 has batch 2"):
-            decode(model, [1, 2], 2, make_caches(model, 2, 4))
 
     @pytest.mark.parametrize("prompt", [[[1, 2], [3, 4]], [[1, 2]], 5])
     def test_prompt_must_be_one_dimensional(self, prompt):
