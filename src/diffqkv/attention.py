@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .config import AttentionConfig, check_int
+from .config import AttentionConfig, check_attention, check_int
 from .errors import ConfigError, DimensionError, ShapeError
 from .kvcache import DifferentialKVCache
 
@@ -109,12 +109,9 @@ class SelectivePolicy:
     """Top-k policy for selective V fetching (k_top positions per query head)."""
 
     k_top: int
-    renormalize: bool = False
 
     def __post_init__(self):
         check_int("k_top", self.k_top, 1)
-        if not isinstance(self.renormalize, bool):
-            raise ConfigError(f"renormalize must be a bool, got {self.renormalize!r}")
 
 
 def attention_weight_shapes(cfg: AttentionConfig, d_model: int) -> dict[str, tuple[int, int]]:
@@ -137,6 +134,7 @@ def init_attention_weights(
     cfg: AttentionConfig, d_model: int | None = None, seed: int | np.random.Generator = 0
 ) -> AttentionWeights:
     """Seeded N(0, 0.02) initialization of all projection weights."""
+    check_attention(cfg=cfg)
     if d_model is None:
         d_model = cfg.n_q_heads * cfg.d_head
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -408,8 +406,8 @@ def naive_diffqkv_attention(x: np.ndarray, w: AttentionWeights, cfg: AttentionCo
 def select_top_k(alpha: np.ndarray, policy: SelectivePolicy) -> np.ndarray:
     """Keep the k_top highest weights per head (ties to the earliest position).
 
-    Dropped positions get weight 0; if ``policy.renormalize`` the kept weights
-    are rescaled to sum to 1.  With k_top >= t the input is returned unchanged.
+    Dropped positions get weight 0; the kept weights are not rescaled.  With
+    k_top >= t the input is returned unchanged.
     """
     t = alpha.shape[-1]
     if policy.k_top >= t:
@@ -419,10 +417,7 @@ def select_top_k(alpha: np.ndarray, policy: SelectivePolicy) -> np.ndarray:
     kept = order[..., : policy.k_top]
     mask = np.zeros_like(alpha)
     np.put_along_axis(mask, kept, 1.0, axis=-1)
-    selected = alpha * mask
-    if policy.renormalize:
-        selected = selected / selected.sum(axis=-1, keepdims=True)
-    return selected
+    return alpha * mask
 
 
 def selective_v_attention(

@@ -140,15 +140,9 @@ def _physical_memory() -> int | None:
 
 
 def run_bench(
-    std_cfg: AttentionConfig,
-    sigma_cfg: AttentionConfig,
-    grid: CostGrid,
-    reps: int = 5,
-    seed: int = 42,
-    std_name: str = "std",
-    sigma_name: str = "sigma",
+    std_cfg: AttentionConfig, sigma_cfg: AttentionConfig, grid: CostGrid, reps: int = 5, seed: int = 42
 ) -> BenchReport:
-    """Measure both configs over every grid cell; reps must be >= 3.
+    """Measure both configs over every grid cell, as rows "std" and "sigma"; reps must be >= 3.
 
     Raises UsageError, before allocating anything, when the two configs'
     caches and copy buffers for the grid's longest cell exceed physical memory.
@@ -166,8 +160,8 @@ def run_bench(
         )
     rng = np.random.default_rng(seed)
     fixtures = [
-        _ConfigFixture(std_name, std_cfg, max_s, rng),
-        _ConfigFixture(sigma_name, sigma_cfg, max_s, rng),
+        _ConfigFixture("std", std_cfg, max_s, rng),
+        _ConfigFixture("sigma", sigma_cfg, max_s, rng),
     ]
     cells = [(p, n) for p in grid.prefix_lengths for n in grid.output_lengths]
 
@@ -214,20 +208,18 @@ def run_bench(
     return report
 
 
-def traffic_ratio(report: BenchReport, module: str, sigma_name: str = "sigma", std_name: str = "std"):
+def traffic_ratio(report: BenchReport, module: str):
     """Per-cell sigma/std element-traffic ratios for one module (exact ints)."""
     ratios = []
-    for row in report.select(module=module, config_name=sigma_name):
-        twin = report.select(
-            module=module, config_name=std_name, prefix=row.prefix, output=row.output
-        )
+    for row in report.select(module=module, config_name="sigma"):
+        twin = report.select(module=module, config_name="std", prefix=row.prefix, output=row.output)
         if twin:
             ratios.append(row.elements / twin[0].elements)
     return ratios
 
 
-def augq_prefix_independence(report: BenchReport, config_name: str = "sigma") -> tuple[float, float, bool]:
-    """Spread of augmented-Q medians across the grid vs observed dispersion.
+def augq_prefix_independence(report: BenchReport) -> tuple[float, float, bool]:
+    """Spread of sigma's augmented-Q medians across the grid vs observed dispersion.
 
     Returns (spread, allowance, ok).  The gated Q block runs on a single
     token, so its median elapsed must not vary across cells by more than the
@@ -235,7 +227,7 @@ def augq_prefix_independence(report: BenchReport, config_name: str = "sigma") ->
     per-cell standard deviations (dispersion * median), floored at 0.5 ms for
     clock resolution.
     """
-    rows = report.select(module="augmented_q", config_name=config_name)
+    rows = report.select(module="augmented_q", config_name="sigma")
     if not rows:
         return 0.0, 0.0, True
     medians = np.array([r.elapsed for r in rows])

@@ -96,6 +96,13 @@ class AttentionConfig:
         return self.n_k_heads * self.d_k_head + self.n_v_heads * self.d_head
 
 
+def check_attention(**configs) -> None:
+    """Raise ``ConfigError`` naming the first keyword argument that is not an ``AttentionConfig``."""
+    for name, cfg in configs.items():
+        if not isinstance(cfg, AttentionConfig):
+            raise ConfigError(f"{name} must be an AttentionConfig, got {cfg!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Decoder-stack dimensions around one attention configuration (n_q_heads * d_head == d_model)."""
@@ -108,8 +115,7 @@ class ModelConfig:
     max_seq_len: int
 
     def __post_init__(self):
-        if not isinstance(self.attention, AttentionConfig):
-            raise ConfigError(f"attention must be an AttentionConfig, got {self.attention!r}")
+        check_attention(attention=self.attention)
         _check_int_fields(self)
         attn = self.attention
         if attn.n_q_heads * attn.d_head != self.d_model:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import AttentionConfig, check_int
+from .config import AttentionConfig, check_attention, check_int
 from .errors import ConfigError
 
 
@@ -88,6 +88,7 @@ LONG_CONTEXT_GRID = CostGrid(
 
 def kv_cache_cost(cfg: AttentionConfig, b: int, s: int, p: CostModelParams) -> float:
     """alpha * [b * s * (n_k*d_k + n_v*d_v)] + beta."""
+    check_attention(cfg=cfg)
     return p.alpha * (b * s * cfg.cache_bracket) + p.beta
 
 
@@ -96,6 +97,7 @@ def reduction_rate(base: AttentionConfig, variant: AttentionConfig) -> Fraction:
 
     r = 1 - bracket(variant) / bracket(base), where bracket = n_k*d_k + n_v*d_v.
     """
+    check_attention(base=base, variant=variant)
     return 1 - Fraction(variant.cache_bracket, base.cache_bracket)
 
 
@@ -136,6 +138,7 @@ def total_cost_curve(
     p: CostModelParams,
 ) -> list[CostCurveRow]:
     """Modeled total attention-layer cost of both configs over the grid."""
+    check_attention(std=std, sigma=sigma)
     rows = []
     for prefix in grid.prefix_lengths:
         for output in grid.output_lengths:
@@ -165,37 +168,25 @@ def cost_table_csv(rows: list[CostCurveRow]) -> str:
 
 
 def crossover_prefix(
-    std: AttentionConfig,
-    sigma: AttentionConfig,
-    output_len: int,
-    p: CostModelParams,
-    batch: int = 1,
-    search_bound: int = 1 << 24,
+    std: AttentionConfig, sigma: AttentionConfig, output_len: int, p: CostModelParams, batch: int = 1
 ) -> int | None:
-    """Smallest prefix at which sigma's total cost is <= std's, or None.
+    """Smallest prefix at which sigma's total cost is <= std's, or None if it never is.
 
-    The cost difference is monotone in the prefix length, so a bisection over
-    [0, search_bound] finds the crossover; None means sigma never catches up
-    within the bound.
+    beta cancels, so sigma's extra cost is a*P + c in the prefix P, solved in rationals,
+    which represent the float parameters exactly.
     """
-
-    def sigma_no_worse(prefix: int) -> bool:
-        return _total_cost(sigma, batch, prefix, output_len, p) <= _total_cost(
-            std, batch, prefix, output_len, p
-        )
-
-    if sigma_no_worse(0):
+    check_attention(std=std, sigma=sigma)
+    check_int("output_len", output_len, 1)
+    check_int("batch", batch, 1)
+    n = output_len
+    per_element = (Fraction(p.alpha) + Fraction(p.attn_alpha)) * batch
+    a = per_element * (sigma.cache_bracket - std.cache_bracket) * n
+    c = a * (n + 1) / 2 + Fraction(p.augq_cost_per_token) * n * (sigma.has_aug_q - std.has_aug_q)
+    if c <= 0:
         return 0
-    if not sigma_no_worse(search_bound):
+    if a >= 0:
         return None
-    lo, hi = 0, search_bound  # sigma_no_worse(lo) is False, (hi) is True
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if sigma_no_worse(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return math.ceil(-c / a)
 
 
 def fit_cost_params(cache_points: list[tuple[int, float]]) -> CostModelParams:

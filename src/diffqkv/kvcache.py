@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import AttentionConfig, check_int
-from .errors import CapacityError, CapacityExceededError, ConfigError, ShapeError
+from .config import AttentionConfig, check_attention, check_int
+from .errors import CapacityError, CapacityExceededError, ShapeError
 
 
 class CacheFootprint(NamedTuple):
@@ -29,8 +29,7 @@ class DifferentialKVCache:
     """Append-only K/V store for incremental decoding."""
 
     def __init__(self, cfg: AttentionConfig, batch: int, capacity: int):
-        if not isinstance(cfg, AttentionConfig):
-            raise ConfigError(f"cfg must be an AttentionConfig, got {cfg!r}")
+        check_attention(cfg=cfg)
         check_int("capacity", capacity, 1, CapacityError)
         check_int("batch", batch, 1, CapacityError)
         self.cfg = cfg

@@ -502,11 +502,6 @@ class TestSelectiveV:
         got = selective_v_attention(alpha, v, SelectivePolicy(k_top=2), np.eye(1))
         assert_allclose(got, [[1.1]], rtol=1e-15)
 
-    def test_renormalize(self):
-        alpha = np.array([[[0.7, 0.2, 0.1]]])
-        kept = select_top_k(alpha, SelectivePolicy(k_top=2, renormalize=True))
-        assert_allclose(kept[0, 0], [0.7 / 0.9, 0.2 / 0.9, 0.0], rtol=1e-12)
-
     def test_ties_break_to_earliest_position(self):
         alpha = np.array([[[0.25, 0.25, 0.25, 0.25]]])
         kept = select_top_k(alpha, SelectivePolicy(k_top=2))

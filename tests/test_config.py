@@ -15,7 +15,15 @@ from diffqkv.config import (
     toy_preset,
     validate_model_config,
 )
-from diffqkv.costmodel import CostGrid, CostModelParams, kv_cache_cost
+from diffqkv.costmodel import (
+    SCALED_GRID,
+    CostGrid,
+    CostModelParams,
+    crossover_prefix,
+    kv_cache_cost,
+    reduction_rate,
+    total_cost_curve,
+)
 from diffqkv.errors import (
     ConfigError,
     ConfigFileError,
@@ -215,7 +223,7 @@ VALID_FIELDS = {
         attention=AttentionConfig(8, 2, 4, 4), n_layers=2, d_model=32, d_ffn=96,
         vocab_size=64, max_seq_len=512,
     ),
-    SelectivePolicy: dict(k_top=2, renormalize=True),
+    SelectivePolicy: dict(k_top=2),
     CostGrid: dict(prefix_lengths=(0, 8), output_lengths=(1, 4), batch=2),
     CostModelParams: dict(alpha=1.0, beta=2.0, attn_alpha=0.5, augq_cost_per_token=3.0),
 }
@@ -224,7 +232,7 @@ TYPE_CASES = [
     (cls, f.name, bad)
     for cls in VALID_FIELDS
     for f in fields(cls)
-    for bad in ((1, "5") if f.name == "renormalize" else (True, "5"))
+    for bad in (True, "5")
 ] + [
     (AttentionConfig, "rope_theta", math.nan),
     (AttentionConfig, "d_head", 4.0),
@@ -260,6 +268,27 @@ class TestConstructionChecksTypes:
                 DifferentialKVCache(replace(valid, **change), 1, 4)
             with pytest.raises(ConfigError):
                 naive_diffqkv_attention(x, w, replace(valid, **change))
+
+
+# Every library entry point that takes an attention config, called with ``bad`` in its place.
+CFG_CONSUMERS = {
+    "kv_cache_cost": lambda bad: kv_cache_cost(bad, 1, 8, CostModelParams()),
+    "reduction_rate": lambda bad: reduction_rate(PRESETS["gqa-16"].attention, bad),
+    "total_cost_curve": lambda bad: total_cost_curve(
+        bad, PRESETS["sigma-1.5b"].attention, SCALED_GRID, CostModelParams()
+    ),
+    "crossover_prefix": lambda bad: crossover_prefix(
+        PRESETS["gqa-16"].attention, bad, 1, CostModelParams()
+    ),
+    "init_attention_weights": lambda bad: init_attention_weights(bad),
+}
+
+
+@pytest.mark.parametrize("bad", ["x", None, PRESETS["sigma-1.5b"]], ids=["str", "None", "ModelConfig"])
+@pytest.mark.parametrize("consumer", list(CFG_CONSUMERS))
+def test_non_attention_config_rejected(consumer, bad):
+    with pytest.raises(ConfigError, match="must be an AttentionConfig"):
+        CFG_CONSUMERS[consumer](bad)
 
 
 class TestBenchmarkConfigs:

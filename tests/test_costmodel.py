@@ -9,6 +9,7 @@ from diffqkv.costmodel import (
     CostGrid,
     CostModelParams,
     LONG_CONTEXT_GRID,
+    _total_cost,
     cost_table_csv,
     crossover_prefix,
     fit_cost_params,
@@ -148,9 +149,28 @@ class TestCrossover:
         assert all(c is not None for c in crossings)
         assert all(a >= b for a, b in zip(crossings, crossings[1:]))
 
-    def test_never_crosses_within_bound(self):
-        p = CostModelParams(alpha=1.0, beta=0.0, attn_alpha=1.0, augq_cost_per_token=1e30)
-        assert crossover_prefix(GQA16, SIGMA, 1, p, search_bound=1 << 20) is None
+    def test_larger_cache_never_catches_up(self):
+        assert crossover_prefix(SIGMA, GQA16, 1, UNIT) is None
+
+    def test_crossover_beyond_two_to_the_24(self):
+        p = CostModelParams(alpha=1.0, beta=0.0, attn_alpha=1.0, augq_cost_per_token=1e12)
+        prefix = crossover_prefix(GQA16, SIGMA, 1, p)
+        assert prefix > 1 << 24
+        assert _total_cost(SIGMA, 1, prefix, 1, p) <= _total_cost(GQA16, 1, prefix, 1, p)
+        assert _total_cost(SIGMA, 1, prefix - 1, 1, p) > _total_cost(GQA16, 1, prefix - 1, 1, p)
+
+    def test_exact_where_float_costs_round(self):
+        # At beta = 1e18 both float totals round to multiples of 128, so comparing
+        # them crosses early; the exact crossover is 99.232 / 0.768 rounded up.
+        p = CostModelParams(alpha=1e-3, beta=1e18, attn_alpha=0.0, augq_cost_per_token=100.0)
+        assert crossover_prefix(GQA16, SIGMA, 1, p) == 130
+
+    @pytest.mark.parametrize(
+        "output_len,batch", [(-5, 1), (0, 1), (2.5, 1), (True, 1), (1, 0), (1, -1), (1, 1.0)]
+    )
+    def test_lengths_checked(self, output_len, batch):
+        with pytest.raises(ConfigError):
+            crossover_prefix(GQA16, SIGMA, output_len, UNIT, batch)
 
 
 class TestCalibration:

@@ -89,3 +89,21 @@ def test_every_traced_module_and_method_exists():
         importlib.import_module(f"diffqkv.{layer}")
     for layer, cls, method in _assigned_literal(LAYERS, "METHODS"):
         assert callable(getattr(getattr(importlib.import_module(f"diffqkv.{layer}"), cls), method))
+
+
+def test_every_verify_check_binds_the_workload_call():
+    # workloads.verify_checks calls every check_* of diffqkv.verify through getattr,
+    # passing seed= when the signature names it and nothing else.
+    verify = importlib.import_module("diffqkv.verify")
+    checks = {
+        name: fn for name, fn in vars(verify).items() if name.startswith("check_") and inspect.isfunction(fn)
+    }
+    assert len(checks) >= 10, "diffqkv.verify no longer holds its check_* properties"
+    unbound = []
+    for name, fn in checks.items():
+        signature = inspect.signature(fn)
+        try:
+            signature.bind(**({"seed": 0} if "seed" in signature.parameters else {}))
+        except TypeError as exc:
+            unbound.append(f"{name}: {exc}")
+    assert not unbound
