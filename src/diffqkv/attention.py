@@ -8,15 +8,15 @@ positions, in one product, so no head is ever duplicated.  Softmax is blocked:
 max and sum-exp, and ``_merge`` combines partials by log-sum-exp, also giving
 each row's log-sum-exp; nothing else in the numpy path exponentiates logits.
 ``_attend`` is the one chunked pass over cached keys built on them, and
-``_causal`` runs it over tiles of queries.  ``attention_layer`` is a layer's
-one composition, over ``NUMPY_OPS`` or the same-named ops of
-:mod:`diffqkv.autodiff`: it projects and rotates new positions, absorbs the
-half-K expansion into the query (``q @ w_k_expand.T``, exact because rotary
-acts on K before expansion) and hands q, k, v to the caller's ``attend``:
-``cached_attention`` appends them to a differential cache and runs
-``_causal``, training runs ``autodiff.causal_attention`` (the same
-``_causal`` with a VJP).  Apart from the cache a caller passes in, every
-function is free of side effects.
+``_causal`` runs it over tiles of queries; the core scores unscaled q·kᵀ.
+``attention_layer`` is a layer's one composition, over ``NUMPY_OPS`` or the
+same-named ops of :mod:`diffqkv.autodiff`: it projects and rotates new
+positions, prepares the query in ``_scored_query`` (the one place the half-K
+expansion is absorbed into it and the 1/sqrt(d_head) scale applied) and
+hands q, k, v to the caller's ``attend``: ``cached_attention`` appends them
+to a differential cache and runs ``_causal``, training runs
+``autodiff.causal_attention`` (the same ``_causal`` with a VJP).  Apart from
+the cache a caller passes in, every function is free of side effects.
 
 Shapes follow the convention ``[batch, seq, heads, dim]``; weights are plain
 2-D matrices applied on the right (``x @ w``), bias-free throughout.
@@ -31,7 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import AttentionConfig, check_attention, check_int
-from .errors import ConfigError, DimensionError, ShapeError
+from .errors import ConfigError, DimensionError, ShapeError, UsageError
 from .kvcache import DifferentialKVCache
 
 RMS_NORM_EPS = 1e-6
@@ -137,7 +137,10 @@ def init_attention_weights(
     check_attention(cfg=cfg)
     if d_model is None:
         d_model = cfg.n_q_heads * cfg.d_head
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = seed
+    if not isinstance(rng, np.random.Generator):
+        check_int("seed", seed, 0, UsageError)
+        rng = np.random.default_rng(seed)
     shapes = attention_weight_shapes(cfg, d_model)
     return AttentionWeights(**{name: rng.normal(0.0, 0.02, s) for name, s in shapes.items()})
 
@@ -208,23 +211,21 @@ def _query_groups(rows: np.ndarray, n_src: int) -> np.ndarray:
     return rows.reshape(b, n_src, -1, rows.shape[-1])
 
 
-def attention_logits(q: np.ndarray, k: np.ndarray, scale_dim: int) -> np.ndarray:
-    """Scaled dot products of queries [b, n_q, (T,) d] with keys [b, t, n_k, d] -> [b, n_q, (T,) t].
+def attention_logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Dot products of queries [b, n_q, (T,) d] with keys [b, t, n_k, d] -> [b, n_q, (T,) t].
 
     K stays at its native head count: a group's g = n_q / n_k heads times the
     T rows of an optional query tile form the g*T rows of one product per K head.
     """
     if k.shape[0] != q.shape[0] or k.shape[-1] != q.shape[-1]:
         raise ShapeError(f"q {q.shape} does not match k {k.shape}")
-    # Scaling the query rows, not the logits, saves a pass over the larger operand.
-    rows = _query_groups(q, k.shape[2]) * (1.0 / math.sqrt(scale_dim))
-    logits = np.matmul(rows, k.transpose(0, 2, 3, 1))
+    logits = np.matmul(_query_groups(q, k.shape[2]), k.transpose(0, 2, 3, 1))
     return logits.reshape(*q.shape[:-1], k.shape[1])
 
 
-def _masked_logits(q: np.ndarray, k: np.ndarray, scale_dim: int, limit: int) -> np.ndarray:
+def _masked_logits(q: np.ndarray, k: np.ndarray, limit: int) -> np.ndarray:
     """``attention_logits`` with -inf at key column j of query tile row r wherever j >= limit + r."""
-    logits = attention_logits(q, k, scale_dim)
+    logits = attention_logits(q, k)
     t = k.shape[1]
     if limit < t:
         row = np.arange(q.shape[2])[:, None] if q.ndim == 4 else 0
@@ -262,20 +263,18 @@ def _merge(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.n
     return np.einsum("n...d,n...->...d", out, scale) / total[..., None], peak + np.log(total)
 
 
-def attention_scores(q: np.ndarray, k: np.ndarray, scale_dim: int, causal_mask_len: int) -> np.ndarray:
+def attention_scores(q: np.ndarray, k: np.ndarray, causal_mask_len: int) -> np.ndarray:
     """Per-head softmax attention weights for one query position or a tile of them.
 
     Args:
         q: [b, n_q, d] query vectors, or [b, n_q, T, d] for a tile of T
-            consecutive positions (rotary-embedded; in half-K mode already
-            mapped into the stored K dimension with ``q @ w_k_expand.T``).
+            consecutive positions, as ``_scored_query`` prepares them.
         k: [b, t, n_k, d] keys at their stored head count, n_k dividing n_q.
-        scale_dim: dimension whose square root divides the logits.
         causal_mask_len: positions >= this index (+ r in tile row r) get weight exactly 0.
     Returns:
-        alpha: [b, n_q, t] or [b, n_q, T, t]; each unmasked row sums to 1.
+        alpha: [b, n_q, t] or [b, n_q, T, t], softmax(q·kᵀ); each unmasked row sums to 1.
     """
-    p, _, total = _partial(_masked_logits(q, k, scale_dim, causal_mask_len), None)
+    p, _, total = _partial(_masked_logits(q, k, causal_mask_len), None)
     p /= total[..., None]
     return p
 
@@ -324,9 +323,7 @@ def _spans(b: int, n_q: int, rows: int, first: int, width: int) -> list[tuple[in
     return spans
 
 
-def _attend(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int, first: int, width: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, first: int, width: int) -> tuple:
     """Causal attention of query rows q [b, n_q, T, d] over cached K/V [b, t, n, d] -> (heads, lse).
 
     Heads are [b, n_q, T, d_v] and lse [b, n_q, T].  Row r sees keys
@@ -339,7 +336,7 @@ def _attend(
     parts = []
     for a, z, c in _spans(b, n_q, rows, first, width):
         n = (z - a) // c
-        logits = _masked_logits(q, k[:, a:z], scale_dim, first - a).reshape(b, n_q, rows, n, c)
+        logits = _masked_logits(q, k[:, a:z], first - a).reshape(b, n_q, rows, n, c)
         # [n*b, ...] grids, chunk-major: V stays a view when b == 1 or n == 1.
         grid = logits.transpose(3, 0, 1, 2, 4).reshape(n * b, n_q, rows, c)
         v_grid = v[:, a:z].reshape(b, n, c, *v.shape[2:]).swapaxes(0, 1).reshape(n * b, c, *v.shape[2:])
@@ -347,7 +344,7 @@ def _attend(
     return _merge(parts)
 
 
-def _causal(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int, start: int) -> tuple:
+def _causal(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int) -> tuple:
     """Causal attention of queries q [b, n_q, s, d] at positions start.. over K/V [b, t, n, d].
 
     Returns (heads [b, n_q, s, d_v], lse [b, n_q, s]): ``_attend`` over tiles of
@@ -358,8 +355,21 @@ def _causal(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int, start: 
     heads, lse = np.empty((b, n_q, s, v.shape[-1])), np.empty((b, n_q, s))
     for i in range(0, s, tile):
         rows = slice(i, i + tile)
-        heads[:, :, rows], lse[:, :, rows] = _attend(q[:, :, rows], k, v, scale_dim, start + i + 1, block)
+        heads[:, :, rows], lse[:, :, rows] = _attend(q[:, :, rows], k, v, start + i + 1, block)
     return heads, lse
+
+
+def _scored_query(q, w: AttentionWeights | None, cfg: AttentionConfig, ops=NUMPY_OPS):
+    """A rotated query [..., d_head] as the core scores it: q·k with a stored key is the logit.
+
+    Half-K maps it by ``q @ w_k_expand.T`` (exact: rotary acts on K before
+    expansion; ``ConfigError`` without w_k_expand), then it is scaled by 1/sqrt(d_head).
+    """
+    if cfg.half_k:
+        if w is None or w.w_k_expand is None:
+            raise ConfigError("half-K config needs weights with w_k_expand to score the cache")
+        q = q @ ops.transpose(w.w_k_expand, (1, 0))
+    return q * (1.0 / math.sqrt(cfg.d_head))
 
 
 def attention_layer(
@@ -367,17 +377,15 @@ def attention_layer(
 ):
     """Causal DiffQKV attention of s positions start.., x [b, s, d_model] -> [b, s, d_model].
 
-    Project -> augmented Q -> rotary -> (half-K) expansion absorbed into the
-    query -> ``attend(q [b, n_q, s, d], k, v)``, which returns the heads
+    Project -> augmented Q -> rotary -> ``_scored_query`` ->
+    ``attend(q [b, n_q, s, d], k, v)``, which returns the heads
     [b, n_q, s, d_v] -> output projection, all in ``ops``: ``NUMPY_OPS`` or
     :mod:`diffqkv.autodiff`.
     """
     q, k, v = project_qkv(x, w, cfg, ops)
     b, s = q.shape[:2]
     q, k = apply_rope(q, k, np.arange(start, start + s), cfg.rope_theta, ops)
-    if cfg.half_k:
-        q = q @ ops.transpose(w.w_k_expand, (1, 0))
-    heads = attend(ops.transpose(q, (0, 2, 1, 3)), k, v)
+    heads = attend(ops.transpose(_scored_query(q, w, cfg, ops), (0, 2, 1, 3)), k, v)
     return ops.reshape(ops.transpose(heads, (0, 2, 1, 3)), (b, s, w.w_o.shape[0])) @ w.w_o
 
 
@@ -392,7 +400,7 @@ def cached_attention(
 
     def attend(q, k, v):
         cache.append(k, v)
-        return _causal(q, *cache.view(), cfg.softmax_scale_dim, start)[0]
+        return _causal(q, *cache.view(), start)[0]
 
     return attention_layer(x, w, cfg, start, attend)
 

@@ -215,34 +215,34 @@ def rms_norm(x: Tensor, scale: Tensor) -> Tensor:
     return Tensor(out, parents=(x, scale), vjp=vjp)
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale_dim: int) -> Tensor:
+def causal_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Causal attention of q [b, n_q, s, d] over k [b, s, n_k, d] and v [b, s, n_v, d_v] -> [b, n_q, s, d_v].
 
+    softmax(q·kᵀ)·v, q as ``attention._scored_query`` scales it (a ``mul`` node).
     K and V stay at their native head counts.  The forward is the numpy path's
     blocked pass, ``attention._causal``; the node keeps q, k, v, the output and
     each row's log-sum-exp, never the scores.  The VJP walks the same query
     tiles and key spans, recomputes each block's p = exp(logits - lse) and,
-    with D = rowsum(dO * O), forms dV += p^T dO, dS = p * (dO V^T - D) /
-    sqrt(scale_dim), dQ += dS K and dK += dS^T Q, grouped per K or V head.
+    with D = rowsum(dO * O), forms dV += p^T dO, dS = p * (dO V^T - D),
+    dQ += dS K and dK += dS^T Q, grouped per K or V head.
     """
     qd, kd, vd = q.data, k.data, v.data
-    heads, lse = _causal(qd, kd, vd, scale_dim, 0)
+    heads, lse = _causal(qd, kd, vd, 0)
 
     def vjp(g):
         b, n_q, s = qd.shape[:3]
         n_k, n_v = kd.shape[2], vd.shape[2]
         dq, dk, dv = np.zeros_like(qd), np.zeros_like(kd), np.zeros_like(vd)
-        # D / sqrt(scale_dim): attention_logits scales dO V^T alike, so dS needs one more pass only.
-        delta = np.einsum("bhsd,bhsd->bhs", g, heads)[..., None] / np.sqrt(scale_dim)
+        delta = np.einsum("bhsd,bhsd->bhs", g, heads)[..., None]
         tile, block = _tile_sizes(b, s, n_q, n_k)
         for i in range(0, s, tile):
             rows = slice(i, i + tile)
             q_t, g_t = qd[:, :, rows], g[:, :, rows]
             for a, z, _ in _spans(b, n_q, q_t.shape[2], i + 1, block):
-                p = _masked_logits(q_t, kd[:, a:z], scale_dim, i + 1 - a)
+                p = _masked_logits(q_t, kd[:, a:z], i + 1 - a)
                 p = np.exp(np.subtract(p, lse[:, :, rows, None], out=p), out=p)
                 dv[:, a:z] += _grouped_t(p, g_t, n_v)
-                ds = attention_logits(g_t, vd[:, a:z], scale_dim)
+                ds = attention_logits(g_t, vd[:, a:z])
                 ds -= delta[:, :, rows]
                 ds *= p
                 dq[:, :, rows] += weighted_value_sum(ds, kd[:, a:z])

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttentionWeights, augment_q, init_attention_weights
-from .config import AttentionConfig
+from .config import AttentionConfig, check_int
 from .costmodel import CostGrid
 from .errors import UsageError
 from .kernel import flexhead_attention
@@ -147,6 +147,8 @@ def run_bench(
     Raises UsageError, before allocating anything, when the two configs'
     caches and copy buffers for the grid's longest cell exceed physical memory.
     """
+    check_int("reps", reps, 1, UsageError)
+    check_int("seed", seed, 0, UsageError)
     if reps < 3:
         raise UsageError(f"reps must be >= 3, got {reps}")
     max_s = grid.prefix_lengths[-1] + grid.output_lengths[-1]

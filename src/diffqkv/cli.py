@@ -104,8 +104,6 @@ def _check_out(path) -> None:
 
 
 def _cmd_verify(args) -> int:
-    if args.instances < 1:
-        raise UsageError(f"--instances must be >= 1, got {args.instances}")
     report = run_verify(args.suite, instances=args.instances)
     print(report.format())
     return 0 if report.ok else 1
@@ -165,8 +163,6 @@ def _cmd_train_toy(args) -> int:
         if getattr(args, name) < least:
             flag = "--" + name.replace("_", "-")
             raise UsageError(f"{flag} must be >= {least}, got {getattr(args, name)}")
-    if not (np.isfinite(args.lr) and args.lr > 0):
-        raise UsageError(f"--lr must be positive and finite, got {args.lr}")
     seed = _seed(args)
     if args.config is None:
         cfg = toy_preset("sigma-1.5b")
@@ -273,12 +269,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's flush at exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DiffQKVError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -48,7 +48,8 @@ class AttentionConfig:
     ``d_k_head`` is the dimension K is stored and cached in.  When
     ``d_k_head < d_head`` (half-K mode) a linear expansion layer maps cached K
     vectors up to ``d_head``; attention applies it to the query instead
-    (``q @ w_k_expand.T``), so the cache is scored without being expanded.
+    (``q @ w_k_expand.T``) and scales it by 1/sqrt(d_head) in ``_scored_query``,
+    so the cache is scored without being expanded.
     ``aug_q_dim`` is the total intermediate dimension of the gated augmented-Q
     block; 0 disables it.  Construction raises ``ConfigError`` for a
     non-positive integer field (aug_q_dim may be 0) or a rope_theta that is not
@@ -62,16 +63,11 @@ class AttentionConfig:
     d_head: int
     d_k_head: int | None = None
     aug_q_dim: int = 0
-    softmax_scale_dim: int | None = None
     rope_theta: float = 50_000.0
 
     def __post_init__(self):
         if self.d_k_head is None:
             object.__setattr__(self, "d_k_head", self.d_head)
-        if self.softmax_scale_dim is None:
-            # Logits are formed after K expansion, so the natural scale is the
-            # dimension the dot product actually runs in.
-            object.__setattr__(self, "softmax_scale_dim", self.d_head)
         _check_int_fields(self)
         theta = self.rope_theta
         if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not 0 < theta < math.inf:

@@ -33,7 +33,8 @@ class CapacityExceededError(DiffQKVError, RuntimeError):
 
 class EmptyInputError(DiffQKVError, ValueError):
     """An operation was given nothing to work on: a kernel call with no cached
-    key below its causal limit, or decode with an empty prompt."""
+    key below its causal limit, decode with an empty prompt, or a training
+    step with an empty batch."""
 
 
 class TokenRangeError(DiffQKVError, ValueError):

@@ -29,6 +29,7 @@ tensor, so it differentiates the code ``forward`` and ``decode`` run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -115,6 +116,7 @@ def _assemble(cfg: ModelConfig, tensors: dict) -> ToyModel:
 
 def init_model(cfg: ModelConfig, seed: int = 0) -> ToyModel:
     """Seeded init: projections and embeddings N(0, 0.02), norm scales 1."""
+    check_int("seed", seed, 0, UsageError)
     rng = np.random.default_rng(seed)
     shapes = _tensor_shapes(cfg)
     # The norm scales are the only vectors.
@@ -292,8 +294,7 @@ def as_parameter_tensors(model: ToyModel) -> dict[str, ad.Tensor]:
 def graph_stages(model: ToyModel) -> list:
     """``forward_stages`` over a model of Tensors: autodiff ops, every layer attending from position 0."""
     acfg = model.config.attention
-    attend = partial(ad.causal_attention, scale_dim=acfg.softmax_scale_dim)
-    attention = partial(attention_layer, cfg=acfg, start=0, attend=attend, ops=ad)
+    attention = partial(attention_layer, cfg=acfg, start=0, attend=ad.causal_attention, ops=ad)
     return forward_stages(model, ad, [attention] * len(model.blocks))
 
 
@@ -330,10 +331,15 @@ def loss_graph(params: dict[str, ad.Tensor], cfg: ModelConfig, tokens) -> ad.Ten
 
 
 def train_step(model: ToyModel, batch, lr: float) -> float:
-    """One cross-entropy next-token step with a plain gradient-descent update."""
-    if not math.isfinite(lr):
-        raise UsageError(f"lr must be finite, got {lr}")
+    """One cross-entropy next-token step with a plain gradient-descent update.
+
+    A refused ``lr`` (not a positive finite real) or batch leaves every weight unchanged.
+    """
+    if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
+        raise UsageError(f"lr must be a positive finite number, got {lr!r}")
     batch = _check_tokens(model, batch)
+    if len(batch) == 0:
+        raise EmptyInputError("train_step needs a batch of at least one row")
     params = as_parameter_tensors(model)
     loss = loss_graph(params, model.config, batch)
     loss.backward()

@@ -58,7 +58,7 @@ def vanilla_mha_attention(
     q = _rotary((x @ w.w_q).reshape(b, s, h, d), positions, cfg.rope_theta)
     k = _rotary((x @ w.w_k).reshape(b, s, h, d), positions, cfg.rope_theta)
     v = (x @ w.w_v).reshape(b, s, h, d)
-    return _one_shot_causal(q, k, v, cfg.softmax_scale_dim) @ w.w_o
+    return _one_shot_causal(q, k, v, cfg.d_head) @ w.w_o
 
 
 def grouped_attention_by_duplication(
@@ -90,4 +90,4 @@ def grouped_attention_by_duplication(
 
     k = np.repeat(k, n_q // cfg.n_k_heads, axis=2)
     v = np.repeat(v, n_q // cfg.n_v_heads, axis=2)
-    return _one_shot_causal(q, k, v, cfg.softmax_scale_dim, rows) @ w.w_o
+    return _one_shot_causal(q, k, v, cfg.d_head, rows) @ w.w_o

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import autodiff as ad, kernel
+# config.check_int is not imported by name: every check_* here is a property the benchmark runs.
+from . import autodiff as ad, config, kernel
 from .attention import (
     SelectivePolicy,
     apply_rope,
@@ -245,6 +246,7 @@ def gradient_check(
     same tiles for the stack as for one batch, so the losses are those of a
     whole forward pass, bit for bit.
     """
+    config.check_int("samples_per_tensor", samples_per_tensor, 1, UsageError)
     model = init_model(cfg, seed)
     rng = np.random.default_rng(seed + 1)
     tokens = rng.integers(0, cfg.vocab_size, size=(2, 5))
@@ -346,7 +348,7 @@ def check_incremental_matches_direct(instances: int = 20, seed: int = 29) -> Pro
         k_view, v_view = cache.view()
 
         def attend(kk, vv):
-            return weighted_value_sum(attention_scores(q, kk, cfg.d_head, t), vv)
+            return weighted_value_sum(attention_scores(q, kk, t), vv)
 
         direct = attend(k, v)
         incremental = attend(k_view, v_view)
@@ -431,9 +433,10 @@ COST_CHECKS = (
 
 
 def run_verify(suite: str, instances: int = 200) -> VerifyReport:
-    """Run one named property suite; raises UsageError for bad names."""
+    """Run one named property suite; raises UsageError for a bad name or instances below 1."""
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    config.check_int("instances", instances, 1, UsageError)
     results: list[PropertyResult] = []
     if suite in ("equivalence", "all"):
         results += equivalence_suite(instances)

@@ -50,7 +50,7 @@ def brute_force_diffqkv(x, w, cfg):
                         k_vec = k_vec @ w.w_k_expand
                     logits.append(
                         sum(q_vec[m] * k_vec[m] for m in range(d_head))
-                        / math.sqrt(cfg.softmax_scale_dim)
+                        / math.sqrt(d_head)
                     )
                 peak = max(logits)
                 weights = [math.exp(l - peak) for l in logits]
@@ -90,7 +90,7 @@ def vanilla_decoder_forward(model, tokens):
         q = rotary((hid @ blk.attn.w_q).reshape(b, s, h_count, d))
         k = rotary((hid @ blk.attn.w_k).reshape(b, s, h_count, d))
         v = (hid @ blk.attn.w_v).reshape(b, s, h_count, d)
-        scores = np.einsum("bihd,bjhd->bhij", q, k) / math.sqrt(acfg.softmax_scale_dim)
+        scores = np.einsum("bihd,bjhd->bhij", q, k) / math.sqrt(d)
         scores = scores + mask
         scores -= scores.max(axis=-1, keepdims=True)
         weights = np.exp(scores)

@@ -23,7 +23,7 @@ from diffqkv.attention import (
     weighted_value_sum,
 )
 from diffqkv.config import AttentionConfig, PRESETS
-from diffqkv.errors import ConfigError, DimensionError, ShapeError
+from diffqkv.errors import ConfigError, DimensionError, ShapeError, UsageError
 from diffqkv.kvcache import DifferentialKVCache
 from diffqkv.reference import grouped_attention_by_duplication, vanilla_mha_attention
 from diffqkv.verify import _EQUIV_CONFIGS
@@ -139,12 +139,12 @@ class TestGroupedCore:
         v = rng.normal(size=(b, t, n_v, d_v))
         k_rep = np.repeat(k, n_q // n_k, axis=2)
         v_rep = np.repeat(v, n_q // n_v, axis=2)
-        logits = np.einsum("bhd,bthd->bht", q, k_rep) / math.sqrt(d)
+        logits = np.einsum("bhd,bthd->bht", q, k_rep)
         logits[..., limit:] = -np.inf
         want_alpha = np.exp(logits - logits.max(axis=-1, keepdims=True))
         want_alpha /= want_alpha.sum(axis=-1, keepdims=True)
 
-        alpha = attention_scores(q, k, d, limit)
+        alpha = attention_scores(q, k, limit)
         assert_allclose(alpha, want_alpha, rtol=0, atol=1e-12)
         assert_allclose(
             weighted_value_sum(alpha, v),
@@ -160,8 +160,8 @@ class TestGroupedCore:
         q, k, _ = project_qkv(x, w, cfg)
         q, k = apply_rope(q, k, np.arange(9), cfg.rope_theta)
         for pos in (0, 4, 8):
-            absorbed = attention_logits(q[:, pos] @ w.w_k_expand.T, k, cfg.softmax_scale_dim)
-            expanded = attention_logits(q[:, pos], k @ w.w_k_expand, cfg.softmax_scale_dim)
+            absorbed = attention_logits(q[:, pos] @ w.w_k_expand.T, k)
+            expanded = attention_logits(q[:, pos], k @ w.w_k_expand)
             assert_allclose(absorbed, expanded, rtol=0, atol=1e-12)
 
 
@@ -175,13 +175,13 @@ class TestExpandK:
         w.w_k_expand = np.array([[2.0, 3.0]])
         q = np.array([[[1.0, -1.0]]])  # [b=1, n_q=1, d_head=2]
         k = np.array([[[[5.0]]]])  # [b=1, t=1, n_k=1, d_k_head=1]; expands to [10, 15]
-        assert_array_equal(attention_logits(q @ w.w_k_expand.T, k, 1), [[[-5.0]]])
+        assert_array_equal(attention_logits(q @ w.w_k_expand.T, k), [[[-5.0]]])
 
     def test_zero_k(self):
         cfg = make_cfg(d_head=4, d_k_head=2)
         w = init_attention_weights(cfg, 32, seed=0)
         q = np.random.default_rng(0).normal(size=(1, 8, 4))
-        alpha = attention_scores(q @ w.w_k_expand.T, np.zeros((1, 3, 2, 2)), cfg.softmax_scale_dim, 3)
+        alpha = attention_scores(q @ w.w_k_expand.T, np.zeros((1, 3, 2, 2)), 3)
         assert_allclose(alpha, np.full((1, 8, 3), 1.0 / 3.0), rtol=0, atol=1e-15)
 
     def test_full_dim_has_no_layer(self):
@@ -215,42 +215,42 @@ class TestGroupShare:
         # unit queries read each K head's single coordinate as their logit
         q = np.ones((1, 32, 1))
         heads = np.arange(4.0).reshape(1, 1, 4, 1)
-        assert_array_equal(attention_logits(q, heads, 1)[0, :, 0], np.repeat(np.arange(4.0), 8))
+        assert_array_equal(attention_logits(q, heads)[0, :, 0], np.repeat(np.arange(4.0), 8))
 
     def test_divisibility(self):
         with pytest.raises(ShapeError):
-            attention_scores(np.zeros((1, 8, 3)), np.zeros((1, 4, 3, 3)), 3, 4)
+            attention_scores(np.zeros((1, 8, 3)), np.zeros((1, 4, 3, 3)), 4)
         with pytest.raises(ShapeError):
             weighted_value_sum(np.zeros((1, 8, 1)), np.zeros((1, 1, 3, 2)))
 
 
 class TestScoresAndOutput:
     def test_single_position(self):
-        alpha = attention_scores(np.ones((1, 2, 3)), np.ones((1, 1, 2, 3)), 3, 1)
+        alpha = attention_scores(np.ones((1, 2, 3)), np.ones((1, 1, 2, 3)), 1)
         assert_array_equal(alpha, np.ones((1, 2, 1)))
 
     def test_zero_query_uniform(self):
         k = np.random.default_rng(0).normal(size=(1, 5, 2, 3))
-        alpha = attention_scores(np.zeros((1, 2, 3)), k, 3, 5)
+        alpha = attention_scores(np.zeros((1, 2, 3)), k, 5)
         assert_allclose(alpha, np.full((1, 2, 5), 0.2), atol=1e-15)
 
     def test_closed_form_softmax(self):
-        # logits [0, ln 3] with scale 1 -> weights [1/4, 3/4]
+        # logits [0, ln 3] -> weights [1/4, 3/4]
         q = np.array([[[1.0]]])
         k = np.array([[[[0.0]], [[math.log(3.0)]]]])
-        alpha = attention_scores(q, k, 1, 2)
+        alpha = attention_scores(q, k, 2)
         assert_allclose(alpha[0, 0], [0.25, 0.75], rtol=1e-12)
 
     def test_rows_sum_to_one_and_mask(self):
         rng = np.random.default_rng(4)
-        alpha = attention_scores(rng.normal(size=(2, 4, 5)), rng.normal(size=(2, 9, 4, 5)), 5, 6)
+        alpha = attention_scores(rng.normal(size=(2, 4, 5)), rng.normal(size=(2, 9, 4, 5)), 6)
         assert_allclose(alpha.sum(axis=-1), np.ones((2, 4)), atol=1e-9)
         assert np.all(alpha >= 0) and np.all(alpha <= 1)
         assert_array_equal(alpha[..., 6:], 0.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            attention_scores(np.zeros((1, 2, 3)), np.zeros((1, 4, 2, 5)), 3, 4)
+            attention_scores(np.zeros((1, 2, 3)), np.zeros((1, 4, 2, 5)), 4)
 
     def test_tile_rows_equal_single_queries(self):
         # Row r of a tile starting at causal limit L attends like one query at limit L + r,
@@ -261,11 +261,11 @@ class TestScoresAndOutput:
         k = rng.normal(size=(b, t, 2, d))
         v = rng.normal(size=(b, t, 4, d))
         w_o = rng.normal(size=(n_q * d, 7))
-        alpha = attention_scores(q, k, d, t - T + 1)
+        alpha = attention_scores(q, k, t - T + 1)
         out = attention_output(alpha, v, w_o)
         assert alpha.shape == (b, n_q, T, t) and out.shape == (b, T, 7)
         for r in range(T):
-            single = attention_scores(q[:, :, r], k, d, t - T + 1 + r)
+            single = attention_scores(q[:, :, r], k, t - T + 1 + r)
             assert_allclose(alpha[:, :, r], single, rtol=0, atol=1e-15)
             assert_allclose(out[:, r], attention_output(single, v, w_o), rtol=0, atol=1e-14)
 
@@ -312,7 +312,7 @@ class TestNaiveAttention:
         dict(aug_q_dim=24, d_k_head=2),          # both
         dict(n_k=8, n_v=8),                      # mha
         dict(n_k=1, n_v=1),                      # mqa
-        dict(d_k_head=2, softmax_scale_dim=2),   # logits scaled by stored K dim
+        dict(n_k=1, n_v=1, d_k_head=2),          # mqa + half K: scaled by d_head, not d_k
     ])
     def test_matches_brute_force_oracle(self, kwargs):
         cfg = make_cfg(**kwargs)
@@ -426,14 +426,15 @@ class TestCachedAttention:
         x = rng.normal(size=(1, s, 128))
         q, k, _ = project_qkv(x, w, cfg)
         q, k = apply_rope(q, k, np.arange(s), cfg.rope_theta)
+        q = attention._scored_query(q, w, cfg)
         real, calls = attention.attention_logits, []
 
-        def spy(q_tile, k_block, scale_dim):
+        def spy(q_tile, k_block):
             # Positions of the tile's queries and the block's keys, matched by value.
             queries = [np.abs(q[0, :, 0] - row).sum(-1).argmin() for row in q_tile[0, 0]]
             keys = [np.abs(k[0, :, 0] - row).sum(-1).argmin() for row in k_block[0, :, 0]]
             calls.append((tuple(queries), keys))
-            return real(q_tile, k_block, scale_dim)
+            return real(q_tile, k_block)
 
         monkeypatch.setattr(attention, "attention_logits", spy)
         cache = DifferentialKVCache(cfg, 1, s)
@@ -541,6 +542,14 @@ class TestWeightInit:
             assert_array_equal(arr, b.named_tensors()[name])
         c = init_attention_weights(cfg, 32, seed=6)
         assert not np.array_equal(a.w_q, c.w_q)
+
+    def test_seed_is_a_non_negative_integer_or_a_generator(self):
+        cfg = make_cfg()
+        for seed in (-3, 1.5, True):
+            with pytest.raises(UsageError, match="seed"):
+                init_attention_weights(cfg, 32, seed=seed)
+        w = init_attention_weights(cfg, 32, seed=np.random.default_rng(5))
+        assert_array_equal(w.w_q, init_attention_weights(cfg, 32, seed=5).w_q)
 
     def test_normal_std(self):
         w = init_attention_weights(PRESETS["gqa-16"].attention, 2048, seed=0)

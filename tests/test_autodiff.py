@@ -107,12 +107,12 @@ def _attention_inputs(heads, d_k, d_v, b, s, seed=0):
     return q, k, v, rng.normal(size=(b, n_q, s, d_v))
 
 
-def _one_shot_heads(q, k, v, scale_dim):
-    """Per-head causal attention by duplicating K/V to n_q heads: the independent oracle."""
+def _one_shot_heads(q, k, v):
+    """Per-head causal softmax(q·kᵀ)·v by duplicating K/V to n_q heads: the independent oracle."""
     n_q = q.shape[1]
     k = np.repeat(k, n_q // k.shape[2], axis=2)
     v = np.repeat(v, n_q // v.shape[2], axis=2)
-    out = _one_shot_causal(q.transpose(0, 2, 1, 3), k, v, scale_dim)
+    out = _one_shot_causal(q.transpose(0, 2, 1, 3), k, v, 1)
     return out.reshape(*v.shape).transpose(0, 2, 1, 3)
 
 
@@ -137,9 +137,9 @@ def test_causal_attention(monkeypatch, heads, d_k, d_v, b, s):
         assert s > tile
         assert max(len(attention._spans(b, heads[0], tile, i + 1, block)) for i in range(0, s, tile)) >= 2
     q, k, v, coeffs = _attention_inputs(heads, d_k, d_v, b, s)
-    out = ad.causal_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), 3).data
-    assert_allclose(out, _one_shot_heads(q, k, v, 3), rtol=0, atol=1e-12)
-    fd_check(lambda *t: ad.mul(ad.causal_attention(*t, 3), coeffs), [q, k, v])
+    out = ad.causal_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v)).data
+    assert_allclose(out, _one_shot_heads(q, k, v), rtol=0, atol=1e-12)
+    fd_check(lambda *t: ad.mul(ad.causal_attention(*t), coeffs), [q, k, v])
 
 
 def test_causal_attention_forward_is_the_numpy_core():
@@ -149,8 +149,8 @@ def test_causal_attention_forward_is_the_numpy_core():
     x = rng.normal(size=(2, 7, 32))
     q, k, v = project_qkv(x, w, cfg)
     q, k = apply_rope(q, k, np.arange(7), cfg.rope_theta)
-    q = ad.Tensor((q @ w.w_k_expand.T).transpose(0, 2, 1, 3))
-    heads = ad.causal_attention(q, ad.Tensor(k), ad.Tensor(v), cfg.softmax_scale_dim).data
+    q = ad.Tensor(attention._scored_query(q, w, cfg).transpose(0, 2, 1, 3))
+    heads = ad.causal_attention(q, ad.Tensor(k), ad.Tensor(v)).data
     out = heads.transpose(0, 2, 1, 3).reshape(2, 7, 32) @ w.w_o
     assert_allclose(out, naive_diffqkv_attention(x, w, cfg), rtol=0, atol=1e-12)
 
@@ -160,7 +160,7 @@ def test_causal_attention_masks_exactly():
     # reaches no later key or value, and the first row copies v[0].
     q, k, v, _ = _attention_inputs((4, 2, 2), 4, 4, 2, 6, seed=1)
     tensors = [ad.Tensor(a, requires_grad=True) for a in (q, k, v)]
-    out = ad.causal_attention(*tensors, 4)
+    out = ad.causal_attention(*tensors)
     assert_allclose(out.data[:, :, 0], np.repeat(v[:, 0], 2, axis=1), rtol=0, atol=1e-15)
     g = np.zeros_like(out.data)
     g[:, :, 2] = 1.0

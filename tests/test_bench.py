@@ -28,6 +28,11 @@ class TestRunBench:
         with pytest.raises(UsageError):
             run_bench(STD, SIGMA, TINY_GRID, reps=2)
 
+    @pytest.mark.parametrize("args", [dict(reps=3.5), dict(seed=-1), dict(seed=0.5)])
+    def test_rejects_non_integer_reps_and_seed(self, args):
+        with pytest.raises(UsageError, match="reps|seed"):
+            run_bench(STD, SIGMA, TINY_GRID, **{"reps": 3, **args})
+
     def test_refuses_caches_past_physical_memory(self, monkeypatch):
         # Cache plus copy buffer per config, at the longest cell 64 + 16 (+1 appended).
         reserved = sum(2 * 81 * cfg.cache_bracket * 8 for cfg in (STD, SIGMA))

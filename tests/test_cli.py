@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,10 @@ import diffqkv.cli
 import diffqkv.verify
 from diffqkv.cli import main
 from diffqkv.config import format_config_text, toy_preset
+from diffqkv.errors import UsageError
 from diffqkv.kvcache import DifferentialKVCache
+from diffqkv.model import init_model
+from diffqkv.tensorio import write_tensors
 from diffqkv.verify import run_verify
 
 
@@ -20,6 +27,12 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("instances", [0, -1, 2.5])
+    def test_run_verify_refuses_instances_below_one(self, instances):
+        # instances=0 used to return a vacuous PASS over no instance.
+        with pytest.raises(UsageError, match="instances"):
+            run_verify("equivalence", instances=instances)
 
     def test_all_suite_runs_each_property_once(self):
         shared = "sigma/gqa-16 footprint ratio == 0.625"  # in both the cache and cost suites
@@ -132,6 +145,15 @@ class TestTrainAndDecode:
         main(["train-toy", "--steps", "1", "--batch", "2", "--seq-len", "6", "--out", str(ckpt)])
         assert main(["decode", "--checkpoint", str(ckpt), "--prompt", "abc", "--n", "2"]) == 2
 
+    def test_decode_refuses_a_checkpoint_with_the_old_scale_key(self, tmp_path, capsys):
+        # Checkpoints once echoed attention.softmax_scale_dim; logits now scale by d_head alone.
+        model = init_model(toy_preset("gqa-4"))
+        ckpt = tmp_path / "old.ckpt"
+        text = format_config_text(model.config) + "attention.softmax_scale_dim = 4\n"
+        write_tensors(ckpt, model.named_tensors(), text)
+        assert main(["decode", "--checkpoint", str(ckpt), "--prompt", "1 2", "--n", "2"]) == 1
+        assert "unknown key 'attention.softmax_scale_dim'" in capsys.readouterr().err
+
     def test_decode_bad_magic_exit_1(self, tmp_path, capsys):
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_bytes(b"NOPE" + bytes(12))
@@ -241,6 +263,26 @@ def test_bad_number_exit_codes(tmp_path, capsys, case, args, code):
     assert code == 0 or not (tmp_path / f"{args[0]}.csv").exists(), case
     if "unwritable" in case:
         assert out == "", case  # refused before any work is done
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_without_a_traceback(unbuffered):
+    # The read end of stdout's pipe is closed before the run, as in `diffqkv verify ... | true`.
+    # Buffered, the write fails only at the last flush; unbuffered, in the first print.
+    src = os.path.dirname(os.path.dirname(diffqkv.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env["PYTHONUNBUFFERED"] = unbuffered
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "diffqkv.cli", "verify", "--suite", "cost"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert run.returncode == 1, run.stderr
+    assert "Traceback" not in run.stderr and "BrokenPipeError" not in run.stderr, run.stderr
 
 
 class TestArgparseBehaviour:

@@ -111,7 +111,6 @@ class TestValidate:
     def test_defaults_fill_in(self):
         cfg = attn(8, 2, 4, d_head=6)
         assert cfg.d_k_head == 6
-        assert cfg.softmax_scale_dim == 6
 
 
 class TestConfigFiles:
@@ -171,12 +170,26 @@ class TestConfigFiles:
 
     def test_repeated_key(self):
         text = format_config_text(attn(8, 2, 4, d_head=4)) + "attention.n_k_heads = 4\n"
-        with pytest.raises(ConfigFileError, match="line 9: repeated key 'attention.n_k_heads'"):
+        with pytest.raises(ConfigFileError, match="line 8: repeated key 'attention.n_k_heads'"):
             parse_config_text(text)
 
     def test_nested_attention_is_not_a_key(self):
         with pytest.raises(ConfigFileError, match="line 1: unknown key 'model.attention'"):
             parse_config_text("model.attention = 3")
+
+    def test_softmax_scale_dim_key_is_refused(self):
+        # Logits are scaled by 1/sqrt(d_head) alone: a text that still sets the
+        # old scale key, as every checkpoint written with it does, is refused.
+        lines = format_config_text(PRESETS["sigma-1.5b"]).splitlines()
+        lines.insert(6, "attention.softmax_scale_dim = 64")
+        with pytest.raises(ConfigFileError, match="line 7: unknown key 'attention.softmax_scale_dim'"):
+            parse_config_text("\n".join(lines))
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_text_has_no_scale_key_and_round_trips(self, name):
+        text = format_config_text(PRESETS[name])
+        assert "softmax_scale_dim" not in text
+        assert parse_config_text(text) == PRESETS[name]
 
 
 # Every field at a valid value unlike its default and unlike every other field's,
@@ -184,7 +197,7 @@ class TestConfigFiles:
 EVERY_FIELD = ModelConfig(
     AttentionConfig(
         n_q_heads=4, n_k_heads=2, n_v_heads=1, d_head=8, d_k_head=6,
-        aug_q_dim=12, softmax_scale_dim=5, rope_theta=1e4,
+        aug_q_dim=12, rope_theta=1e4,
     ),
     n_layers=3, d_model=32, d_ffn=40, vocab_size=50, max_seq_len=70,
 )
@@ -217,7 +230,7 @@ class TestNamedOnce:
 VALID_FIELDS = {
     AttentionConfig: dict(
         n_q_heads=8, n_k_heads=2, n_v_heads=4, d_head=4, d_k_head=2,
-        aug_q_dim=48, softmax_scale_dim=4, rope_theta=1e4,
+        aug_q_dim=48, rope_theta=1e4,
     ),
     ModelConfig: dict(
         attention=AttentionConfig(8, 2, 4, 4), n_layers=2, d_model=32, d_ffn=96,

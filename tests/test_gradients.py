@@ -6,8 +6,6 @@ reference), so agreement pins down both the gradients and the equality of the
 two op namespaces.
 """
 
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -25,6 +23,7 @@ from diffqkv.model import (
     loss_graph,
     staged_forward,
 )
+from diffqkv.errors import UsageError
 from diffqkv.verify import GRADCHECK_VARIANTS, _gradcheck_model_config, gradient_check
 
 STEP = 1e-5
@@ -48,8 +47,7 @@ def test_attention_weight_gradients_match_numpy_fd(label):
     coeffs = rng.normal(size=(2, 5, d_model))
 
     tensors = {name: ad.Tensor(arr, requires_grad=True) for name, arr in weights.named_tensors().items()}
-    attend = partial(ad.causal_attention, scale_dim=cfg.softmax_scale_dim)
-    out = attention_layer(ad.Tensor(x), AttentionWeights(**tensors), cfg, 0, attend, ad)
+    out = attention_layer(ad.Tensor(x), AttentionWeights(**tensors), cfg, 0, ad.causal_attention, ad)
     np.testing.assert_allclose(out.data, naive_diffqkv_attention(x, weights, cfg), atol=1e-12)
 
     loss = ad.mul(out, coeffs)
@@ -124,6 +122,12 @@ def test_staged_gradient_check_equals_full_forward_oracle(label, seed, samples_p
     assert staged == full_forward_gradient_check(
         cfg, seed=seed, samples_per_tensor=samples_per_tensor
     )
+
+
+@pytest.mark.parametrize("args", [dict(seed=-1), dict(seed=0.5), dict(samples_per_tensor=0)])
+def test_gradient_check_refuses_bad_seed_and_sample_count(args):
+    with pytest.raises(UsageError):
+        gradient_check(_gradcheck_model_config(*GRADCHECK_VARIANTS["mha"]), **args)
 
 
 @pytest.mark.parametrize("label", list(GRADCHECK_VARIANTS))

@@ -32,9 +32,9 @@ def fill_cache(cfg, k, v):
     return cache
 
 
-def partial(q, k, v, scale_dim, limit):
+def partial(q, k, v, limit):
     """(V sum, row max, sum-exp) of one query [n_q, d] over K/V rows [c, n, d], rows >= limit masked."""
-    logits = _masked_logits(q[None], k[None], scale_dim, limit)
+    logits = _masked_logits(q[None], k[None], limit)
     return tuple(a[0] for a in _partial(logits, v[None]))
 
 
@@ -43,12 +43,12 @@ def merge(parts):
 
 
 def naive_heads(q, k, v, cfg, causal_limit, w=None):
-    """Explicit-duplication reference for per-head outputs [n_q, d_head]."""
+    """Explicit-duplication reference for per-head outputs [n_q, d_head], at scale 1/sqrt(d_head)."""
     if cfg.half_k:
         k = k @ w.w_k_expand
     k_rep = np.repeat(k, cfg.n_q_heads // cfg.n_k_heads, axis=2)
     v_rep = np.repeat(v, cfg.n_q_heads // cfg.n_v_heads, axis=2)
-    alpha = attention_scores(q[None], k_rep, cfg.softmax_scale_dim, causal_limit)
+    alpha = attention_scores(q[None] / math.sqrt(cfg.d_head), k_rep, causal_limit)
     return weighted_value_sum(alpha, v_rep)[0]
 
 
@@ -62,7 +62,7 @@ class TestSplitCombine:
         q = rng.normal(size=(8, 4))
         k = rng.normal(size=(1, t, 2, 4))
         v = rng.normal(size=(1, t, 4, 4))
-        got = merge([partial(q, k[0], v[0], cfg.softmax_scale_dim, t)])
+        got = merge([partial(q / math.sqrt(cfg.d_head), k[0], v[0], t)])
         assert_allclose(got, naive_heads(q, k, v, cfg, t), atol=1e-12)
 
     def test_two_chunk_scalar_case(self):
@@ -71,7 +71,7 @@ class TestSplitCombine:
         q = np.array([[1.0]])
         k = np.array([[0.0], [math.log(3.0)]])
         v = np.array([[0.0], [4.0]])
-        parts = [partial(q, k[i : i + 1, None], v[i : i + 1, None], 1, 1) for i in (0, 1)]
+        parts = [partial(q, k[i : i + 1, None], v[i : i + 1, None], 1) for i in (0, 1)]
         assert_allclose(merge(parts), [[3.0]], rtol=1e-12)
 
     def test_fully_masked_chunk_sentinel(self):
@@ -82,15 +82,15 @@ class TestSplitCombine:
         v = rng.normal(size=(4, 4, 4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            masked = partial(q, k, v, cfg.softmax_scale_dim, 0)
+            masked = partial(q, k, v, 0)
             assert_array_equal(masked[0], np.zeros((8, 4)))
             assert_array_equal(masked[1], np.full(8, -np.inf))
             assert_array_equal(masked[2], np.zeros(8))
-            live = partial(q, k, v, cfg.softmax_scale_dim, 4)
+            live = partial(q, k, v, 4)
             assert_allclose(merge([live, masked]), merge([live]), atol=1e-15)
             # Tile rows 0 and 1 see none of the block's keys, row 2 sees its first.
             tile = rng.normal(size=(1, 8, 3, 4))
-            out, row_max, row_sumexp = _partial(_masked_logits(tile, k[None], 4, -1), v[None])
+            out, row_max, row_sumexp = _partial(_masked_logits(tile, k[None], -1), v[None])
             assert np.isfinite(out).all()
             assert_array_equal(out[:, :, :2], 0.0)
             assert_array_equal(row_max[:, :, :2], -np.inf)
@@ -103,7 +103,7 @@ class TestSplitCombine:
         q = rng.normal(size=(8, 4))
         k = rng.normal(size=(3, 2, 4))
         v = rng.normal(size=(3, 4, 4))
-        out, _, row_sumexp = p = partial(q, k, v, cfg.softmax_scale_dim, 3)
+        out, _, row_sumexp = p = partial(q, k, v, 3)
         assert_allclose(merge([p]), out / row_sumexp[:, None], atol=1e-15)
 
     def test_duplicated_halves_match_single(self):
@@ -115,8 +115,9 @@ class TestSplitCombine:
         q = rng.normal(size=(8, 4))
         k = rng.normal(size=(t, 2, 4))
         v = rng.normal(size=(t, 4, 4))
-        single = merge([partial(q, k, v, 4, t)])
-        doubled = merge([partial(q, k, v, 4, t), partial(q, k, v, 4, t)])
+        scored = q / math.sqrt(cfg.d_head)
+        single = merge([partial(scored, k, v, t)])
+        doubled = merge([partial(scored, k, v, t), partial(scored, k, v, t)])
         assert_allclose(doubled, single, atol=1e-12)
         cache = fill_cache(cfg, *(np.concatenate([a, a])[None] for a in (k, v)))
         chunked = flexhead_attention(q[None], cache, t, cfg)
@@ -128,7 +129,7 @@ class TestSplitCombine:
         q = rng.normal(size=(8, 4))
         k = rng.normal(size=(6, 2, 4))
         v = rng.normal(size=(6, 4, 4))
-        parts = [partial(q, k[:3], v[:3], 4, 3), partial(q, k[3:], v[3:], 4, 3)]
+        parts = [partial(q, k[:3], v[:3], 3), partial(q, k[3:], v[3:], 3)]
         shifted = [(out, row_max + 1000.0, row_sumexp) for out, row_max, row_sumexp in parts]
         assert_allclose(merge(shifted), merge(parts), atol=1e-9)
 
@@ -164,9 +165,9 @@ class TestSplitCombine:
         k = rng.normal(size=(t, 2, 4))
         v = rng.normal(size=(t, 4, 4))
         bounds = [(0, 3), (3, 7), (7, 8), (8, 12)]
-        parts = [partial(q, k[a:b], v[a:b], 4, b - a) for a, b in bounds]
+        parts = [partial(q, k[a:b], v[a:b], b - a) for a, b in bounds]
         base = merge(parts)
-        parts.append(partial(q, k[:2], v[:2], 4, 0))  # fully masked
+        parts.append(partial(q, k[:2], v[:2], 0))  # fully masked
         for order in ((2, 0, 3, 1), (4, 3, 2, 1, 0), (1, 4, 0, 2, 3)):
             assert_allclose(merge([parts[i] for i in order]), base, atol=1e-9)
 
@@ -179,11 +180,11 @@ class TestSplitCombine:
         v = rng.normal(size=(c, n_v, d_v))
         k_rep = np.repeat(k[:limit], n_q // n_k, axis=1)
         v_rep = np.repeat(v[:limit], n_q // n_v, axis=1)
-        logits = np.einsum("hd,thd->ht", q, k_rep) / math.sqrt(d)
+        logits = np.einsum("hd,thd->ht", q, k_rep)
         row_max = logits.max(axis=1)
         expw = np.exp(logits - row_max[:, None])
 
-        out, got_max, got_sumexp = partial(q, k, v, d, limit)
+        out, got_max, got_sumexp = partial(q, k, v, limit)
         assert_allclose(got_max, row_max, rtol=0, atol=1e-12)
         assert_allclose(got_sumexp, expw.sum(axis=1), rtol=0, atol=1e-12)
         assert_allclose(out, np.einsum("ht,thd->hd", expw, v_rep), rtol=0, atol=1e-12)

@@ -193,7 +193,7 @@ class TestIncrementalConsistency:
 
         def attend(kk, vv):
             k_rep = np.repeat(kk, 8 // kk.shape[2], axis=2)
-            alpha = attention_scores(q, k_rep, cfg.softmax_scale_dim, t)
+            alpha = attention_scores(q, k_rep, t)
             return weighted_value_sum(alpha, np.repeat(vv, 8 // vv.shape[2], axis=2))
 
         assert_array_equal(attend(k_view, v_view), attend(k, v))

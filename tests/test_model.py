@@ -52,6 +52,14 @@ def toy_cfg(n_q=8, n_k=2, n_v=4, d_k_head=None, aug_q_dim=0, vocab=64, layers=2)
     )
 
 
+class TestInit:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # -1 and 1.5 used to raise a raw ValueError and TypeError from numpy.
+        with pytest.raises(UsageError, match="seed must be a non-negative integer"):
+            init_model(toy_cfg(), seed)
+
+
 class TestForward:
     def test_logit_shapes(self):
         model = init_model(toy_cfg(), seed=0)
@@ -326,15 +334,25 @@ class TestTraining:
         loss = float(loss_graph(as_parameter_tensors(model), cfg, batch).data)
         assert abs(loss - math.log(64)) / math.log(64) < 0.05
 
-    def test_zero_lr_is_a_no_op(self):
+    @pytest.mark.parametrize(
+        "lr,batch,error",
+        [
+            (0.0, (2, 6), UsageError),
+            (-1.0, (2, 6), UsageError),
+            (True, (2, 6), UsageError),
+            ("0.1", (2, 6), UsageError),
+            (0.1, (0, 4), EmptyInputError),  # used to raise a raw ZeroDivisionError
+        ],
+        ids=["zero", "negative", "bool", "str", "empty-batch"],
+    )
+    def test_refused_step_changes_no_weight(self, lr, batch, error):
         cfg = toy_cfg()
         model = init_model(cfg, seed=8)
         before = {k: v.copy() for k, v in model.named_tensors().items()}
-        batch = random_token_batch(np.random.default_rng(8), 4, 8, cfg.vocab_size)
-        first = train_step(model, batch, lr=0.0)
+        with pytest.raises(error):
+            train_step(model, np.zeros(batch, dtype=int), lr)
         for name, arr in model.named_tensors().items():
             assert_array_equal(arr, before[name])
-        assert train_step(model, batch, lr=0.0) == first
 
     @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
     def test_non_finite_lr_rejected_before_any_update(self, lr):
