@@ -31,7 +31,6 @@ from .config import (
     ModelConfig,
     PRESETS,
     load_config_file,
-    preset,
     toy_preset,
 )
 from .costmodel import (
@@ -103,7 +102,6 @@ __all__ = [
     "kv_cache_cost",
     "load_config_file",
     "naive_diffqkv_attention",
-    "preset",
     "project_qkv",
     "reduction_rate",
     "selective_v_attention",

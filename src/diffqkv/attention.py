@@ -13,8 +13,8 @@ each row's log-sum-exp; nothing else in the numpy path exponentiates logits.
 same-named ops of :mod:`diffqkv.autodiff`: it projects and rotates new
 positions, prepares the query in ``_scored_query`` (the one place the half-K
 expansion is absorbed into it and the 1/sqrt(d_head) scale applied) and
-hands q, k, v to the caller's ``attend``: ``cached_attention`` appends them
-to a differential cache and runs ``_causal``, training runs
+hands q, k, v to the caller's ``attend``: ``cached_attention`` appends them to
+the cache whose config it runs and runs ``_causal``, training runs
 ``autodiff.causal_attention`` (the same ``_causal`` with a VJP).  Apart from
 the cache a caller passes in, every function is free of side effects.
 
@@ -114,9 +114,10 @@ class SelectivePolicy:
         check_int("k_top", self.k_top, 1)
 
 
-def attention_weight_shapes(cfg: AttentionConfig, d_model: int) -> dict[str, tuple[int, int]]:
+def attention_weight_shapes(cfg: AttentionConfig) -> dict[str, tuple[int, int]]:
     """Shape of every projection one layer has, in ``AttentionWeights`` field order."""
-    q_heads, aug = cfg.n_q_heads * cfg.d_head, cfg.aug_q_dim
+    d_model = q_heads = cfg.n_q_heads * cfg.d_head  # the width ``ModelConfig`` requires
+    aug = cfg.aug_q_dim
     shapes = {
         "w_q": (d_model, d_model if cfg.has_aug_q else q_heads),
         "w_k": (d_model, cfg.n_k_heads * cfg.d_k_head),
@@ -130,18 +131,14 @@ def attention_weight_shapes(cfg: AttentionConfig, d_model: int) -> dict[str, tup
     return shapes
 
 
-def init_attention_weights(
-    cfg: AttentionConfig, d_model: int | None = None, seed: int | np.random.Generator = 0
-) -> AttentionWeights:
-    """Seeded N(0, 0.02) initialization of all projection weights."""
+def init_attention_weights(cfg: AttentionConfig, seed: int | np.random.Generator = 0) -> AttentionWeights:
+    """Seeded N(0, 0.02) initialization of every projection ``attention_weight_shapes`` lists."""
     check_attention(cfg=cfg)
-    if d_model is None:
-        d_model = cfg.n_q_heads * cfg.d_head
     rng = seed
     if not isinstance(rng, np.random.Generator):
         check_int("seed", seed, 0, UsageError)
         rng = np.random.default_rng(seed)
-    shapes = attention_weight_shapes(cfg, d_model)
+    shapes = attention_weight_shapes(cfg)
     return AttentionWeights(**{name: rng.normal(0.0, 0.02, s) for name, s in shapes.items()})
 
 
@@ -389,12 +386,11 @@ def attention_layer(
     return ops.reshape(ops.transpose(heads, (0, 2, 1, 3)), (b, s, w.w_o.shape[0])) @ w.w_o
 
 
-def cached_attention(
-    x: np.ndarray, w: AttentionWeights, cfg: AttentionConfig, cache: DifferentialKVCache
-) -> np.ndarray:
+def cached_attention(x: np.ndarray, w: AttentionWeights, cache: DifferentialKVCache) -> np.ndarray:
     """``attention_layer`` of s new positions at ``cache.len``.., x [b, s, d_model] -> [b, s, d_model].
 
-    It attends by one append of all s K/V rows to ``cache`` and ``_causal`` over the cache.
+    It runs ``cache.cfg``, so all keys in a cache share one layout and rotary base, and attends
+    by one append of all s K/V rows to ``cache`` and ``_causal`` over the cache.
     """
     start = cache.len
 
@@ -402,13 +398,13 @@ def cached_attention(
         cache.append(k, v)
         return _causal(q, *cache.view(), start)[0]
 
-    return attention_layer(x, w, cfg, start, attend)
+    return attention_layer(x, w, cache.cfg, start, attend)
 
 
 def naive_diffqkv_attention(x: np.ndarray, w: AttentionWeights, cfg: AttentionConfig) -> np.ndarray:
-    """Causal attention over a whole sequence through the cached pass, on a scratch cache."""
+    """Causal attention over a whole sequence through the cached pass, on a scratch cache of ``cfg``."""
     b, s = x.shape[:2]
-    return cached_attention(x, w, cfg, DifferentialKVCache(cfg, b, max(s, 1)))
+    return cached_attention(x, w, DifferentialKVCache(cfg, b, max(s, 1)))
 
 
 def select_top_k(alpha: np.ndarray, policy: SelectivePolicy) -> np.ndarray:

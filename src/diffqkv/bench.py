@@ -91,9 +91,7 @@ class _ConfigFixture:
 
     def __init__(self, name: str, cfg: AttentionConfig, max_s: int, rng: np.random.Generator):
         self.name = name
-        self.cfg = cfg
-        d_model = cfg.n_q_heads * cfg.d_head
-        self.weights: AttentionWeights = init_attention_weights(cfg, d_model, rng)
+        self.weights: AttentionWeights = init_attention_weights(cfg, rng)
         self.cache = DifferentialKVCache(cfg, 1, max_s + 1)
         k_t = rng.normal(size=(1, 1, cfg.n_k_heads, cfg.d_k_head))
         v_t = rng.normal(size=(1, 1, cfg.n_v_heads, cfg.d_head))
@@ -102,7 +100,7 @@ class _ConfigFixture:
         self.k_buf = np.empty_like(self.cache._k)
         self.v_buf = np.empty_like(self.cache._v)
         self.q = rng.normal(size=(1, cfg.n_q_heads, cfg.d_head))
-        self.token = rng.normal(size=(1, d_model))
+        self.token = rng.normal(size=(1, cfg.n_q_heads * cfg.d_head))
 
     def kv_cache_step(self, s: int) -> float:
         self.cache.len = s
@@ -116,7 +114,7 @@ class _ConfigFixture:
     def attention_step(self, s: int, chunk_size: int = 256) -> float:
         self.cache.len = s
         start = time.perf_counter()
-        flexhead_attention(self.q, self.cache, chunk_size, self.cfg, self.weights)
+        flexhead_attention(self.q, self.cache, chunk_size, self.weights)
         return time.perf_counter() - start
 
     def augmented_q_step(self) -> float:
@@ -178,7 +176,7 @@ def run_bench(
                     "kv_cache": fix.kv_cache_step(s),
                     "attention": fix.attention_step(s),
                 }
-                if fix.cfg.has_aug_q:
+                if fix.cache.cfg.has_aug_q:
                     measured["augmented_q"] = fix.augmented_q_step()
                 if keep:
                     for module, seconds in measured.items():
@@ -186,7 +184,7 @@ def run_bench(
 
     report = BenchReport()
     for fix in fixtures:
-        cfg = fix.cfg
+        cfg = fix.cache.cfg
         d_model = cfg.n_q_heads * cfg.d_head
         augq_elements = (
             2 * d_model * cfg.aug_q_dim + cfg.aug_q_dim * cfg.n_q_heads * cfg.d_head

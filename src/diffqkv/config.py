@@ -169,15 +169,6 @@ _TOY_HEADS = {
 }
 
 
-def preset(name: str) -> ModelConfig:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise ConfigFileError(
-            f"unknown preset {name!r}; known presets: {', '.join(sorted(PRESETS))}"
-        ) from None
-
-
 def toy_preset(name: str, half_k: bool = False) -> ModelConfig:
     """Desk-scale variant of a named preset, preserving its head pattern."""
     if name not in _TOY_HEADS:

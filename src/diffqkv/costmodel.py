@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -172,16 +172,20 @@ def crossover_prefix(
 ) -> int | None:
     """Smallest prefix at which sigma's total cost is <= std's, or None if it never is.
 
-    beta cancels, so sigma's extra cost is a*P + c in the prefix P, solved in rationals,
-    which represent the float parameters exactly.
+    Sigma's extra ``_total_cost`` is affine in the prefix P, a*P + c: it is evaluated
+    at P = 0 and 1 in rationals, which represent the float parameters exactly.
     """
     check_attention(std=std, sigma=sigma)
     check_int("output_len", output_len, 1)
     check_int("batch", batch, 1)
-    n = output_len
-    per_element = (Fraction(p.alpha) + Fraction(p.attn_alpha)) * batch
-    a = per_element * (sigma.cache_bracket - std.cache_bracket) * n
-    c = a * (n + 1) / 2 + Fraction(p.augq_cost_per_token) * n * (sigma.has_aug_q - std.has_aug_q)
+    exact = CostModelParams(*map(Fraction, astuple(p)))
+
+    def gap(prefix: int) -> Fraction:
+        sigma_cost = _total_cost(sigma, batch, prefix, output_len, exact)
+        return sigma_cost - _total_cost(std, batch, prefix, output_len, exact)
+
+    c = gap(0)
+    a = gap(1) - c
     if c <= 0:
         return 0
     if a >= 0:

@@ -8,12 +8,13 @@ The forward is written once, as ``forward_stages`` over an ops namespace and
 a per-layer attention: the embedding, each block's attention half and FFN
 half, and the final norm with the head.  Inference runs it over
 ``attention.NUMPY_OPS``, each layer's ``cached_attention`` over that layer's
-differential KV cache, and creates no autodiff Tensor.  One fed loop runs the
-stages over consecutive slices of positions, writing each slice's logits
-into place: ``forward`` feeds fresh caches in row chunks sized by
-``_chunk_rows`` (so its transient memory does not grow with the sequence),
-while ``forward_incremental`` feeds the caller's caches, and ``decode`` its
-own, one position at a time, agreeing with ``forward`` token for token.
+differential KV cache (built for the model's attention config, which it
+runs), and creates no autodiff Tensor.  One fed loop runs the stages over
+consecutive slices of positions, writing each slice's logits into place:
+``forward`` feeds fresh caches in row chunks sized by ``_chunk_rows`` (so its
+transient memory does not grow with the sequence), while
+``forward_incremental`` feeds the caller's caches, and ``decode`` its own,
+one position at a time, agreeing with ``forward`` token for token.
 K/V stay at their stored head counts and the half-K expansion is absorbed
 into the query, so the cache is never duplicated or expanded.  Training
 (``graph_stages``) runs the same stages over :mod:`diffqkv.autodiff`,
@@ -46,6 +47,7 @@ from .attention import (
 from .config import ModelConfig, check_int, format_config_text, parse_config_text
 from .errors import (
     CapacityExceededError,
+    ConfigError,
     EmptyInputError,
     LengthError,
     PositionError,
@@ -91,8 +93,8 @@ def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every parameter, in the order ``init_model`` draws them."""
     d, f = cfg.d_model, cfg.d_ffn
     shapes: dict[str, tuple[int, ...]] = {}
+    attn = attention_weight_shapes(cfg.attention)
     for i in range(cfg.n_layers):
-        attn = attention_weight_shapes(cfg.attention, d)
         shapes.update((f"blocks.{i}.attn.{name}", shape) for name, shape in attn.items())
         block = zip(_BLOCK_TENSORS, ((d, f), (d, f), (f, d), (d,), (d,)))
         shapes.update((f"blocks.{i}.{name}", shape) for name, shape in block)
@@ -102,7 +104,7 @@ def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 def _assemble(cfg: ModelConfig, tensors: dict) -> ToyModel:
     """Build a model around the named arrays or Tensors of ``_tensor_shapes(cfg)`` (no copies)."""
-    attn = attention_weight_shapes(cfg.attention, cfg.d_model)
+    attn = attention_weight_shapes(cfg.attention)
 
     def block(i: int) -> TransformerBlock:
         return TransformerBlock(
@@ -188,7 +190,7 @@ def _feed(
 ) -> np.ndarray:
     """Tokens [b, s] at the caches' next positions -> logits [b, s, vocab], ``rows`` at a time."""
     b, s = tokens.shape
-    attentions = [partial(cached_attention, cfg=model.config.attention, cache=c) for c in caches]
+    attentions = [partial(cached_attention, cache=c) for c in caches]
     stages = forward_stages(model, NUMPY_OPS, attentions)
     logits = np.empty((b, s, model.config.vocab_size))
     for i in range(0, s, rows):
@@ -216,10 +218,13 @@ def make_caches(model: ToyModel, batch: int, capacity: int) -> list[Differential
 
 
 def _check_caches(model: ToyModel, caches: list[DifferentialKVCache], batch: int) -> None:
-    """One cache per layer (``UsageError``), each of batch ``batch`` (``ShapeError``)."""
+    """One cache per layer (``UsageError``), each of the model's attention config,
+    which its attention runs (``ConfigError``), and of batch ``batch`` (``ShapeError``)."""
     if len(caches) != model.config.n_layers:
         raise UsageError(f"{len(caches)} caches given for {model.config.n_layers} layers")
     for i, cache in enumerate(caches):
+        if cache.cfg != model.config.attention:
+            raise ConfigError(f"cache {i} has config {cache.cfg}, the model's is {model.config.attention}")
         if cache.batch != batch:
             raise ShapeError(f"cache {i} has batch {cache.batch}, the tokens have batch {batch}")
 
@@ -233,9 +238,10 @@ def forward_incremental(
     """Feed tokens [b, s] through the fed loop one position at a time.
 
     Each position appends exactly one (k_t, v_t) pair to every layer's cache;
-    there must be one cache per layer, each of batch b, holding exactly
-    ``start_pos`` positions and with room for s more.  A rejected call leaves
-    every cache unchanged.  Returns logits for the supplied positions only.
+    there must be one cache per layer, each of the model's attention config and
+    batch b, holding exactly ``start_pos`` positions and with room for s more.
+    A rejected call leaves every cache unchanged.  Returns logits for the
+    supplied positions only.
     """
     tokens = _check_tokens(model, tokens)
     _check_caches(model, caches, tokens.shape[0])
@@ -357,12 +363,15 @@ def train_step(model: ToyModel, batch, lr: float) -> float:
 def copy_task_batch(rng: np.random.Generator, batch: int, seq_len: int, vocab: int) -> np.ndarray:
     """Period-2 sequences [a, b, a, b, ...]: the next token is always the
     token before last, so the task is exactly 'predict the previous token'."""
-    pair = rng.integers(0, vocab, size=(batch, 2))
-    reps = (seq_len + 1) // 2
-    return np.tile(pair, (1, reps))[:, :seq_len]
+    check_int("seq_len", seq_len, 1, UsageError)
+    pair = random_token_batch(rng, batch, 2, vocab)
+    return np.tile(pair, (1, (seq_len + 1) // 2))[:, :seq_len]
 
 
 def random_token_batch(rng: np.random.Generator, batch: int, seq_len: int, vocab: int) -> np.ndarray:
+    """Uniform token ids [batch, seq_len] below ``vocab``; each size must be a positive integer."""
+    for name, value in (("batch", batch), ("seq_len", seq_len), ("vocab", vocab)):
+        check_int(name, value, 1, UsageError)
     return rng.integers(0, vocab, size=(batch, seq_len))
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .attention import AttentionWeights
 from .config import AttentionConfig
+from .errors import ConfigError
 
 
 def _rotary(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarray:
@@ -49,9 +50,11 @@ def _one_shot_causal(
 def vanilla_mha_attention(
     x: np.ndarray, w: AttentionWeights, cfg: AttentionConfig
 ) -> np.ndarray:
-    """Plain multi-head attention; valid when n_q = n_k = n_v and d_k = d_head."""
-    assert cfg.n_q_heads == cfg.n_k_heads == cfg.n_v_heads
-    assert cfg.d_k_head == cfg.d_head and not cfg.has_aug_q
+    """Plain multi-head attention; ``ConfigError`` unless n_q = n_k = n_v, d_k = d_head and no AugQ."""
+    if not cfg.n_q_heads == cfg.n_k_heads == cfg.n_v_heads:
+        raise ConfigError(f"vanilla MHA needs equal head counts, got {cfg}")
+    if cfg.half_k or cfg.has_aug_q:
+        raise ConfigError(f"vanilla MHA needs d_k_head == d_head and no augmented Q, got {cfg}")
     b, s, _ = x.shape
     h, d = cfg.n_q_heads, cfg.d_head
     positions = np.arange(s)

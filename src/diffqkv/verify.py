@@ -103,9 +103,8 @@ def check_flexhead_vs_naive(instances: int = 200, seed: int = 42) -> PropertyRes
         label, heads, d_head, d_k_head, aug = _EQUIV_CONFIGS[i % len(_EQUIV_CONFIGS)]
         cfg = AttentionConfig(*heads, d_head, d_k_head, aug)
         t = int(rng.choice(lengths))
-        d_model = cfg.n_q_heads * cfg.d_head
-        w = init_attention_weights(cfg, d_model, rng)
-        x = rng.normal(size=(1, t, d_model))
+        w = init_attention_weights(cfg, rng)
+        x = rng.normal(size=(1, t, cfg.n_q_heads * cfg.d_head))
         chunk_sizes = (1, 3, 64, t)
         drawn = [int(rng.integers(0, t)) for _ in chunk_sizes]
         # The reference scores only the positions compared below.
@@ -119,9 +118,7 @@ def check_flexhead_vs_naive(instances: int = 200, seed: int = 42) -> PropertyRes
 
         for chunk_size, pos_drawn in zip(chunk_sizes, drawn):
             for pos in {t - 1, pos_drawn}:
-                heads_out = kernel.flexhead_attention(
-                    q[:, pos], cache, chunk_size, cfg, w, causal_limit=pos + 1
-                )
+                heads_out = kernel.flexhead_attention(q[:, pos], cache, chunk_size, w, causal_limit=pos + 1)
                 got = heads_out.reshape(1, -1) @ w.w_o
                 err = float(np.max(np.abs(got[0] - expected[pos])))
                 max_err = max(max_err, err)
@@ -136,7 +133,7 @@ def check_degenerate_mha(instances: int = 50, seed: int = 7) -> PropertyResult:
     cfg = AttentionConfig(4, 4, 4, 8)
     max_err = 0.0
     for _ in range(instances):
-        w = init_attention_weights(cfg, 32, rng)
+        w = init_attention_weights(cfg, rng)
         x = rng.normal(size=(2, int(rng.integers(1, 9)), 32))
         err = float(
             np.max(np.abs(naive_diffqkv_attention(x, w, cfg) - vanilla_mha_attention(x, w, cfg)))
@@ -152,9 +149,8 @@ def check_grouped_duplication(instances: int = 50, seed: int = 11) -> PropertyRe
     for i in range(instances):
         label, heads, d_head, d_k_head, aug = _EQUIV_CONFIGS[i % len(_EQUIV_CONFIGS)]
         cfg = AttentionConfig(*heads, d_head, d_k_head, aug)
-        d_model = cfg.n_q_heads * cfg.d_head
-        w = init_attention_weights(cfg, d_model, rng)
-        x = rng.normal(size=(1, int(rng.integers(1, 12)), d_model))
+        w = init_attention_weights(cfg, rng)
+        x = rng.normal(size=(1, int(rng.integers(1, 12)), cfg.n_q_heads * cfg.d_head))
         err = float(
             np.max(
                 np.abs(

@@ -38,7 +38,7 @@ def make_cfg(n_q=8, n_k=2, n_v=4, d_head=4, **kw):
 class TestProjectQKV:
     def test_sigma_shapes(self):
         cfg = PRESETS["sigma-1.5b"].attention
-        w = init_attention_weights(cfg, 2048, seed=0)
+        w = init_attention_weights(cfg, seed=0)
         x = np.random.default_rng(0).normal(size=(1, 7, 2048))
         q, k, v = project_qkv(x, w, cfg)
         assert q.shape == (1, 7, 32, 64)
@@ -47,20 +47,20 @@ class TestProjectQKV:
 
     def test_zero_input_gives_zero_projections(self):
         cfg = make_cfg(aug_q_dim=16)
-        w = init_attention_weights(cfg, 32, seed=1)
+        w = init_attention_weights(cfg, seed=1)
         q, k, v = project_qkv(np.zeros((2, 3, 32)), w, cfg)
         assert not q.any() and not k.any() and not v.any()
 
     def test_identity_k_projection(self):
         cfg = make_cfg(n_q=1, n_k=1, n_v=1, d_head=2)
-        w = init_attention_weights(cfg, 2, seed=0)
+        w = init_attention_weights(cfg, seed=0)
         w.w_k = np.eye(2)
         _, k, _ = project_qkv(np.array([[[1.0, 2.0]]]), w, cfg)
         assert_array_equal(k, [[[[1.0, 2.0]]]])
 
     def test_wrong_d_model(self):
         cfg = make_cfg()
-        w = init_attention_weights(cfg, 32, seed=0)
+        w = init_attention_weights(cfg, seed=0)
         with pytest.raises(ShapeError):
             project_qkv(np.zeros((1, 2, 33)), w, cfg)
 
@@ -87,7 +87,7 @@ class TestAugmentQ:
 
     def test_missing_weights_raises(self):
         cfg = make_cfg()
-        w = init_attention_weights(cfg, 32, seed=0)
+        w = init_attention_weights(cfg, seed=0)
         with pytest.raises(ConfigError):
             augment_q(np.zeros((1, 32)), w)
 
@@ -155,7 +155,7 @@ class TestGroupedCore:
 
     def test_half_k_absorption_matches_expanded_keys(self):
         cfg = make_cfg(d_k_head=2)
-        w = init_attention_weights(cfg, 32, seed=3)
+        w = init_attention_weights(cfg, seed=3)
         x = np.random.default_rng(3).normal(size=(2, 9, 32))
         q, k, _ = project_qkv(x, w, cfg)
         q, k = apply_rope(q, k, np.arange(9), cfg.rope_theta)
@@ -171,7 +171,7 @@ class TestExpandK:
 
     def test_hand_product(self):
         cfg = make_cfg(d_head=2, d_k_head=1)
-        w = init_attention_weights(cfg, 16, seed=0)
+        w = init_attention_weights(cfg, seed=0)
         w.w_k_expand = np.array([[2.0, 3.0]])
         q = np.array([[[1.0, -1.0]]])  # [b=1, n_q=1, d_head=2]
         k = np.array([[[[5.0]]]])  # [b=1, t=1, n_k=1, d_k_head=1]; expands to [10, 15]
@@ -179,14 +179,14 @@ class TestExpandK:
 
     def test_zero_k(self):
         cfg = make_cfg(d_head=4, d_k_head=2)
-        w = init_attention_weights(cfg, 32, seed=0)
+        w = init_attention_weights(cfg, seed=0)
         q = np.random.default_rng(0).normal(size=(1, 8, 4))
         alpha = attention_scores(q @ w.w_k_expand.T, np.zeros((1, 3, 2, 2)), 3)
         assert_allclose(alpha, np.full((1, 8, 3), 1.0 / 3.0), rtol=0, atol=1e-15)
 
     def test_full_dim_has_no_layer(self):
         cfg = make_cfg()
-        w = init_attention_weights(cfg, 32, seed=0)
+        w = init_attention_weights(cfg, seed=0)
         assert w.w_k_expand is None
         x = np.random.default_rng(0).normal(size=(1, 3, 32))
         assert np.isfinite(naive_diffqkv_attention(x, w, cfg)).all()
@@ -290,15 +290,31 @@ class TestScoresAndOutput:
 class TestNaiveAttention:
     def test_degenerate_mha_equals_reference(self):
         cfg = make_cfg(n_q=4, n_k=4, n_v=4, d_head=8)
-        w = init_attention_weights(cfg, 32, seed=6)
+        w = init_attention_weights(cfg, seed=6)
         x = np.random.default_rng(6).normal(size=(2, 5, 32))
         assert_allclose(
             naive_diffqkv_attention(x, w, cfg), vanilla_mha_attention(x, w, cfg), atol=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "dims, reason",
+        [
+            ({"n_k": 2}, "equal head counts"),
+            ({"n_v": 2}, "equal head counts"),
+            ({"d_k_head": 4}, "d_k_head == d_head"),
+            ({"aug_q_dim": 16}, "no augmented Q"),
+        ],
+    )
+    def test_vanilla_reference_refuses_a_non_degenerate_config(self, dims, reason):
+        # Checked by assert, it used to raise a bare AssertionError, or nothing under -O.
+        cfg = make_cfg(**{"n_q": 4, "n_k": 4, "n_v": 4, "d_head": 8, **dims})
+        w = init_attention_weights(cfg, seed=6)
+        with pytest.raises(ConfigError, match=reason):
+            vanilla_mha_attention(np.zeros((1, 2, 32)), w, cfg)
+
     def test_single_token_is_projected_v(self):
         cfg = make_cfg()
-        w = init_attention_weights(cfg, 32, seed=7)
+        w = init_attention_weights(cfg, seed=7)
         x = np.random.default_rng(7).normal(size=(1, 1, 32))
         _, _, v = project_qkv(x, w, cfg)
         v_rep = np.repeat(v, cfg.n_q_heads // cfg.n_v_heads, axis=2)
@@ -316,7 +332,7 @@ class TestNaiveAttention:
     ])
     def test_matches_brute_force_oracle(self, kwargs):
         cfg = make_cfg(**kwargs)
-        w = init_attention_weights(cfg, 32, seed=8)
+        w = init_attention_weights(cfg, seed=8)
         x = np.random.default_rng(8).normal(size=(2, 5, 32))
         assert_allclose(naive_diffqkv_attention(x, w, cfg), brute_force_diffqkv(x, w, cfg), atol=1e-12)
 
@@ -328,7 +344,7 @@ class TestNaiveAttention:
         cfg = AttentionConfig(*heads, *dims)
         d_model = cfg.n_q_heads * cfg.d_head
         rng = np.random.default_rng(t * 10 + b)
-        w = init_attention_weights(cfg, d_model, rng)
+        w = init_attention_weights(cfg, rng)
         x = rng.normal(size=(b, t, d_model))
         rows = sorted({0, t // 2, t - 1})
         assert np.array_equal(
@@ -338,7 +354,7 @@ class TestNaiveAttention:
 
     def test_causality(self):
         cfg = make_cfg(aug_q_dim=24)
-        w = init_attention_weights(cfg, 32, seed=9)
+        w = init_attention_weights(cfg, seed=9)
         rng = np.random.default_rng(9)
         x = rng.normal(size=(1, 6, 32))
         base = naive_diffqkv_attention(x, w, cfg)
@@ -348,7 +364,7 @@ class TestNaiveAttention:
 
     def test_finite_outputs_at_large_magnitude(self):
         cfg = make_cfg(aug_q_dim=24, d_k_head=2)
-        w = init_attention_weights(cfg, 32, seed=10)
+        w = init_attention_weights(cfg, seed=10)
         x = 50.0 * np.random.default_rng(10).normal(size=(1, 8, 32))
         assert np.isfinite(naive_diffqkv_attention(x, w, cfg)).all()
 
@@ -362,15 +378,15 @@ class TestCachedAttention:
         cfg = make_cfg(n_q, n_k, n_v, **extras)
         rng = np.random.default_rng(n_q * 100 + n_k * 10 + n_v)
         d_model = n_q * cfg.d_head
-        w = init_attention_weights(cfg, d_model, rng)
+        w = init_attention_weights(cfg, rng)
         s = 7
         x = rng.normal(size=(2, s, d_model))
         expected = grouped_attention_by_duplication(x, w, cfg)
         for a in range(s + 1):
             cache = DifferentialKVCache(cfg, 2, s)
-            prefix = cached_attention(x[:, :a], w, cfg, cache)
+            prefix = cached_attention(x[:, :a], w, cache)
             assert cache.len == a
-            suffix = cached_attention(x[:, a:], w, cfg, cache)
+            suffix = cached_attention(x[:, a:], w, cache)
             assert cache.len == s
             got = np.concatenate([prefix, suffix], axis=1)
             assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -382,7 +398,7 @@ class TestCachedAttention:
         cfg = make_cfg(32, 4, 16, **extras)
         rng = np.random.default_rng(21)
         d_model = 32 * cfg.d_head
-        w = init_attention_weights(cfg, d_model, rng)
+        w = init_attention_weights(cfg, rng)
         s = 301
         x = rng.normal(size=(1, s, d_model))
         expected = grouped_attention_by_duplication(x, w, cfg)
@@ -390,8 +406,8 @@ class TestCachedAttention:
         assert 1 < tile < s // 10
         for a in (0, 2 * tile, 2 * tile + 1, 5 * tile - 1, s // 2, s):
             cache = DifferentialKVCache(cfg, 1, s)
-            prefix = cached_attention(x[:, :a], w, cfg, cache)
-            suffix = cached_attention(x[:, a:], w, cfg, cache)
+            prefix = cached_attention(x[:, :a], w, cache)
+            suffix = cached_attention(x[:, a:], w, cache)
             got = np.concatenate([prefix, suffix], axis=1)
             assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -406,14 +422,14 @@ class TestCachedAttention:
         cfg = make_cfg(32, 4, 16, **extras)
         rng = np.random.default_rng(22)
         d_model = 32 * cfg.d_head
-        w = init_attention_weights(cfg, d_model, rng)
+        w = init_attention_weights(cfg, rng)
         s = 64
         x = rng.normal(size=(1, s, d_model))
         expected = grouped_attention_by_duplication(x, w, cfg)
         for a in (0, 1, 15, 16, 17, 32, 33, 63, 64):
             cache = DifferentialKVCache(cfg, 1, s)
-            prefix = cached_attention(x[:, :a], w, cfg, cache)
-            suffix = cached_attention(x[:, a:], w, cfg, cache)
+            prefix = cached_attention(x[:, :a], w, cache)
+            suffix = cached_attention(x[:, a:], w, cache)
             got = np.concatenate([prefix, suffix], axis=1)
             assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -421,7 +437,7 @@ class TestCachedAttention:
         monkeypatch.setattr(attention, "_SCORE_BUDGET", 1 << 10)
         cfg = make_cfg(32, 4, 16)
         rng = np.random.default_rng(23)
-        w = init_attention_weights(cfg, 128, rng)
+        w = init_attention_weights(cfg, rng)
         s = 64
         x = rng.normal(size=(1, s, 128))
         q, k, _ = project_qkv(x, w, cfg)
@@ -438,8 +454,8 @@ class TestCachedAttention:
 
         monkeypatch.setattr(attention, "attention_logits", spy)
         cache = DifferentialKVCache(cfg, 1, s)
-        cached_attention(x[:, :17], w, cfg, cache)
-        cached_attention(x[:, 17:], w, cfg, cache)
+        cached_attention(x[:, :17], w, cache)
+        cached_attention(x[:, 17:], w, cache)
         tiles = {}
         for queries, keys in calls:
             assert max(keys) <= max(queries)  # the tile's causal end
@@ -454,7 +470,7 @@ class TestCachedAttention:
         # 32/4/16 heads over 257 positions: the one-shot [b, n_q, s, s] scores
         # alone would take 16.9 MB, four times what a tiled pass may hold.
         cfg = make_cfg(32, 4, 16, d_head=16)
-        w = init_attention_weights(cfg, 512, seed=4)
+        w = init_attention_weights(cfg, seed=4)
         x = np.random.default_rng(4).normal(size=(1, 257, 512))
 
         def peak() -> int:
@@ -474,10 +490,10 @@ class TestCachedAttention:
 
     def test_writes_unexpanded_rotated_keys(self):
         cfg = make_cfg(d_k_head=2)
-        w = init_attention_weights(cfg, 32, seed=3)
+        w = init_attention_weights(cfg, seed=3)
         x = np.random.default_rng(3).normal(size=(1, 5, 32))
         cache = DifferentialKVCache(cfg, 1, 5)
-        cached_attention(x, w, cfg, cache)
+        cached_attention(x, w, cache)
         q, k, v = project_qkv(x, w, cfg)
         _, k = apply_rope(q, k, np.arange(5), cfg.rope_theta)
         k_view, v_view = cache.view()
@@ -536,23 +552,23 @@ class TestSelectiveV:
 class TestWeightInit:
     def test_deterministic_from_seed(self):
         cfg = make_cfg(aug_q_dim=24, d_k_head=2)
-        a = init_attention_weights(cfg, 32, seed=5)
-        b = init_attention_weights(cfg, 32, seed=5)
+        a = init_attention_weights(cfg, seed=5)
+        b = init_attention_weights(cfg, seed=5)
         for name, arr in a.named_tensors().items():
             assert_array_equal(arr, b.named_tensors()[name])
-        c = init_attention_weights(cfg, 32, seed=6)
+        c = init_attention_weights(cfg, seed=6)
         assert not np.array_equal(a.w_q, c.w_q)
 
     def test_seed_is_a_non_negative_integer_or_a_generator(self):
         cfg = make_cfg()
         for seed in (-3, 1.5, True):
             with pytest.raises(UsageError, match="seed"):
-                init_attention_weights(cfg, 32, seed=seed)
-        w = init_attention_weights(cfg, 32, seed=np.random.default_rng(5))
-        assert_array_equal(w.w_q, init_attention_weights(cfg, 32, seed=5).w_q)
+                init_attention_weights(cfg, seed=seed)
+        w = init_attention_weights(cfg, seed=np.random.default_rng(5))
+        assert_array_equal(w.w_q, init_attention_weights(cfg, seed=5).w_q)
 
     def test_normal_std(self):
-        w = init_attention_weights(PRESETS["gqa-16"].attention, 2048, seed=0)
+        w = init_attention_weights(PRESETS["gqa-16"].attention, seed=0)
         assert abs(w.w_q.std() - 0.02) < 0.001
         assert abs(w.w_q.mean()) < 0.001
 
@@ -560,7 +576,7 @@ class TestWeightInit:
         from diffqkv.tensorio import read_tensors, write_tensors
 
         cfg = make_cfg(aug_q_dim=24, d_k_head=2)
-        w = init_attention_weights(cfg, 32, seed=7)
+        w = init_attention_weights(cfg, seed=7)
         path = tmp_path / "attn.bin"
         write_tensors(path, w.named_tensors(), "attention.n_q_heads = 8\n")
         echo, loaded = read_tensors(path)

@@ -145,7 +145,7 @@ def test_causal_attention(monkeypatch, heads, d_k, d_v, b, s):
 def test_causal_attention_forward_is_the_numpy_core():
     cfg = AttentionConfig(n_q_heads=8, n_k_heads=2, n_v_heads=4, d_head=4, d_k_head=2)
     rng = np.random.default_rng(3)
-    w = init_attention_weights(cfg, 32, rng)
+    w = init_attention_weights(cfg, rng)
     x = rng.normal(size=(2, 7, 32))
     q, k, v = project_qkv(x, w, cfg)
     q, k = apply_rope(q, k, np.arange(7), cfg.rope_theta)

@@ -273,7 +273,7 @@ class TestConstructionChecksTypes:
     def test_invalid_config_cannot_reach_its_consumers(self):
         valid = attn(8, 2, 4, d_head=4)
         x = np.zeros((1, 3, 32))
-        w = init_attention_weights(valid, 32)
+        w = init_attention_weights(valid)
         for change in (dict(d_k_head=-2), dict(rope_theta=math.nan), dict(n_v_heads=3)):
             with pytest.raises(ConfigError):
                 kv_cache_cost(replace(valid, **change), 1, 1, CostModelParams())

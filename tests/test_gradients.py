@@ -42,7 +42,7 @@ def test_attention_weight_gradients_match_numpy_fd(label):
     cfg = attention_variant(heads, d_k_head, aug)
     d_model = cfg.n_q_heads * cfg.d_head
     rng = np.random.default_rng(hash(label) % 2**32)
-    weights = init_attention_weights(cfg, d_model, rng)
+    weights = init_attention_weights(cfg, rng)
     x = rng.normal(size=(2, 5, d_model))
     coeffs = rng.normal(size=(2, 5, d_model))
 

@@ -120,7 +120,7 @@ class TestSplitCombine:
         doubled = merge([partial(scored, k, v, t), partial(scored, k, v, t)])
         assert_allclose(doubled, single, atol=1e-12)
         cache = fill_cache(cfg, *(np.concatenate([a, a])[None] for a in (k, v)))
-        chunked = flexhead_attention(q[None], cache, t, cfg)
+        chunked = flexhead_attention(q[None], cache, t)
         assert_allclose(chunked[0], single, atol=1e-12)
 
     def test_shift_invariance(self):
@@ -146,7 +146,7 @@ class TestSplitCombine:
         cache = fill_cache(cfg, k, v)
         want = naive_heads(q, k, v, cfg, t)
         for chunk_size in (1, 3, t):
-            got = flexhead_attention(q[None], cache, chunk_size, cfg)[0]
+            got = flexhead_attention(q[None], cache, chunk_size)[0]
             assert np.isfinite(got).all()
             assert_allclose(got, want, rtol=0, atol=1e-9)
 
@@ -156,7 +156,7 @@ class TestSplitCombine:
         q = rng.normal(size=(8, 4))
         cache = fill_cache(cfg, rng.normal(size=(1, 4, 2, 4)), rng.normal(size=(1, 4, 4, 4)))
         with pytest.raises(EmptyInputError):
-            flexhead_attention(q[None], cache, 2, cfg, causal_limit=0)
+            flexhead_attention(q[None], cache, 2, causal_limit=0)
 
     def test_order_and_grouping_invariance(self):
         rng = np.random.default_rng(5)
@@ -203,14 +203,14 @@ class TestFlexheadAttention:
         cfg = make_cfg(**kwargs)
         rng = np.random.default_rng(6)
         d_model = cfg.n_q_heads * cfg.d_head
-        w = init_attention_weights(cfg, d_model, rng)
+        w = init_attention_weights(cfg, rng)
         x = rng.normal(size=(1, t, d_model))
         q, k, v = project_qkv(x, w, cfg)
         q, k = apply_rope(q, k, np.arange(t), cfg.rope_theta)
         cache = fill_cache(cfg, k, v)
         for chunk_size in (1, 3, 64, t):
             for pos in (0, t // 2, t - 1):
-                got = flexhead_attention(q[:, pos], cache, chunk_size, cfg, w, causal_limit=pos + 1)
+                got = flexhead_attention(q[:, pos], cache, chunk_size, w, causal_limit=pos + 1)
                 want = naive_heads(q[0, pos], k[:, : pos + 1], v[:, : pos + 1], cfg, pos + 1, w)
                 assert_allclose(got[0], want, atol=1e-9)
 
@@ -219,7 +219,7 @@ class TestFlexheadAttention:
         cfg = make_cfg(**kwargs)
         rng = np.random.default_rng(11)
         d_model = cfg.n_q_heads * cfg.d_head
-        w = init_attention_weights(cfg, d_model, rng)
+        w = init_attention_weights(cfg, rng)
         t = 23
         x = rng.normal(size=(1, t, d_model))
         q, k, v = project_qkv(x, w, cfg)
@@ -229,7 +229,7 @@ class TestFlexheadAttention:
         # width 8 the keys past the limit are never scored and the first chunk is cut.
         for chunk_size in (1, 3, 7, 8):
             for limit in (1, 2, 5, 9, 10, 12, 14, 16, 23):
-                got = flexhead_attention(q[:, limit - 1], cache, chunk_size, cfg, w, causal_limit=limit)
+                got = flexhead_attention(q[:, limit - 1], cache, chunk_size, w, causal_limit=limit)
                 want = naive_heads(q[0, limit - 1], k[:, :limit], v[:, :limit], cfg, limit, w)
                 assert_allclose(got[0], want, atol=1e-9)
 
@@ -242,7 +242,7 @@ class TestFlexheadAttention:
         v = rng.normal(size=(2, t, 4, 4))
         cache = cache_new(cfg, batch=2, capacity=t)
         cache.append(k, v)
-        got = flexhead_attention(q, cache, 3, cfg)  # spans of three chunks copy V: b > 1
+        got = flexhead_attention(q, cache, 3)  # spans of three chunks copy V: b > 1
         for row in (0, 1):
             want = naive_heads(q[row], k[row : row + 1], v[row : row + 1], cfg, t)
             assert_allclose(got[row], want, atol=1e-9)
@@ -255,7 +255,7 @@ class TestFlexheadAttention:
         t = 10
         q = rng.normal(size=(1, 8, 4))
         cache = fill_cache(cfg, rng.normal(size=(1, t, 2, 4)), rng.normal(size=(1, t, 4, 4)))
-        want = flexhead_attention(q, cache, 4, cfg)
+        want = flexhead_attention(q, cache, 4)
         real, grids = attention._partial, []
 
         def spy(logits, v):
@@ -266,7 +266,7 @@ class TestFlexheadAttention:
         for budget, shapes in ((64, [(2, 8, 1, 4), (1, 8, 1, 2)]), (32, [(1, 8, 1, 4)] * 2 + [(1, 8, 1, 2)])):
             monkeypatch.setattr(attention, "_SCORE_BUDGET", budget)
             grids.clear()
-            assert_allclose(flexhead_attention(q, cache, 4, cfg), want, atol=1e-12)
+            assert_allclose(flexhead_attention(q, cache, 4), want, atol=1e-12)
             assert grids == shapes
 
     @pytest.mark.parametrize(
@@ -279,11 +279,11 @@ class TestFlexheadAttention:
         cfg = make_cfg(32, 4, 16, **extras)
         rng = np.random.default_rng(15)
         d_model = 32 * cfg.d_head
-        w = init_attention_weights(cfg, d_model, rng)
+        w = init_attention_weights(cfg, rng)
         t = 50
         x = rng.normal(size=(2, t, d_model))
         cache = cache_new(cfg, batch=2, capacity=t)
-        attention.cached_attention(x[:, :-1], w, cfg, cache)
+        attention.cached_attention(x[:, :-1], w, cache)
         real, merged = attention._causal, []
 
         def spy(*args):
@@ -292,12 +292,12 @@ class TestFlexheadAttention:
             return heads, lse
 
         monkeypatch.setattr(attention, "_causal", spy)
-        attention.cached_attention(x[:, -1:], w, cfg, cache)
+        attention.cached_attention(x[:, -1:], w, cache)
         q, k, _ = project_qkv(x[:, -1:], w, cfg)
         q, _ = apply_rope(q, k, [t - 1], cfg.rope_theta)
         block = attention._tile_sizes(2, 1, 32, 4)[1]
         assert block == 16
-        assert_array_equal(flexhead_attention(q[:, 0], cache, block, cfg, w), merged[0][:, :, 0])
+        assert_array_equal(flexhead_attention(q[:, 0], cache, block, w), merged[0][:, :, 0])
 
     def test_chunking_invariance_all_sizes(self):
         cfg = make_cfg()
@@ -307,9 +307,9 @@ class TestFlexheadAttention:
         k = rng.normal(size=(1, t, 2, 4))
         v = rng.normal(size=(1, t, 4, 4))
         cache = fill_cache(cfg, k, v)
-        base = flexhead_attention(q, cache, t, cfg)
+        base = flexhead_attention(q, cache, t)
         for chunk_size in range(1, t + 1):
-            got = flexhead_attention(q, cache, chunk_size, cfg)
+            got = flexhead_attention(q, cache, chunk_size)
             assert_allclose(got, base, atol=1e-9)
 
     def test_oversized_chunk_bit_identical_to_single(self):
@@ -320,8 +320,8 @@ class TestFlexheadAttention:
         k = rng.normal(size=(1, t, 2, 4))
         v = rng.normal(size=(1, t, 4, 4))
         cache = fill_cache(cfg, k, v)
-        small = flexhead_attention(q, cache, t, cfg)
-        large = flexhead_attention(q, cache, 10 * t, cfg)
+        small = flexhead_attention(q, cache, t)
+        large = flexhead_attention(q, cache, 10 * t)
         assert_array_equal(large, small)
 
     def test_causal_limit_outside_cache_raises(self):
@@ -334,13 +334,23 @@ class TestFlexheadAttention:
         cache = fill_cache(cfg, k, v)
         for limit in (1, t):
             want = naive_heads(q[0], k[:, :limit], v[:, :limit], cfg, limit)
-            assert_allclose(flexhead_attention(q, cache, 4, cfg, causal_limit=limit)[0], want, atol=1e-9)
+            assert_allclose(flexhead_attention(q, cache, 4, causal_limit=limit)[0], want, atol=1e-9)
         for limit in (t + 1, 60):
             with pytest.raises(PositionError):
-                flexhead_attention(q, cache, 4, cfg, causal_limit=limit)
+                flexhead_attention(q, cache, 4, causal_limit=limit)
         for limit in (0, -1):
             with pytest.raises(EmptyInputError):
-                flexhead_attention(q, cache, 4, cfg, causal_limit=limit)
+                flexhead_attention(q, cache, 4, causal_limit=limit)
+
+    def test_causal_limit_must_be_an_integer(self):
+        cfg = make_cfg()
+        rng = np.random.default_rng(20)
+        cache = fill_cache(cfg, rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
+        for limit in (True, 1.5, 2.0):  # True used to be taken as 1, a float to raise a raw TypeError
+            with pytest.raises(PositionError, match="causal_limit"):
+                flexhead_attention(np.zeros((1, 8, 4)), cache, 2, causal_limit=limit)
+        got = flexhead_attention(np.ones((1, 8, 4)), cache, 2, causal_limit=np.int64(2))
+        assert_array_equal(got, flexhead_attention(np.ones((1, 8, 4)), cache, 2, causal_limit=2))
 
     def test_chunk_below_one_raises(self):
         cfg = make_cfg()
@@ -348,7 +358,7 @@ class TestFlexheadAttention:
         cache = fill_cache(cfg, rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
         for chunk in (0, -1, 1.5, True):  # a float or bool used to raise a raw TypeError
             with pytest.raises(ConfigError, match="chunk"):
-                flexhead_attention(np.zeros((1, 8, 4)), cache, chunk, cfg)
+                flexhead_attention(np.zeros((1, 8, 4)), cache, chunk)
 
     def test_query_without_batch_axis_raises(self):
         cfg = make_cfg()
@@ -356,13 +366,13 @@ class TestFlexheadAttention:
         cache = fill_cache(cfg, rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
         for shape in ((8, 4), (1, 8, 1, 4)):  # one query without b, a tile of queries
             with pytest.raises(ShapeError):
-                flexhead_attention(np.zeros(shape), cache, 2, cfg)
+                flexhead_attention(np.zeros(shape), cache, 2)
 
     def test_empty_cache_raises(self):
         cfg = make_cfg()
         cache = cache_new(cfg, batch=1, capacity=4)
         with pytest.raises(EmptyInputError):
-            flexhead_attention(np.zeros((1, 8, 4)), cache, 2, cfg)
+            flexhead_attention(np.zeros((1, 8, 4)), cache, 2)
 
     def test_half_k_requires_expansion_weights(self):
         cfg = make_cfg(d_k_head=2)
@@ -371,7 +381,7 @@ class TestFlexheadAttention:
         v = rng.normal(size=(1, 3, 4, 4))
         cache = fill_cache(cfg, k, v)
         with pytest.raises(ConfigError):
-            flexhead_attention(np.zeros((1, 8, 4)), cache, 2, cfg)
+            flexhead_attention(np.zeros((1, 8, 4)), cache, 2)
 
     def test_sigma_heads_long_sequence(self):
         # full head pattern (32, 4, 16) at t = 257 with chunk size 64
@@ -382,6 +392,6 @@ class TestFlexheadAttention:
         v = rng.normal(size=(1, t, 16, 16))
         q = rng.normal(size=(32, 16))
         cache = fill_cache(cfg, k, v)
-        got = flexhead_attention(q[None], cache, 64, cfg)[0]
+        got = flexhead_attention(q[None], cache, 64)[0]
         want = naive_heads(q, k, v, cfg, t)
         assert_allclose(got, want, atol=1e-9)

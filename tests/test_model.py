@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from diffqkv import model as model_module
 from diffqkv.config import AttentionConfig, ModelConfig, toy_preset
 from diffqkv.errors import (
     CapacityExceededError,
+    ConfigError,
     DiffQKVError,
     EmptyInputError,
     LengthError,
@@ -19,6 +21,7 @@ from diffqkv.errors import (
     TokenRangeError,
     UsageError,
 )
+from diffqkv.kvcache import DifferentialKVCache
 from diffqkv.tensorio import ContainerFormatError, read_tensors, write_tensors
 from diffqkv.verify import _EQUIV_CONFIGS
 from diffqkv.model import (
@@ -288,6 +291,24 @@ class TestDecode:
             forward_incremental(model, np.array([[1, 2]]), caches, start_pos=0)
         assert all(c.len == 0 for c in caches)
 
+    @pytest.mark.parametrize("change", [{"rope_theta": 10_000.0}, {"aug_q_dim": 48}])
+    def test_caches_of_another_config_rejected_before_any_append(self, change):
+        # A cache of the same shapes but another rope_theta used to be fed, its new
+        # keys rotated with the model's theta and its old ones with its own.
+        model = init_model(toy_cfg(), seed=4)
+        caches = make_caches(model, 1, 8)
+        forward_incremental(model, np.array([[1, 2]]), caches, start_pos=0)
+        other = DifferentialKVCache(replace(model.config.attention, **change), 1, 8)
+        other.append(*caches[1].view())
+        caches[1] = other
+        before = [tuple(np.copy(a) for a in c.view()) for c in caches]
+        with pytest.raises(ConfigError, match="cache 1 has config"):
+            forward_incremental(model, np.array([[3]]), caches, start_pos=2)
+        for cache, (k, v) in zip(caches, before):
+            assert cache.len == 2
+            assert_array_equal(cache.view()[0], k)
+            assert_array_equal(cache.view()[1], v)
+
     @pytest.mark.parametrize("prompt", [[[1, 2], [3, 4]], [[1, 2]], 5])
     def test_prompt_must_be_one_dimensional(self, prompt):
         # A 2-D prompt used to be flattened and decoded as one sequence.
@@ -427,6 +448,22 @@ class TestTraining:
         batch = copy_task_batch(np.random.default_rng(10), 5, 9, 64)
         assert batch.shape == (5, 9)
         assert_array_equal(batch[:, 2:], batch[:, :-2])  # next token == previous token
+
+    @pytest.mark.parametrize("make", [copy_task_batch, random_token_batch])
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("batch", (-1, 4, 64)),  # used to raise a raw ValueError
+            ("batch", (2.5, 4, 64)),  # used to raise a raw TypeError
+            ("seq_len", (2, -1, 64)),  # copy_task_batch used to return a [2, 0] batch
+            ("seq_len", (2, 0, 64)),
+            ("vocab", (2, 4, 0)),  # used to raise a raw ValueError
+            ("vocab", (2, 4, True)),
+        ],
+    )
+    def test_batch_sizes_must_be_positive_integers(self, make, name, args):
+        with pytest.raises(UsageError, match=f"{name} must be a positive integer"):
+            make(np.random.default_rng(0), *args)
 
 
 class TestCheckpoints:
