@@ -31,7 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import AttentionConfig, check_attention, check_int
-from .errors import ConfigError, DimensionError, ShapeError, UsageError
+from .errors import ConfigError, DimensionError, EmptyInputError, PositionError, ShapeError, UsageError
 from .kvcache import DifferentialKVCache
 
 RMS_NORM_EPS = 1e-6
@@ -47,23 +47,20 @@ def _inverse_rms(x: np.ndarray) -> np.ndarray:
 
     Rows are divided by their largest |x| (1 if all zero) before squaring, so none overflows.
     """
-    peak = np.abs(x).max(axis=-1, keepdims=True)
+    peak = np.abs(x).max(axis=-1, keepdims=True, initial=0.0)
     peak[peak == 0.0] = 1.0
-    rms = peak * np.sqrt(((x / peak) ** 2).sum(axis=-1, keepdims=True) / x.shape[-1])
+    unit = x / peak
+    rms = peak * np.sqrt(np.einsum("...i,...i->...", unit, unit)[..., None] / x.shape[-1])
     return 1.0 / np.hypot(rms, math.sqrt(RMS_NORM_EPS))
 
 
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    # x: [..., s, n, d]; cos/sin: [s, d/2]. Consecutive pairs (x0, x1) rotate to
-    # (x0*cos - x1*sin, x0*sin + x1*cos).
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
-    c = cos[:, None, :]
-    s = sin[:, None, :]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * c - odd * s
-    out[..., 1::2] = even * s + odd * c
-    return out
+    # x: [..., s, n, d]; cos/sin: [s, d/2]. Each pair (x0, x1), as x0 + i*x1, is multiplied
+    # by cos + i*sin, giving (x0*cos - x1*sin, x0*sin + x1*cos).
+    x = np.asarray(x, dtype=np.float64)
+    if x.strides[-1] != x.itemsize:  # pairs must be adjacent to view them as complex
+        x = x.copy()
+    return (x.view(np.complex128) * (cos + 1j * sin)[:, None, :]).view(np.float64)
 
 
 # The array ops ``attention_layer`` and the model's stages are written over, for
@@ -239,7 +236,7 @@ def _partial(logits: np.ndarray, v: np.ndarray | None) -> tuple[np.ndarray, np.n
     -inf throughout (fully masked) gets p = 0 and m = -inf, so it adds nothing
     to a merge.
     """
-    row_max = logits.max(axis=-1, keepdims=True)
+    row_max = logits.max(axis=-1, keepdims=True, initial=-np.inf)  # with an identity, fast on short rows
     shift = np.maximum(row_max, np.finfo(np.float64).min)  # finite, so -inf - shift is -inf
     p = np.exp(np.subtract(logits, shift, out=logits), out=logits)
     out = p if v is None else weighted_value_sum(p, v)
@@ -260,6 +257,13 @@ def _merge(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.n
     return np.einsum("n...d,n...->...d", out, scale) / total[..., None], peak + np.log(total)
 
 
+def _check_causal_limit(name: str, limit, t: int) -> None:
+    """``PositionError`` unless ``limit`` is an integer; ``EmptyInputError`` if none of t keys is below it."""
+    check_int(name, limit, None, PositionError)
+    if min(t, limit) < 1:
+        raise EmptyInputError(f"no key below {name}={limit} among {t} positions")
+
+
 def attention_scores(q: np.ndarray, k: np.ndarray, causal_mask_len: int) -> np.ndarray:
     """Per-head softmax attention weights for one query position or a tile of them.
 
@@ -267,10 +271,13 @@ def attention_scores(q: np.ndarray, k: np.ndarray, causal_mask_len: int) -> np.n
         q: [b, n_q, d] query vectors, or [b, n_q, T, d] for a tile of T
             consecutive positions, as ``_scored_query`` prepares them.
         k: [b, t, n_k, d] keys at their stored head count, n_k dividing n_q.
-        causal_mask_len: positions >= this index (+ r in tile row r) get weight exactly 0.
+        causal_mask_len: positions >= this index (+ r in tile row r) get weight exactly 0;
+            an integer of at least 1 (``PositionError`` for a non-integer,
+            ``EmptyInputError`` below 1 or for a k with no positions).
     Returns:
-        alpha: [b, n_q, t] or [b, n_q, T, t], softmax(q·kᵀ); each unmasked row sums to 1.
+        alpha: [b, n_q, t] or [b, n_q, T, t], softmax(q·kᵀ); each row sums to 1.
     """
+    _check_causal_limit("causal_mask_len", causal_mask_len, k.shape[1])
     p, _, total = _partial(_masked_logits(q, k, causal_mask_len), None)
     p /= total[..., None]
     return p

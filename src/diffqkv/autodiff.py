@@ -4,7 +4,8 @@ Just enough machinery for the toy causal LM: broadcast-aware add/mul, matmul
 by a weight, reshapes/transposes, gated SiLU, RMS normalization, rotary
 embedding, causal attention, embedding lookup and a fused shifted
 cross-entropy, reusing the numpy code of :mod:`diffqkv.attention`; no node
-holds a full score matrix.  Its ops share names and signatures with
+holds a full score matrix, and gated SiLU keeps 1 + exp(-a) so that its VJP
+runs no exp.  Its ops share names and signatures with
 ``attention.NUMPY_OPS``, so the model's stages are written once over either.
 Nodes form an implicit DAG; ``backward`` walks it once in reverse topological
 order and accumulates gradients on leaves.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import _causal, _inverse_rms, _masked_logits, _query_groups, _rotate
-from .attention import _spans, _tile_sizes, attention_logits, silu, weighted_value_sum
+from .attention import _spans, _tile_sizes, attention_logits, weighted_value_sum
 from .errors import LengthError, ShapeError
 
 
@@ -186,12 +187,13 @@ def transpose(a: Tensor, axes) -> Tensor:
 def silu_gate(a: Tensor, b: Tensor) -> Tensor:
     """silu(a) * b, the gated product of the FFN and the augmented-Q block.
 
-    Keeps only its operands: the VJP recomputes sigmoid(a) instead of storing it.
+    The forward divides by den = 1 + exp(-a), as ``attention.silu`` does, and keeps den: the VJP runs no exp.
     """
-    out = silu(a.data) * b.data
+    den = 1.0 + np.exp(-a.data)
+    out = a.data / den * b.data
 
     def vjp(g):
-        sig = 1.0 / (1.0 + np.exp(-a.data))
+        sig = 1.0 / den
         gated = a.data * sig  # silu(a)
         # d/da silu(a) = sig + silu(a) * (1 - sig)
         ga = (gated * (1.0 - sig) + sig) * b.data * g if a.requires_grad else None
@@ -201,16 +203,17 @@ def silu_gate(a: Tensor, b: Tensor) -> Tensor:
 
 
 def rms_norm(x: Tensor, scale: Tensor) -> Tensor:
-    """Scale-only RMS normalization over the last axis."""
+    """Scale-only RMS normalization of x [..., d] over the last axis, by scale [d]."""
     inv = _inverse_rms(x.data)
     y = x.data * inv
     out = y * scale.data
 
     def vjp(g):
         # In terms of y = x * inv, so no power of inv can over- or underflow.
+        d = y.shape[-1]
         gs = g * scale.data
-        gx = inv * (gs - y * np.mean(gs * y, axis=-1, keepdims=True))
-        return gx, _unbroadcast(g * y, scale.data.shape)
+        gx = inv * (gs - y * (np.einsum("...i,...i->...", gs, y)[..., None] / d))
+        return gx, np.einsum("ri,ri->i", g.reshape(-1, d), y.reshape(-1, d))
 
     return Tensor(out, parents=(x, scale), vjp=vjp)
 
@@ -232,7 +235,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     def vjp(g):
         b, n_q, s = qd.shape[:3]
         n_k, n_v = kd.shape[2], vd.shape[2]
-        dq, dk, dv = np.zeros_like(qd), np.zeros_like(kd), np.zeros_like(vd)
+        # dK and dV head-major, [b, n, s, d]: each block's += writes one contiguous run.
+        dq, dk, dv = np.zeros_like(qd), np.zeros((b, n_k, s, kd.shape[3])), np.zeros((b, n_v, s, vd.shape[3]))
         delta = np.einsum("bhsd,bhsd->bhs", g, heads)[..., None]
         tile, block = _tile_sizes(b, s, n_q, n_k)
         for i in range(0, s, tile):
@@ -241,21 +245,20 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
             for a, z, _ in _spans(b, n_q, q_t.shape[2], i + 1, block):
                 p = _masked_logits(q_t, kd[:, a:z], i + 1 - a)
                 p = np.exp(np.subtract(p, lse[:, :, rows, None], out=p), out=p)
-                dv[:, a:z] += _grouped_t(p, g_t, n_v)
+                dv[:, :, a:z] += _grouped_t(p, g_t, n_v)
                 ds = attention_logits(g_t, vd[:, a:z])
                 ds -= delta[:, :, rows]
                 ds *= p
                 dq[:, :, rows] += weighted_value_sum(ds, kd[:, a:z])
-                dk[:, a:z] += _grouped_t(ds, q_t, n_k)
-        return dq, dk, dv
+                dk[:, :, a:z] += _grouped_t(ds, q_t, n_k)
+        return dq, dk.transpose(0, 2, 1, 3), dv.transpose(0, 2, 1, 3)
 
     return Tensor(heads, parents=(q, k, v), vjp=vjp)
 
 
 def _grouped_t(p: np.ndarray, rows: np.ndarray, n_src: int) -> np.ndarray:
-    """p [b, n_q, T, t] transposed onto query rows [b, n_q, T, m], per source head -> [b, t, n_src, m]."""
-    out = np.matmul(_query_groups(p, n_src).swapaxes(-1, -2), _query_groups(rows, n_src))
-    return out.transpose(0, 2, 1, 3)
+    """p [b, n_q, T, t] transposed onto query rows [b, n_q, T, m], per source head -> [b, n_src, t, m]."""
+    return np.matmul(_query_groups(p, n_src).swapaxes(-1, -2), _query_groups(rows, n_src))
 
 
 def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
@@ -288,7 +291,7 @@ def cross_entropy_next_token(logits: Tensor, tokens: np.ndarray) -> Tensor:
         raise LengthError(f"next-token loss needs at least 2 positions, got {s}")
     pred = logits.data[:, :-1]
     targets = tokens[:, 1:]
-    shifted = pred - pred.max(axis=-1, keepdims=True)
+    shifted = pred - pred.max(axis=-1, keepdims=True, initial=-np.inf)
     logz = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     logprobs = shifted - logz
     count = b * (s - 1)

@@ -27,10 +27,11 @@ from .errors import (
 )
 
 
-def check_int(name: str, value, least: int, error=ConfigError, kind=numbers.Integral) -> None:
-    """Raise ``error`` unless ``value`` is a ``kind`` (never a bool) of at least ``least`` (0 or 1)."""
-    if isinstance(value, bool) or not isinstance(value, kind) or value < least:
-        raise error(f"{name} must be a {'positive' if least else 'non-negative'} integer, got {value!r}")
+def check_int(name: str, value, least: int | None, error=ConfigError, kind=numbers.Integral) -> None:
+    """Raise ``error`` unless ``value`` is a ``kind`` (never a bool) of at least ``least`` (0, 1, or None)."""
+    if isinstance(value, bool) or not isinstance(value, kind) or (least is not None and value < least):
+        what = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
+        raise error(f"{name} must be {what} integer, got {value!r}")
 
 
 def _check_int_fields(cfg) -> None:

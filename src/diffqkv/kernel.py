@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import AttentionWeights, _attend, _scored_query
+from .attention import AttentionWeights, _attend, _check_causal_limit, _scored_query
 from .config import check_int
-from .errors import EmptyInputError, PositionError, ShapeError
+from .errors import PositionError, ShapeError
 from .kvcache import DifferentialKVCache
 
 
@@ -33,9 +33,7 @@ def flexhead_attention(
         raise ShapeError(f"expected q of shape [b, n_q, d], got {q.shape}")
     q = _scored_query(q, w, cache.cfg)
     limit = cache.len if causal_limit is None else causal_limit
-    if min(cache.len, limit) < 1:
-        raise EmptyInputError(f"flexhead_attention: no key below causal limit {limit} in {cache.len} cached")
-    check_int("causal_limit", limit, 1, PositionError)
+    _check_causal_limit("causal_limit", limit, cache.len)
     if limit > cache.len:
         raise PositionError(f"causal limit {limit} is past the {cache.len} cached positions")
     check_int("chunk", chunk, 1)

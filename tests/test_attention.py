@@ -18,12 +18,13 @@ from diffqkv.attention import (
     init_attention_weights,
     naive_diffqkv_attention,
     project_qkv,
+    rope_angles,
     select_top_k,
     selective_v_attention,
     weighted_value_sum,
 )
 from diffqkv.config import AttentionConfig, PRESETS
-from diffqkv.errors import ConfigError, DimensionError, ShapeError, UsageError
+from diffqkv.errors import ConfigError, DimensionError, EmptyInputError, PositionError, ShapeError, UsageError
 from diffqkv.kvcache import DifferentialKVCache
 from diffqkv.reference import grouped_attention_by_duplication, vanilla_mha_attention
 from diffqkv.verify import _EQUIV_CONFIGS
@@ -125,6 +126,32 @@ class TestRope:
             norms_before = np.hypot(before[..., 0::2], before[..., 1::2])
             norms_after = np.hypot(after[..., 0::2], after[..., 1::2])
             assert_allclose(norms_after, norms_before, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(16, 32, 8, 4), (1, 1, 32, 16), (2, 7, 3, 6)])
+    def test_rotate_is_the_pair_formula(self, shape):
+        # ``_rotate`` multiplies each pair as a complex number; the explicit
+        # (x0*cos - x1*sin, x0*sin + x1*cos) may round differently (a fused
+        # multiply-add), by at most 2 ulp of the pair's norm.
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape)
+        cos, sin = rope_angles(np.arange(shape[-3]) * 37 + 5, shape[-1], 10_000.0)
+        got = attention._rotate(x, cos, sin)
+        even, odd, c, s = x[..., 0::2], x[..., 1::2], cos[:, None], sin[:, None]
+        want = np.stack([even * c - odd * s, even * s + odd * c], axis=-1).reshape(shape)
+        norm = np.repeat(np.hypot(even, odd), 2, axis=-1)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(norm))
+        after = np.hypot(got[..., 0::2], got[..., 1::2])
+        assert_allclose(after, norm[..., 0::2], rtol=4 * np.finfo(np.float64).eps, atol=0)
+        zero_cos, zero_sin = rope_angles(np.zeros(shape[-3]), shape[-1], 10_000.0)
+        assert_array_equal(attention._rotate(x, zero_cos, zero_sin), x)
+
+    def test_rotate_reads_strided_views(self):
+        x = np.random.default_rng(4).normal(size=(2, 3, 5, 8))
+        cos, sin = rope_angles(np.arange(5), 4, 50_000.0)
+        transposed = x[..., :4].transpose(0, 2, 1, 3)  # [b, s, n, d]; each pair still adjacent
+        every_other = x.transpose(0, 2, 1, 3)[..., ::2]  # pairs not adjacent: rotated from a copy
+        for view in (transposed, every_other):
+            assert_array_equal(attention._rotate(view, cos, sin), attention._rotate(view.copy(), cos, sin))
 
 
 class TestGroupedCore:
@@ -268,6 +295,22 @@ class TestScoresAndOutput:
             single = attention_scores(q[:, :, r], k, t - T + 1 + r)
             assert_allclose(alpha[:, :, r], single, rtol=0, atol=1e-15)
             assert_allclose(out[:, r], attention_output(single, v, w_o), rtol=0, atol=1e-14)
+
+    def test_limit_below_one_or_no_keys_raises(self):
+        # Both used to return all-NaN rows, with a RuntimeWarning from 0/0.
+        q, k = np.zeros((1, 2, 3)), np.ones((1, 4, 2, 3))
+        for limit in (0, -1):
+            with pytest.raises(EmptyInputError, match="causal_mask_len"):
+                attention_scores(q, k, limit)
+        with pytest.raises(EmptyInputError):
+            attention_scores(q, np.ones((1, 0, 2, 3)), 1)
+
+    def test_non_integer_limit_raises(self):
+        q, k = np.zeros((1, 2, 3)), np.ones((1, 4, 2, 3))
+        for limit in (1.5, 2.0, True, "2", None):
+            with pytest.raises(PositionError, match="causal_mask_len"):
+                attention_scores(q, k, limit)
+        assert_array_equal(attention_scores(q, k, np.int64(2)), attention_scores(q, k, 2))
 
     def test_output_single_position_copies_v(self):
         v = np.random.default_rng(5).normal(size=(1, 1, 2, 3))

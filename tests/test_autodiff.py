@@ -73,6 +73,13 @@ def test_gated_silu():
     assert_allclose(ad.silu_gate(ad.Tensor(a), ad.Tensor(b)).data, a / (1 + np.exp(-a)) * b, rtol=1e-15)
 
 
+def test_gated_silu_forward_is_the_numpy_op():
+    # The graph's forward rounds exactly as the inference path's.
+    a, b = RNG.normal(size=(4, 6)) * 5, RNG.normal(size=(4, 6))
+    got = ad.silu_gate(ad.Tensor(a), ad.Tensor(b)).data
+    assert np.array_equal(got, attention.NUMPY_OPS.silu_gate(a, b))
+
+
 def test_rms_norm():
     fd_check(ad.rms_norm, [RNG.normal(size=(2, 3, 6)), RNG.normal(size=(6,))])
 

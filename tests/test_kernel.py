@@ -97,6 +97,22 @@ class TestSplitCombine:
             assert_array_equal(row_sumexp[:, :, :2], 0.0)
             assert_allclose(row_sumexp[:, :, 2], 1.0, rtol=0, atol=1e-15)
 
+    def test_partial_row_max_is_np_max(self):
+        # Rows that are -inf throughout get p = 0 and m = -inf; rows that mix
+        # -inf and finite logits keep np.max as their max, and p = 0 where -inf.
+        rng = np.random.default_rng(22)
+        logits = rng.normal(size=(2, 3, 4, 7))
+        logits[0, 1, 2] = -np.inf
+        logits[1, :, :, 3:] = -np.inf
+        logits[0, 0, :, ::2] = -np.inf
+        want_max = np.max(logits, axis=-1)
+        p, row_max, row_sumexp = _partial(logits.copy(), None)
+        assert_array_equal(row_max, want_max)
+        assert_array_equal(p[0, 1, 2], 0.0)
+        assert row_sumexp[0, 1, 2] == 0.0
+        assert_array_equal(p[np.isneginf(logits)], 0.0)
+        assert_array_equal(p.max(axis=-1)[np.isfinite(want_max)], 1.0)
+
     def test_single_partial_self_normalizes(self):
         cfg = make_cfg()
         rng = np.random.default_rng(2)
@@ -351,6 +367,15 @@ class TestFlexheadAttention:
                 flexhead_attention(np.zeros((1, 8, 4)), cache, 2, causal_limit=limit)
         got = flexhead_attention(np.ones((1, 8, 4)), cache, 2, causal_limit=np.int64(2))
         assert_array_equal(got, flexhead_attention(np.ones((1, 8, 4)), cache, 2, causal_limit=2))
+
+    def test_causal_limit_of_another_type_raises_position_error(self):
+        # A string or list used to raise a raw TypeError, and 0.5 an EmptyInputError.
+        cfg = make_cfg()
+        rng = np.random.default_rng(21)
+        cache = fill_cache(cfg, rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
+        for limit in ("2", [2], 0.5, -0.5):
+            with pytest.raises(PositionError, match="causal_limit"):
+                flexhead_attention(np.zeros((1, 8, 4)), cache, 2, causal_limit=limit)
 
     def test_chunk_below_one_raises(self):
         cfg = make_cfg()
