@@ -182,15 +182,15 @@ def apply_rope(q, k, positions, theta: float, ops=NUMPY_OPS) -> tuple:
     """Rotary position embedding on the last dimension of q and k.
 
     ``positions`` gives the absolute position of each sequence index; q and k
-    may have different last dimensions and each uses its own frequency table.
+    may have different last dimensions and each uses its own frequency table
+    (one table serves both when the dimensions agree).
     """
     for name, t in (("q", q), ("k", k)):
         if t.shape[-1] % 2 != 0:
             raise DimensionError(f"rotary embedding needs an even last dim; {name} has {t.shape[-1]}")
     positions = np.asarray(positions)
-    q_cos, q_sin = rope_angles(positions, q.shape[-1], theta)
-    k_cos, k_sin = rope_angles(positions, k.shape[-1], theta)
-    return ops.rope(q, q_cos, q_sin), ops.rope(k, k_cos, k_sin)
+    tables = {d: rope_angles(positions, d, theta) for d in {q.shape[-1], k.shape[-1]}}
+    return ops.rope(q, *tables[q.shape[-1]]), ops.rope(k, *tables[k.shape[-1]])
 
 
 def _query_groups(rows: np.ndarray, n_src: int) -> np.ndarray:
@@ -273,7 +273,10 @@ def attention_scores(q: np.ndarray, k: np.ndarray, causal_mask_len: int) -> np.n
         k: [b, t, n_k, d] keys at their stored head count, n_k dividing n_q.
         causal_mask_len: positions >= this index (+ r in tile row r) get weight exactly 0;
             an integer of at least 1 (``PositionError`` for a non-integer,
-            ``EmptyInputError`` below 1 or for a k with no positions).
+            ``EmptyInputError`` below 1 or for a k with no positions).  A limit
+            past k's last position is accepted and masks nothing there: the
+            limit only masks, unlike ``kernel.flexhead_attention``, whose
+            ``causal_limit`` names cached positions and is refused past the cache.
     Returns:
         alpha: [b, n_q, t] or [b, n_q, T, t], softmax(q·kᵀ); each row sums to 1.
     """

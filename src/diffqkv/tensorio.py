@@ -13,6 +13,12 @@ Layout (all integers little-endian):
         data  float64 little-endian, row-major
 
 Used both for standalone attention weights and toy-model checkpoints.
+
+Reading copies each tensor into its own array one block of ``BLOCK`` values
+at a time and checks each block for finite values while it is still in cache,
+so a non-finite weight is refused without a second pass over the array.
+The calling thread and ``READERS - 1`` helper threads share the blocks of
+every tensor.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 from typing import Mapping
 
 import numpy as np
@@ -28,16 +35,25 @@ from .errors import DiffQKVError
 
 MAGIC = b"DQKV"
 VERSION = 1
+BLOCK = 1 << 16  # float64 values per finiteness check: 512 KiB, small enough to stay in L2
+# Threads that read a file's blocks.  Most of a load is the kernel zeroing the
+# arrays' fresh pages and copying into them, on the thread that reads, so two
+# readers run it on two cores.
+READERS = 2
 
 
 class ContainerFormatError(DiffQKVError, ValueError):
     """The file is not a well-formed tensor container."""
 
 
+def _finite_block(block: np.ndarray) -> bool:
+    # min and max propagate NaN, and an infinity is one of them: no bool array is made.
+    return math.isfinite(block.min()) and math.isfinite(block.max())
+
+
 def _finite(arr: np.ndarray) -> bool:
-    # np.isfinite over 2**16-element blocks: one pass, and no bool copy of the whole array.
     flat = arr.reshape(-1)
-    return all(np.isfinite(flat[i : i + 65536]).all() for i in range(0, flat.size, 65536))
+    return all(_finite_block(flat[i : i + BLOCK]) for i in range(0, flat.size, BLOCK))
 
 
 def write_tensors(path, tensors: Mapping[str, np.ndarray], config_text: str = "") -> None:
@@ -69,12 +85,16 @@ def write_tensors(path, tensors: Mapping[str, np.ndarray], config_text: str = ""
 def read_tensors(path) -> tuple[str, dict[str, np.ndarray]]:
     """Read a container; every malformed file raises ContainerFormatError.
 
-    Each tensor is read straight into its own float64 array.  Every declared
-    length is checked against the bytes left in the file before it is read or
-    allocated, and every value must be finite.
+    The headers are checked first: every declared length against the bytes
+    left in the file before it is allocated, so a truncated file is refused
+    before any of its data is read.  Then each tensor is read straight into
+    its own float64 array, ``BLOCK`` values at a time, and each block is
+    checked for finite values as soon as it is read; the first tensor in the
+    file holding a non-finite value is named.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        opened = os.fstat(fh.fileno())
+        size = opened.st_size
 
         def need(n: int) -> None:
             if n > size - fh.tell():
@@ -102,6 +122,7 @@ def read_tensors(path) -> tuple[str, dict[str, np.ndarray]]:
             raise ContainerFormatError(f"unsupported container version {version}")
         config_text = text("<I")
         tensors: dict[str, np.ndarray] = {}
+        reads: list[tuple[str, np.ndarray, int]] = []  # name, flat view, data offset
         for _ in range(*unpack("<I")):
             name = text("<H")
             if name in tensors:
@@ -109,9 +130,54 @@ def read_tensors(path) -> tuple[str, dict[str, np.ndarray]]:
             dims = unpack(f"<{unpack('<B')[0]}Q")
             need(8 * math.prod(dims))
             tensors[name] = arr = np.empty(dims, dtype="<f8")
-            fh.readinto(arr)
-            if not _finite(arr):
-                raise ContainerFormatError(f"tensor {name!r} holds non-finite values")
+            reads.append((name, arr.reshape(-1), fh.tell()))
+            fh.seek(arr.nbytes, os.SEEK_CUR)
         if fh.tell() != size:
             raise ContainerFormatError(f"{size - fh.tell()} trailing bytes")
+    outcomes: list = [None] * READERS
+    helpers = [
+        threading.Thread(target=_fill, args=(path, opened, reads, k, outcomes))
+        for k in range(1, READERS)
+    ]
+    for helper in helpers:
+        helper.start()
+    try:
+        _fill(path, opened, reads, 0, outcomes)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    found = [j for j in outcomes if j is not None]
+    if found:
+        raise ContainerFormatError(f"tensor {reads[min(found)][0]!r} holds non-finite values")
     return config_text, tensors
+
+
+def _fill(path, opened: os.stat_result, reads: list, k: int, outcomes: list) -> None:
+    """Reader k: the k-th of ``READERS`` runs of each tensor's blocks, in file order.
+
+    Stores in ``outcomes[k]`` the index in ``reads`` of the first tensor found
+    holding a non-finite value, or the exception the read raised; None if neither.
+    """
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            if not os.path.samestat(os.fstat(fh.fileno()), opened):
+                raise ContainerFormatError("the file was replaced while it was read")
+            for j, (name, flat, offset) in enumerate(reads):
+                blocks = -(-flat.size // BLOCK)
+                start = blocks * k // READERS * BLOCK
+                stop = min(blocks * (k + 1) // READERS * BLOCK, flat.size)
+                fh.seek(offset + 8 * start)
+                for i in range(start, stop, BLOCK):
+                    block = flat[i : i + BLOCK]
+                    if fh.readinto(block) != block.nbytes:
+                        raise ContainerFormatError(
+                            f"truncated: file shrank while tensor {name!r} was read"
+                        )
+                    if not _finite_block(block):
+                        outcomes[k] = j
+                        return
+    except Exception as exc:  # raised again by read_tensors, in its caller's thread
+        outcomes[k] = exc

@@ -1,10 +1,12 @@
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from diffqkv.tensorio import ContainerFormatError, MAGIC, read_tensors, write_tensors
+from diffqkv import tensorio
+from diffqkv.tensorio import BLOCK, ContainerFormatError, MAGIC, read_tensors, write_tensors
 
 
 def test_round_trip(tmp_path):
@@ -132,6 +134,97 @@ def test_read_rejects_each_non_finite_value(tmp_path, bad):
     blob = path.read_bytes()
     path.write_bytes(blob[:-16] + np.array(bad, dtype="<f8").tobytes() + blob[-8:])
     with pytest.raises(ContainerFormatError, match="non-finite"):
+        read_tensors(path)
+
+
+# A tensor of two full read blocks and a partial third, after a small one.
+_MULTI = 2 * BLOCK + 100
+
+
+def _write_multi_block(path) -> bytes:
+    write_tensors(path, {"small": np.ones(3), "multi": np.arange(float(_MULTI))}, "")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("index", [BLOCK + 7, 2 * BLOCK + 50], ids=["middle", "last-partial"])
+def test_read_rejects_non_finite_in_any_block_naming_the_tensor(tmp_path, bad, index):
+    path = tmp_path / "multi.bin"
+    blob = bytearray(_write_multi_block(path))
+    at = len(blob) - 8 * _MULTI + 8 * index  # "multi" is the last tensor in the file
+    blob[at : at + 8] = np.array(bad, dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ContainerFormatError, match="'multi' holds non-finite"):
+        read_tensors(path)
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, _MULTI])
+def test_block_edge_sizes_round_trip_bit_for_bit(tmp_path, n):
+    tensors = {"head": np.ones(5), "t": np.random.default_rng(n).normal(size=n), "tail": np.ones(2)}
+    tensors["t"][-1] = -0.0
+    path = tmp_path / "edge.bin"
+    write_tensors(path, tensors, "")
+    _, loaded = read_tensors(path)
+    for name, tensor in tensors.items():
+        assert loaded[name].tobytes() == tensor.tobytes()
+
+
+def test_truncated_inside_a_multi_block_tensor(tmp_path):
+    path = tmp_path / "multi.bin"
+    blob = _write_multi_block(path)
+    for cut in (len(blob) - 8 * _MULTI + 8 * BLOCK + 8, len(blob) - 8):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ContainerFormatError, match="truncated"):
+            read_tensors(path)
+
+
+def test_file_shrinking_during_the_read_is_refused(tmp_path, monkeypatch):
+    path = tmp_path / "multi.bin"
+    blob = _write_multi_block(path)
+    path.write_bytes(blob[: len(blob) - 8 * BLOCK])
+    real_fstat = os.fstat
+
+    def fstat_of_the_whole_file(fd):
+        # The size taken at open is the whole file's; its last block is gone when it is read.
+        st = real_fstat(fd)
+        return os.stat_result((*st[:6], st.st_size + 8 * BLOCK, *st[7:10]))
+
+    monkeypatch.setattr(tensorio.os, "fstat", fstat_of_the_whole_file)
+    with pytest.raises(ContainerFormatError, match="truncated: file shrank while tensor 'multi'"):
+        read_tensors(path)
+
+
+def test_file_replaced_after_its_headers_are_read_is_refused(tmp_path, monkeypatch):
+    path, other = tmp_path / "multi.bin", tmp_path / "other.bin"
+    _write_multi_block(path)
+    _write_multi_block(other)
+
+    def open_then_replace(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        if other.exists():  # the header pass's open; the readers open the new file
+            os.replace(other, path)
+        return fh
+
+    monkeypatch.setattr(tensorio, "open", open_then_replace, raising=False)
+    with pytest.raises(ContainerFormatError, match="replaced"):
+        read_tensors(path)
+
+
+@pytest.mark.parametrize("first", ["a", "b"])
+def test_first_non_finite_tensor_in_the_file_is_named(tmp_path, first):
+    # Each reader stops at the first bad tensor in its share; the earliest of them is named.
+    path = tmp_path / "two.bin"
+    write_tensors(path, {"a": np.ones(_MULTI), "b": np.ones(_MULTI)}, "")
+    blob = bytearray(path.read_bytes())
+    b_data = len(blob) - 8 * _MULTI
+    a_data = b_data - (2 + 1 + 1 + 8) - 8 * _MULTI  # b's name, rank and dim sit between
+    nan = np.array(np.nan, dtype="<f8").tobytes()
+    blob[b_data : b_data + 8] = nan  # the first block of b: one reader's share
+    if first == "a":
+        at = a_data + 8 * (_MULTI - 1)  # the last block of a: the other reader's share
+        blob[at : at + 8] = nan
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ContainerFormatError, match=f"tensor '{first}' holds non-finite"):
         read_tensors(path)
 
 
