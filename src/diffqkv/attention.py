@@ -113,16 +113,16 @@ class SelectivePolicy:
 
 def attention_weight_shapes(cfg: AttentionConfig) -> dict[str, tuple[int, int]]:
     """Shape of every projection one layer has, in ``AttentionWeights`` field order."""
-    d_model = q_heads = cfg.n_q_heads * cfg.d_head  # the width ``ModelConfig`` requires
+    d_model = cfg.d_model  # the residual width, also the query heads' n_q * d_head
     aug = cfg.aug_q_dim
     shapes = {
-        "w_q": (d_model, d_model if cfg.has_aug_q else q_heads),
+        "w_q": (d_model, d_model),
         "w_k": (d_model, cfg.n_k_heads * cfg.d_k_head),
         "w_v": (d_model, cfg.n_v_heads * cfg.d_head),
-        "w_o": (q_heads, d_model),
+        "w_o": (d_model, d_model),
     }
     if cfg.has_aug_q:
-        shapes.update(w_q_gate=(d_model, aug), w_q_up=(d_model, aug), w_q_down=(aug, q_heads))
+        shapes.update(w_q_gate=(d_model, aug), w_q_up=(d_model, aug), w_q_down=(aug, d_model))
     if cfg.half_k:
         shapes["w_k_expand"] = (cfg.d_k_head, cfg.d_head)
     return shapes
@@ -181,14 +181,18 @@ def rope_angles(positions: np.ndarray, dim: int, theta: float) -> tuple[np.ndarr
 def apply_rope(q, k, positions, theta: float, ops=NUMPY_OPS) -> tuple:
     """Rotary position embedding on the last dimension of q and k.
 
-    ``positions`` gives the absolute position of each sequence index; q and k
-    may have different last dimensions and each uses its own frequency table
-    (one table serves both when the dimensions agree).
+    ``positions`` gives the absolute position of each sequence index, so it
+    holds one entry per index of the sequence axis (``shape[-3]``) of q and
+    of k, else ``ShapeError``; q and k may have different last dimensions and
+    each uses its own frequency table (one table serves both when the
+    dimensions agree).
     """
+    positions = np.asarray(positions)
     for name, t in (("q", q), ("k", k)):
         if t.shape[-1] % 2 != 0:
             raise DimensionError(f"rotary embedding needs an even last dim; {name} has {t.shape[-1]}")
-    positions = np.asarray(positions)
+        if positions.shape != tuple(t.shape[-3:-2]):
+            raise ShapeError(f"positions {positions.shape} do not fit the sequence axis of {name} {t.shape}")
     tables = {d: rope_angles(positions, d, theta) for d in {q.shape[-1], k.shape[-1]}}
     return ops.rope(q, *tables[q.shape[-1]]), ops.rope(k, *tables[k.shape[-1]])
 

@@ -22,15 +22,16 @@ clock.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionWeights, augment_q, init_attention_weights
+from .attention import AttentionWeights, attention_weight_shapes, augment_q, init_attention_weights
 from .config import AttentionConfig, check_int
-from .costmodel import CostGrid
+from .costmodel import CostGrid, csv_text
 from .errors import UsageError
 from .kernel import flexhead_attention
 from .kvcache import DifferentialKVCache
@@ -50,12 +51,6 @@ class BenchRow:
     dispersion: float  # coefficient of variation across reps
     elements: int  # exact element traffic of one measured step
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.config_name},{self.prefix},{self.output},{self.module},"
-            f"{self.elapsed!r},{self.repetitions},{self.dispersion!r},{self.elements}"
-        )
-
 
 @dataclass
 class BenchReport:
@@ -66,7 +61,7 @@ class BenchReport:
             self.rows,
             key=lambda r: (r.prefix, r.output, r.config_name, _MODULE_ORDER[r.module]),
         )
-        return "\n".join([BENCH_CSV_HEADER] + [r.csv_row() for r in ordered]) + "\n"
+        return csv_text(BENCH_CSV_HEADER, ordered)
 
     def select(self, **fields) -> list[BenchRow]:
         return [
@@ -100,7 +95,7 @@ class _ConfigFixture:
         self.k_buf = np.empty_like(self.cache._k)
         self.v_buf = np.empty_like(self.cache._v)
         self.q = rng.normal(size=(1, cfg.n_q_heads, cfg.d_head))
-        self.token = rng.normal(size=(1, cfg.n_q_heads * cfg.d_head))
+        self.token = rng.normal(size=(1, cfg.d_model))
 
     def kv_cache_step(self, s: int) -> float:
         self.cache.len = s
@@ -145,10 +140,8 @@ def run_bench(
     Raises UsageError, before allocating anything, when the two configs'
     caches and copy buffers for the grid's longest cell exceed physical memory.
     """
-    check_int("reps", reps, 1, UsageError)
+    check_int("reps", reps, 3, UsageError)
     check_int("seed", seed, 0, UsageError)
-    if reps < 3:
-        raise UsageError(f"reps must be >= 3, got {reps}")
     max_s = grid.prefix_lengths[-1] + grid.output_lengths[-1]
     # Each fixture holds its cache and a copy buffer of the same size.
     reserved = sum(2 * (max_s + 1) * cfg.cache_bracket * 8 for cfg in (std_cfg, sigma_cfg))
@@ -185,12 +178,8 @@ def run_bench(
     report = BenchReport()
     for fix in fixtures:
         cfg = fix.cache.cfg
-        d_model = cfg.n_q_heads * cfg.d_head
-        augq_elements = (
-            2 * d_model * cfg.aug_q_dim + cfg.aug_q_dim * cfg.n_q_heads * cfg.d_head
-            if cfg.has_aug_q
-            else 0
-        )
+        shapes = attention_weight_shapes(cfg)
+        augq_elements = sum(math.prod(shapes[n]) for n in ("w_q_gate", "w_q_up", "w_q_down") if n in shapes)
         for prefix, output in cells:
             s = prefix + output
             traffic = s * cfg.cache_bracket

@@ -27,6 +27,7 @@ from .config import (
     ModelConfig,
     PRESETS,
     attention_of,
+    check_int,
     resolve_config,
     toy_preset,
 )
@@ -160,9 +161,7 @@ _TRAIN_MINIMA = {"steps": 1, "batch": 1, "seq_len": 2, "log_every": 1}
 
 def _cmd_train_toy(args) -> int:
     for name, least in _TRAIN_MINIMA.items():
-        if getattr(args, name) < least:
-            flag = "--" + name.replace("_", "-")
-            raise UsageError(f"{flag} must be >= {least}, got {getattr(args, name)}")
+        check_int("--" + name.replace("_", "-"), getattr(args, name), least, UsageError)
     seed = _seed(args)
     if args.config is None:
         cfg = toy_preset("sigma-1.5b")
@@ -199,8 +198,7 @@ def _cmd_train_toy(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    if args.n < 0:
-        raise UsageError(f"--n must be >= 0, got {args.n}")
+    check_int("--n", args.n, 0, UsageError)
     try:
         prompt = [int(tok) for tok in args.prompt.replace(",", " ").split()]
     except ValueError as exc:

@@ -10,6 +10,8 @@ freely across threads.
 The two dataclasses are the only place a field is named: the config-file
 keys, their value types, which keys are required and which fields are
 checked as integers are all derived from ``dataclasses.fields``.
+``check_int`` and ``check_real`` are the package's integer and finite-real
+checks; the other modules refuse their numeric arguments through them.
 """
 
 from __future__ import annotations
@@ -28,10 +30,18 @@ from .errors import (
 
 
 def check_int(name: str, value, least: int | None, error=ConfigError, kind=numbers.Integral) -> None:
-    """Raise ``error`` unless ``value`` is a ``kind`` (never a bool) of at least ``least`` (0, 1, or None)."""
+    """Raise ``error`` unless ``value`` is a ``kind`` (never a bool) of at least ``least`` (None: any)."""
     if isinstance(value, bool) or not isinstance(value, kind) or (least is not None and value < least):
-        what = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
-        raise error(f"{name} must be {what} integer, got {value!r}")
+        what = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+        raise error(f"{name} must be {what.get(least, f'an integer >= {least}')}, got {value!r}")
+
+
+def check_real(name: str, value, positive: bool = True, error=ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is a finite real (never a bool) > 0, or >= 0 if not ``positive``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        0 < value < math.inf if positive else 0 <= value < math.inf
+    ):
+        raise error(f"{name} must be finite and {'positive' if positive else 'non-negative'}, got {value!r}")
 
 
 def _check_int_fields(cfg) -> None:
@@ -70,14 +80,17 @@ class AttentionConfig:
         if self.d_k_head is None:
             object.__setattr__(self, "d_k_head", self.d_head)
         _check_int_fields(self)
-        theta = self.rope_theta
-        if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not 0 < theta < math.inf:
-            raise ConfigError(f"rope_theta must be finite and positive, got {theta!r}")
+        check_real("rope_theta", self.rope_theta)
         for name, heads in (("n_k_heads", self.n_k_heads), ("n_v_heads", self.n_v_heads)):
             if self.n_q_heads % heads != 0:
                 raise DivisibilityError(f"n_q_heads={self.n_q_heads} is not a multiple of {name}={heads}")
         if self.d_k_head > self.d_head:
             raise DimensionError(f"d_k_head={self.d_k_head} must not exceed d_head={self.d_head}")
+
+    @property
+    def d_model(self) -> int:
+        """Residual width the layer reads and writes: n_q_heads * d_head."""
+        return self.n_q_heads * self.d_head
 
     @property
     def half_k(self) -> bool:
@@ -102,7 +115,7 @@ def check_attention(**configs) -> None:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Decoder-stack dimensions around one attention configuration (n_q_heads * d_head == d_model)."""
+    """Decoder-stack dimensions around one attention configuration (``d_model == attention.d_model``)."""
 
     attention: AttentionConfig
     n_layers: int
@@ -114,11 +127,9 @@ class ModelConfig:
     def __post_init__(self):
         check_attention(attention=self.attention)
         _check_int_fields(self)
-        attn = self.attention
-        if attn.n_q_heads * attn.d_head != self.d_model:
+        if self.attention.d_model != self.d_model:
             raise DimensionError(
-                f"n_q_heads * d_head = {attn.n_q_heads * attn.d_head} "
-                f"must equal d_model = {self.d_model}"
+                f"n_q_heads * d_head = {self.attention.d_model} must equal d_model = {self.d_model}"
             )
 
 

@@ -12,13 +12,12 @@ eliminates beta); floating point appears only in cost curves.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
-from .config import AttentionConfig, check_attention, check_int
+from .config import AttentionConfig, check_attention, check_int, check_real
 from .errors import ConfigError
 
 
@@ -26,7 +25,7 @@ from .errors import ConfigError
 class CostModelParams:
     """Calibration of the linear cost model.
 
-    All four must be finite and non-negative.
+    All four must be finite and non-negative (``check_real``).
     alpha: cache cost per element (must be positive).
     beta: fixed overhead, charged once per (prefix, output) cell.
     attn_alpha: attention-computation cost per element of the same bracket.
@@ -40,11 +39,7 @@ class CostModelParams:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
-                raise ConfigError(f"{field.name} must be finite and non-negative, got {value}")
-        if not self.alpha > 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
+            check_real(field.name, getattr(self, field.name), positive=field.name == "alpha")
 
 
 @dataclass(frozen=True)
@@ -87,8 +82,10 @@ LONG_CONTEXT_GRID = CostGrid(
 
 
 def kv_cache_cost(cfg: AttentionConfig, b: int, s: int, p: CostModelParams) -> float:
-    """alpha * [b * s * (n_k*d_k + n_v*d_v)] + beta."""
+    """alpha * [b * s * (n_k*d_k + n_v*d_v)] + beta, for b >= 1 rows of s >= 0 positions."""
     check_attention(cfg=cfg)
+    check_int("b", b, 1)
+    check_int("s", s, 0)
     return p.alpha * (b * s * cfg.cache_bracket) + p.beta
 
 
@@ -157,14 +154,13 @@ def total_cost_curve(
     return rows
 
 
+def csv_text(header: str, rows) -> str:
+    """``header``, then one line per row dataclass: its fields in order, each as ``str``."""
+    return "\n".join([header, *(",".join(map(str, astuple(r))) for r in rows)]) + "\n"
+
+
 def cost_table_csv(rows: list[CostCurveRow]) -> str:
-    lines = [COST_CSV_HEADER]
-    for r in sorted(rows, key=lambda r: (r.prefix, r.output)):
-        lines.append(
-            f"{r.prefix},{r.output},{r.cost_std!r},{r.cost_sigma!r},"
-            f"{r.abs_improvement!r},{r.rel_improvement!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(COST_CSV_HEADER, sorted(rows, key=lambda r: (r.prefix, r.output)))
 
 
 def crossover_prefix(

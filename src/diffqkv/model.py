@@ -29,8 +29,6 @@ tensor, so it differentiates the code ``forward`` and ``decode`` run.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -44,7 +42,7 @@ from .attention import (
     attention_weight_shapes,
     cached_attention,
 )
-from .config import ModelConfig, check_int, format_config_text, parse_config_text
+from .config import ModelConfig, check_int, check_real, format_config_text, parse_config_text
 from .errors import (
     CapacityExceededError,
     ConfigError,
@@ -339,10 +337,9 @@ def loss_graph(params: dict[str, ad.Tensor], cfg: ModelConfig, tokens) -> ad.Ten
 def train_step(model: ToyModel, batch, lr: float) -> float:
     """One cross-entropy next-token step with a plain gradient-descent update.
 
-    A refused ``lr`` (not a positive finite real) or batch leaves every weight unchanged.
+    A refused ``lr`` (not a positive finite real, ``check_real``) or batch leaves every weight unchanged.
     """
-    if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
-        raise UsageError(f"lr must be a positive finite number, got {lr!r}")
+    check_real("lr", lr, error=UsageError)
     batch = _check_tokens(model, batch)
     if len(batch) == 0:
         raise EmptyInputError("train_step needs a batch of at least one row")

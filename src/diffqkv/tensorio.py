@@ -56,27 +56,49 @@ def _finite(arr: np.ndarray) -> bool:
     return all(_finite_block(flat[i : i + BLOCK]) for i in range(0, flat.size, BLOCK))
 
 
+def _utf8(what: str, text, length_fmt: str) -> bytes:
+    """``text`` as UTF-8, refused unless it is a str whose length fits ``length_fmt``."""
+    if not isinstance(text, str):
+        raise ContainerFormatError(f"{what} must be a str, got {type(text).__name__}; not written")
+    try:
+        encoded = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ContainerFormatError(f"{what} cannot be written as UTF-8 ({exc}); not written") from None
+    most = 256 ** struct.calcsize(length_fmt) - 1
+    if len(encoded) > most:
+        raise ContainerFormatError(f"{what} takes {len(encoded)} UTF-8 bytes, over {most}; not written")
+    return encoded
+
+
 def write_tensors(path, tensors: Mapping[str, np.ndarray], config_text: str = "") -> None:
     """Write a container that ``read_tensors`` accepts.
 
-    A tensor holding a non-finite value raises ContainerFormatError naming it,
-    before ``path`` is opened, so an existing file there stays as it was.
+    Everything is checked before ``path`` is opened, so a refusal leaves an
+    existing file there as it was.  ContainerFormatError is raised for a
+    tensor that is not of a real dtype (bool, integer or floating point) or
+    holds a non-finite value, for a name that is not a str or takes more
+    than 65,535 UTF-8 bytes, and for a name or config text UTF-8 cannot encode.
     """
+    echo = _utf8("config text", config_text, "<I")
+    entries = []
     for name, tensor in tensors.items():
-        if not _finite(np.asarray(tensor)):
+        encoded = _utf8("tensor name", name, "<H")
+        arr = np.asarray(tensor)
+        if arr.dtype.kind not in "biuf":
+            raise ContainerFormatError(f"tensor {name!r} has dtype {arr.dtype}, not a real one; not written")
+        if not _finite(arr):
             raise ContainerFormatError(f"tensor {name!r} holds non-finite values; not written")
+        entries.append((encoded, arr))
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
-        echo = config_text.encode("utf-8")
         fh.write(struct.pack("<I", len(echo)))
         fh.write(echo)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, tensor in tensors.items():
-            encoded = name.encode("utf-8")
+        fh.write(struct.pack("<I", len(entries)))
+        for encoded, arr in entries:
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
-            arr = np.ascontiguousarray(tensor, dtype="<f8")
+            arr = np.ascontiguousarray(arr, dtype="<f8")
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
             fh.write(arr.data)  # the array's own buffer: no copy

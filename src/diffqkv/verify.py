@@ -104,7 +104,7 @@ def check_flexhead_vs_naive(instances: int = 200, seed: int = 42) -> PropertyRes
         cfg = AttentionConfig(*heads, d_head, d_k_head, aug)
         t = int(rng.choice(lengths))
         w = init_attention_weights(cfg, rng)
-        x = rng.normal(size=(1, t, cfg.n_q_heads * cfg.d_head))
+        x = rng.normal(size=(1, t, cfg.d_model))
         chunk_sizes = (1, 3, 64, t)
         drawn = [int(rng.integers(0, t)) for _ in chunk_sizes]
         # The reference scores only the positions compared below.
@@ -150,7 +150,7 @@ def check_grouped_duplication(instances: int = 50, seed: int = 11) -> PropertyRe
         label, heads, d_head, d_k_head, aug = _EQUIV_CONFIGS[i % len(_EQUIV_CONFIGS)]
         cfg = AttentionConfig(*heads, d_head, d_k_head, aug)
         w = init_attention_weights(cfg, rng)
-        x = rng.normal(size=(1, int(rng.integers(1, 12)), cfg.n_q_heads * cfg.d_head))
+        x = rng.normal(size=(1, int(rng.integers(1, 12)), cfg.d_model))
         err = float(
             np.max(
                 np.abs(
@@ -217,7 +217,7 @@ GRADCHECK_VARIANTS = {
 def _gradcheck_model_config(heads, d_k_head, aug) -> ModelConfig:
     attn = AttentionConfig(*heads, d_head=4, d_k_head=d_k_head, aug_q_dim=aug)
     return ModelConfig(
-        attention=attn, n_layers=2, d_model=heads[0] * 4, d_ffn=24, vocab_size=16, max_seq_len=64
+        attention=attn, n_layers=2, d_model=attn.d_model, d_ffn=24, vocab_size=16, max_seq_len=64
     )
 
 

@@ -117,6 +117,15 @@ class TestRope:
         with pytest.raises(DimensionError):
             apply_rope(np.zeros((1, 1, 1, 3)), np.zeros((1, 1, 1, 4)), [0], 10.0)
 
+    @pytest.mark.parametrize(
+        "q_len,k_len,positions",
+        [(2, 2, [0]), (1, 1, [0, 1, 2]), (2, 3, [0, 1]), (3, 2, [0, 1, 2]), (2, 2, [[0], [1]]), (1, 1, 0)],
+    )
+    def test_positions_must_match_the_sequence_axis(self, q_len, k_len, positions):
+        q, k = np.zeros((1, q_len, 2, 4)), np.zeros((1, k_len, 1, 4))
+        with pytest.raises(ShapeError, match="sequence axis"):
+            apply_rope(q, k, positions, theta=10.0)
+
     def test_pairwise_norms_preserved(self):
         rng = np.random.default_rng(3)
         q = rng.normal(size=(2, 5, 3, 8))

@@ -167,6 +167,7 @@ class TestTrainAndDecode:
             ("zero new tokens", ["--prompt", "1 2", "--n", "0"], 0),
             ("no file", ["--checkpoint", "missing.ckpt", "--prompt", "1", "--n", "1"], 2),
             ("negative n", ["--prompt", "1 2", "--n", "-3"], 2),
+            ("n -1", ["--prompt", "1 2", "--n", "-1"], 2),
             ("bad prompt", ["--prompt", "abc", "--n", "2"], 2),
             ("truncated checkpoint", ["--checkpoint", "truncated", "--prompt", "1", "--n", "2"], 1),
             ("token out of range", ["--prompt", "1 999", "--n", "2"], 1),

@@ -9,6 +9,8 @@ from diffqkv.config import (
     AttentionConfig,
     ModelConfig,
     PRESETS,
+    check_int,
+    check_real,
     format_config_text,
     parse_config_text,
     resolve_config,
@@ -30,6 +32,7 @@ from diffqkv.errors import (
     DiffQKVError,
     DimensionError,
     DivisibilityError,
+    UsageError,
 )
 from diffqkv.kvcache import DifferentialKVCache
 
@@ -255,6 +258,66 @@ TYPE_CASES = [
     (CostGrid, "prefix_lengths", [0, 8]),
     (CostModelParams, "alpha", "x"),
 ]
+
+
+# (least, value, message): check_int's refusal for each kind of bound, None where it accepts.
+CHECK_INT_CASES = [
+    (None, -7, None),
+    (None, 2.0, "n must be an integer, got 2.0"),
+    (0, 0, None),
+    (0, -1, "n must be a non-negative integer, got -1"),
+    (1, 1, None),
+    (1, 0, "n must be a positive integer, got 0"),
+    (3, 3, None),
+    (3, np.int64(4), None),
+    (3, 2, "n must be an integer >= 3, got 2"),
+    (3, True, "n must be an integer >= 3, got True"),
+    (3, 3.0, "n must be an integer >= 3, got 3.0"),
+]
+
+# (value, accepted with positive=True, accepted with positive=False): check_real.
+CHECK_REAL_CASES = [
+    (1.5, True, True),
+    (2, True, True),
+    (np.float64(1e-300), True, True),
+    (0.0, False, True),
+    (0, False, True),
+    (-1.0, False, False),
+    (-1e-300, False, False),
+    (math.nan, False, False),
+    (math.inf, False, False),
+    (-math.inf, False, False),
+    (True, False, False),
+    (False, False, False),
+    ("1", False, False),
+    (1 + 0j, False, False),
+]
+
+
+class TestNumericChecks:
+    @pytest.mark.parametrize("least,value,message", CHECK_INT_CASES)
+    def test_check_int(self, least, value, message):
+        if message is None:
+            check_int("n", value, least, UsageError)
+        else:
+            with pytest.raises(UsageError) as excinfo:
+                check_int("n", value, least, UsageError)
+            assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("positive", [True, False])
+    @pytest.mark.parametrize("value,when_positive,when_non_negative", CHECK_REAL_CASES)
+    def test_check_real(self, value, when_positive, when_non_negative, positive):
+        if when_positive if positive else when_non_negative:
+            check_real("x", value, positive=positive, error=UsageError)
+            return
+        with pytest.raises(UsageError) as excinfo:
+            check_real("x", value, positive=positive, error=UsageError)
+        what = "positive" if positive else "non-negative"
+        assert str(excinfo.value) == f"x must be finite and {what}, got {value!r}"
+
+    def test_check_real_raises_config_error_by_default(self):
+        with pytest.raises(ConfigError):
+            check_real("x", 0.0)
 
 
 class TestConstructionChecksTypes:

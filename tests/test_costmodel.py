@@ -54,6 +54,11 @@ class TestCacheCost:
         with pytest.raises(ConfigError):
             CostModelParams(alpha=0.0)
 
+    @pytest.mark.parametrize("b,s", [(1, -5), (1.5, 1), (0, 1), (-1, 1), (True, 1), (1, 2.5), (1, None)])
+    def test_sizes_checked(self, b, s):
+        with pytest.raises(ConfigError):
+            kv_cache_cost(SIGMA, b, s, UNIT)
+
 
 class TestReductionRate:
     def test_gqa16_to_sigma_is_exactly_three_eighths(self):
@@ -129,6 +134,11 @@ class TestTotalCostCurve:
         lines = text.strip().split("\n")
         assert lines[0] == COST_CSV_HEADER
         assert len(lines) == 1 + 36  # 6 x 6 grid
+        r = min(rows, key=lambda r: (r.prefix, r.output))
+        assert lines[1] == (
+            f"{r.prefix},{r.output},{r.cost_std!r},{r.cost_sigma!r},"
+            f"{r.abs_improvement!r},{r.rel_improvement!r}"
+        )
         assert cost_table_csv(rows) == text  # deterministic re-emission
 
 

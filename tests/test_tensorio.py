@@ -127,6 +127,38 @@ def test_write_refuses_non_finite_and_keeps_existing_file(tmp_path, bad):
     assert not (tmp_path / "new.bin").exists()
 
 
+@pytest.mark.parametrize(
+    "tensors,echo,match",
+    [
+        ({"n" * 65_536: np.zeros(1)}, "echo", "65536 UTF-8 bytes"),
+        ({"\udc80": np.zeros(1)}, "echo", "tensor name cannot be written as UTF-8"),
+        ({"b": np.zeros(1)}, "\udc80", "config text cannot be written as UTF-8"),
+        ({3: np.zeros(1)}, "echo", "must be a str"),
+        ({"b": np.array([object()])}, "echo", "dtype object"),
+        ({"b": np.array([1.0, 2 + 1j])}, "echo", "dtype complex128"),
+        ({"b": np.array(["1.0"])}, "echo", "dtype <U3"),
+    ],
+    ids=["long-name", "unencodable-name", "unencodable-echo", "non-str-name", "object", "complex", "str"],
+)
+def test_write_refuses_bad_names_echo_and_dtypes_and_keeps_existing_file(tmp_path, tensors, echo, match):
+    path = tmp_path / "weights.bin"
+    write_tensors(path, {"a": np.arange(3.0)}, "echo")
+    before = path.read_bytes()
+    with pytest.raises(ContainerFormatError, match=match):
+        write_tensors(path, {"a": np.zeros(2), **tensors}, echo)
+    assert path.read_bytes() == before
+
+
+def test_longest_name_and_real_dtypes_round_trip(tmp_path):
+    tensors = {"n" * 65_535: np.array([True, False]), "i": np.arange(3), "u": np.arange(2, dtype=np.uint8)}
+    write_tensors(tmp_path / "w.bin", tensors)
+    _, loaded = read_tensors(tmp_path / "w.bin")
+    assert list(loaded) == list(tensors)
+    for name, tensor in tensors.items():
+        assert loaded[name].dtype == np.float64
+        assert_array_equal(loaded[name], tensor)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_read_rejects_each_non_finite_value(tmp_path, bad):
     path = tmp_path / "bad.bin"
