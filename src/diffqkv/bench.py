@@ -1,23 +1,26 @@
 """Wall-clock micro-benchmarks over prefix/output grids.
 
-For every grid cell (prefix P, output N) and config the harness measures one
-representative decode step at the cell's final sequence length s = P + N:
+For every grid cell (prefix P, output N) and config the harness times one
+representative decode step at the cell's final sequence length s = P + N,
+and counts the elements it moves:
 
-* ``kv_cache``     — append one position, then load the full K and V stores
-                     (a real copy, so the traffic is actually moved);
-* ``attention``    — one chunked attention step over the cache;
+* ``kv_cache``     — append one position at s, then copy the full K and V
+                     views out (a real copy, so the traffic is moved): s + 1
+                     positions;
+* ``attention``    — one chunked attention step over the s cached positions;
 * ``augmented_q``  — the gated Q block on a single token (configs with
-                     aug_q_dim > 0 only), fastest of three back-to-back calls.
+                     aug_q_dim > 0 only), fastest of three back-to-back calls:
+                     its three weights.
 
-Sampling is organized in passes: every pass walks the whole grid strictly
-sequentially and takes one timing sample per (cell, config, module).  Because
-each cell's samples are spread across the full run, slow drift in machine
-load lands in the per-cell dispersion instead of masquerading as a
-cross-cell effect.  The first passes (20% of reps, at least one) are warmup
-and discarded; the median of the remaining samples is reported together with
-their coefficient of variation.  Exact element-traffic counts ride along with
-every row, so ratios between configs can be checked without trusting the
-clock.
+The steps sit in one table keyed (config, prefix, output, module).  Every
+pass samples each step once, in a fresh order drawn from the run's seeded
+generator, so no step always follows the same neighbour (whose cache traffic
+would land in its samples) and slow drift in machine load lands in the
+per-cell dispersion instead of masquerading as a cross-cell effect.  The
+first passes (20% of reps, at least one) are warmup and discarded; the
+median of the rest is reported with their coefficient of variation.  The
+element counts are exact, so ratios between configs can be checked without
+trusting the clock.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .kernel import flexhead_attention
 from .kvcache import DifferentialKVCache
 
 BENCH_CSV_HEADER = "config,prefix,output,module,elapsed_s,repetitions,dispersion,elements"
+_ATTENTION_CHUNK = 256  # keys per block of the timed attention step
 _MODULE_ORDER = {"kv_cache": 0, "attention": 1, "augmented_q": 2}
 
 
@@ -69,9 +74,8 @@ class BenchReport:
         ]
 
 
-def emit_csv(report, path) -> None:
-    """Write a report (anything with .to_csv(), or raw CSV text) to ``path``."""
-    text = report if isinstance(report, str) else report.to_csv()
+def emit_csv(text: str, path) -> None:
+    """Write CSV text to ``path``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -88,12 +92,11 @@ class _ConfigFixture:
         self.name = name
         self.weights: AttentionWeights = init_attention_weights(cfg, rng)
         self.cache = DifferentialKVCache(cfg, 1, max_s + 1)
-        k_t = rng.normal(size=(1, 1, cfg.n_k_heads, cfg.d_k_head))
-        v_t = rng.normal(size=(1, 1, cfg.n_v_heads, cfg.d_head))
-        self.k_t, self.v_t = k_t, v_t
-        self.cache.append(np.repeat(k_t, max_s, axis=1), np.repeat(v_t, max_s, axis=1))
-        self.k_buf = np.empty_like(self.cache._k)
-        self.v_buf = np.empty_like(self.cache._v)
+        self.k_t = rng.normal(size=(1, 1, cfg.n_k_heads, cfg.d_k_head))
+        self.v_t = rng.normal(size=(1, 1, cfg.n_v_heads, cfg.d_head))
+        self.cache.append(np.repeat(self.k_t, max_s, axis=1), np.repeat(self.v_t, max_s, axis=1))
+        self.k_buf = np.empty((1, max_s + 1, cfg.n_k_heads, cfg.d_k_head))
+        self.v_buf = np.empty((1, max_s + 1, cfg.n_v_heads, cfg.d_head))
         self.q = rng.normal(size=(1, cfg.n_q_heads, cfg.d_head))
         self.token = rng.normal(size=(1, cfg.d_model))
 
@@ -106,10 +109,10 @@ class _ConfigFixture:
         np.copyto(self.v_buf[:, : self.cache.len], v_view)
         return time.perf_counter() - start
 
-    def attention_step(self, s: int, chunk_size: int = 256) -> float:
+    def attention_step(self, s: int) -> float:
         self.cache.len = s
         start = time.perf_counter()
-        flexhead_attention(self.q, self.cache, chunk_size, self.weights)
+        flexhead_attention(self.q, self.cache, _ATTENTION_CHUNK, self.weights)
         return time.perf_counter() - start
 
     def augmented_q_step(self) -> float:
@@ -157,43 +160,32 @@ def run_bench(
         _ConfigFixture("sigma", sigma_cfg, max_s, rng),
     ]
     cells = [(p, n) for p in grid.prefix_lengths for n in grid.output_lengths]
-
-    warmup = max(1, reps // 5)
-    samples: dict[tuple, list[float]] = {}
-    for pass_index in range(warmup + reps):
-        keep = pass_index >= warmup
-        for prefix, output in cells:
-            s = prefix + output
-            for fix in fixtures:
-                measured = {
-                    "kv_cache": fix.kv_cache_step(s),
-                    "attention": fix.attention_step(s),
-                }
-                if fix.cache.cfg.has_aug_q:
-                    measured["augmented_q"] = fix.augmented_q_step()
-                if keep:
-                    for module, seconds in measured.items():
-                        samples.setdefault((fix.name, prefix, output, module), []).append(seconds)
-
-    report = BenchReport()
+    # (config, prefix, output, module) -> (step, elements it moves, its samples)
+    steps: dict[tuple, tuple] = {}
     for fix in fixtures:
         cfg = fix.cache.cfg
         shapes = attention_weight_shapes(cfg)
         augq_elements = sum(math.prod(shapes[n]) for n in ("w_q_gate", "w_q_up", "w_q_down") if n in shapes)
         for prefix, output in cells:
-            s = prefix + output
-            traffic = s * cfg.cache_bracket
-            elements = {"kv_cache": traffic, "attention": traffic, "augmented_q": augq_elements}
-            for module in ("kv_cache", "attention", "augmented_q"):
-                timings = samples.get((fix.name, prefix, output, module))
-                if timings is None:
-                    continue
-                arr = np.asarray(timings)
-                median = float(np.median(arr))
-                cv = float(arr.std() / arr.mean()) if arr.mean() > 0 else 0.0
-                report.rows.append(
-                    BenchRow(fix.name, prefix, output, module, median, reps, cv, elements[module])
-                )
+            s, cell = prefix + output, (fix.name, prefix, output)
+            steps[cell + ("kv_cache",)] = (partial(fix.kv_cache_step, s), (s + 1) * cfg.cache_bracket, [])
+            steps[cell + ("attention",)] = (partial(fix.attention_step, s), s * cfg.cache_bracket, [])
+            if cfg.has_aug_q:
+                steps[cell + ("augmented_q",)] = (fix.augmented_q_step, augq_elements, [])
+
+    keys = list(steps)
+    warmup = max(1, reps // 5)
+    for _pass in range(warmup + reps):
+        for i in rng.permutation(len(keys)):
+            step, _, timings = steps[keys[i]]
+            timings.append(step())
+
+    report = BenchReport()
+    for key, (_, elements, timings) in steps.items():
+        arr = np.asarray(timings[warmup:])
+        median = float(np.median(arr))
+        cv = float(arr.std() / arr.mean()) if arr.mean() > 0 else 0.0
+        report.rows.append(BenchRow(*key, median, reps, cv, elements))
     return report
 
 

@@ -4,7 +4,7 @@ Subcommands:
     verify     run a property suite (equivalence | gradients | cache | cost | all)
     cost       analytic cost-model sweep over a prefix/output grid -> CSV
     bench      wall-clock micro-benchmarks over a grid -> CSV
-    train-toy  train the toy causal LM on a synthetic task
+    train-toy  train the toy causal LM on the copy task
     decode     greedy decoding from a saved checkpoint
 
 Exit codes: 0 success, 1 property failure, 2 usage error.  The environment
@@ -47,7 +47,6 @@ from .model import (
     decode,
     init_model,
     load_checkpoint,
-    random_token_batch,
     save_checkpoint,
     train_step,
 )
@@ -143,7 +142,7 @@ def _cmd_bench(args) -> int:
     grid = _parse_grid(args.grid)
     _check_out(args.out)
     report = run_bench(std, sigma, grid, reps=args.reps, seed=_seed(args))
-    _write(emit_csv, report, args.out)
+    _write(emit_csv, report.to_csv(), args.out)
     ratios = traffic_ratio(report, "kv_cache")
     spread, allowance, augq_ok = augq_prefix_independence(report)
     print(f"kv_cache element-traffic ratio sigma/std: {ratios[0]:.6f}" if ratios else "no ratio")
@@ -177,12 +176,11 @@ def _cmd_train_toy(args) -> int:
         _check_out(args.out)
     model = init_model(cfg, seed=seed)
     rng = np.random.default_rng(seed)
-    make_batch = copy_task_batch if args.task == "copy" else random_token_batch
 
     first_loss = None
     loss = float("nan")
     for step in range(1, args.steps + 1):
-        batch = make_batch(rng, args.batch, args.seq_len, cfg.vocab_size)
+        batch = copy_task_batch(rng, args.batch, args.seq_len, cfg.vocab_size)
         loss = train_step(model, batch, args.lr)
         if not np.isfinite(loss):
             raise DivergenceError(f"step {step}: loss is {loss}; no checkpoint written")
@@ -243,14 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_bench)
 
-    p = sub.add_parser("train-toy", help="train the toy LM on a synthetic task")
+    p = sub.add_parser("train-toy", help="train the toy LM on the copy task")
     p.add_argument("--config", default=None, help="config file or preset name (toy-scaled)")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lr", type=float, default=0.2)
     p.add_argument("--batch", type=int, default=16)
     p.add_argument("--seq-len", type=int, default=32)
-    p.add_argument("--task", choices=("copy", "random"), default="copy")
     p.add_argument("--log-every", type=int, default=20)
     p.add_argument("--out", default=None, help="write a checkpoint here")
     p.set_defaults(fn=_cmd_train_toy)

@@ -13,8 +13,9 @@ runs), and creates no autodiff Tensor.  One fed loop runs the stages over
 consecutive slices of positions, writing each slice's logits into place:
 ``forward`` feeds fresh caches in row chunks sized by ``_chunk_rows`` (so its
 transient memory does not grow with the sequence), while
-``forward_incremental`` feeds the caller's caches, and ``decode`` its own,
-one position at a time, agreeing with ``forward`` token for token.
+``forward_incremental`` feeds the caller's caches one position at a time, and
+``decode`` feeds its own caches the prompt in ``forward``'s chunks, then one
+token at a time, agreeing with ``forward`` token for token.
 K/V stay at their stored head counts and the half-K expansion is absorbed
 into the query, so the cache is never duplicated or expanded.  Training
 (``graph_stages``) runs the same stages over :mod:`diffqkv.autodiff`,
@@ -258,8 +259,9 @@ def forward_incremental(
 def decode(model: ToyModel, prompt, n_new: int) -> np.ndarray:
     """Greedy decoding of ``n_new`` tokens after ``prompt`` (1-D token ids).
 
-    Feeds the prompt, then each generated token but the last (nothing reads
-    its logits), through caches of its own: ``n_new`` fed steps in all.
+    Feeds the prompt in ``forward``'s row chunks, then each generated token but
+    the last (nothing reads its logits), through caches of its own: ``n_new``
+    fed steps in all.
     Produces tokens identical to recomputing the full context at every step.
     """
     check_int("n_new", n_new, 0, UsageError)
@@ -274,9 +276,9 @@ def decode(model: ToyModel, prompt, n_new: int) -> np.ndarray:
         raise LengthError(f"prompt + n_new exceeds max_seq_len {model.config.max_seq_len}")
     caches = make_caches(model, 1, total)
     out = list(prompt[0])
-    fed = 0
+    fed, rows = 0, _chunk_rows(model, 1)  # later feeds are one token, which any row count covers
     while len(out) < total:
-        logits = _feed(model, np.array([out[fed:]]), caches, 1)
+        logits = _feed(model, np.array([out[fed:]]), caches, rows)
         fed = len(out)
         out.append(int(np.argmax(logits[0, -1])))
     return np.array(out, dtype=np.int64)

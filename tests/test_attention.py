@@ -202,7 +202,7 @@ class TestGroupedCore:
 
 
 
-class TestExpandK:
+class TestHalfKQueryAbsorption:
     """Half-K keys are scored by absorbing w_k_expand into the query."""
 
     def test_hand_product(self):
@@ -228,7 +228,7 @@ class TestExpandK:
         assert np.isfinite(naive_diffqkv_attention(x, w, cfg)).all()
 
 
-class TestGroupShare:
+class TestGroupedHeadAddressing:
     """Query head h reads K/V head floor(h * n_src / n_q) without duplicating it."""
 
     def test_block_duplication(self):

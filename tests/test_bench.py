@@ -1,3 +1,6 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from diffqkv import bench
@@ -9,9 +12,11 @@ from diffqkv.bench import (
     run_bench,
     traffic_ratio,
 )
+from diffqkv.attention import init_attention_weights
 from diffqkv.config import PRESETS
 from diffqkv.costmodel import CostGrid
 from diffqkv.errors import UsageError
+from diffqkv.kvcache import DifferentialKVCache
 
 STD = PRESETS["gqa-16"].attention
 SIGMA = PRESETS["sigma-1.5b"].attention
@@ -59,6 +64,58 @@ class TestRunBench:
         assert ratios and all(r == 0.625 for r in ratios)
         assert traffic_ratio(tiny_report, "attention") == ratios
 
+    def test_elements_are_the_size_of_what_each_step_moves(self, tiny_report):
+        def cached(cfg, positions):
+            cache = DifferentialKVCache(cfg, 1, positions)
+            cache.append(
+                np.zeros((1, positions, cfg.n_k_heads, cfg.d_k_head)),
+                np.zeros((1, positions, cfg.n_v_heads, cfg.d_head)),
+            )
+            return sum(view.size for view in cache.view())
+
+        sigma_w = init_attention_weights(SIGMA, np.random.default_rng(0))
+        augq = sigma_w.w_q_gate.size + sigma_w.w_q_up.size + sigma_w.w_q_down.size
+        for row in tiny_report.rows:
+            cfg, s = {"std": STD, "sigma": SIGMA}[row.config_name], row.prefix + row.output
+            want = {
+                "kv_cache": cached(cfg, s + 1),  # the K and V views after the append at s
+                "attention": cached(cfg, s),
+                "augmented_q": augq,
+            }[row.module]
+            assert row.elements == want, row
+
+
+class TestVisitingOrder:
+    GRID = CostGrid(prefix_lengths=(16, 64), output_lengths=(8, 16))  # s = 24, 32, 72, 80
+
+    def run_recorded(self, monkeypatch, seed):
+        """Every step call of one run, as (config, module, s); augmented-Q takes no s."""
+        calls = []
+
+        def recorder(module):
+            def step(fixture, s=None):
+                calls.append((fixture.name, module, s))
+                return 0.0
+
+            return step
+
+        for module in ("kv_cache", "attention", "augmented_q"):
+            monkeypatch.setattr(bench._ConfigFixture, module + "_step", recorder(module))
+        return calls, run_bench(STD, SIGMA, self.GRID, reps=3, seed=seed)
+
+    def test_every_key_once_per_pass_in_a_fresh_seeded_order(self, monkeypatch):
+        calls, report = self.run_recorded(monkeypatch, seed=3)
+        one_pass = Counter(
+            (r.config_name, r.module, None if r.module == "augmented_q" else r.prefix + r.output)
+            for r in report.rows
+        )
+        n_keys, passes = len(report.rows), 1 + 3  # warm-up max(1, 3 // 5), then reps
+        assert len(calls) == passes * n_keys
+        orders = [tuple(calls[i : i + n_keys]) for i in range(0, len(calls), n_keys)]
+        assert all(Counter(order) == one_pass for order in orders)
+        assert len(set(orders)) == passes
+        assert self.run_recorded(monkeypatch, seed=3)[0] == calls
+
 
 class TestTimingStructure:
     def test_kv_cache_elapsed_monotone_in_prefix(self):
@@ -80,18 +137,18 @@ class TestTimingStructure:
 class TestCsv:
     def test_empty_report_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv(BenchReport(), path)
+        emit_csv(BenchReport().to_csv(), path)
         assert path.read_text() == BENCH_CSV_HEADER + "\n"
 
     def test_reemission_is_byte_identical(self, tiny_report, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(tiny_report, p1)
-        emit_csv(tiny_report, p2)
+        emit_csv(tiny_report.to_csv(), p1)
+        emit_csv(tiny_report.to_csv(), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rows_sorted_and_parseable(self, tiny_report, tmp_path):
         path = tmp_path / "bench.csv"
-        emit_csv(tiny_report, path)
+        emit_csv(tiny_report.to_csv(), path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == BENCH_CSV_HEADER
         keys = []

@@ -52,7 +52,7 @@ def naive_heads(q, k, v, cfg, causal_limit, w=None):
     return weighted_value_sum(alpha, v_rep)[0]
 
 
-class TestSplitCombine:
+class TestSoftmaxPartialMerge:
     """The attention core's softmax partial and log-sum-exp merge, which the kernel splits over."""
 
     def test_single_chunk_equals_naive(self):
@@ -215,7 +215,7 @@ class TestFlexheadAttention:
         (dict(d_k_head=2), 17),           # half K
         (dict(aug_q_dim=24), 17),         # augmented Q inputs upstream
     ])
-    def test_matches_group_share_reference(self, kwargs, t):
+    def test_matches_repeated_heads_reference(self, kwargs, t):
         cfg = make_cfg(**kwargs)
         rng = np.random.default_rng(6)
         d_model = cfg.n_q_heads * cfg.d_head

@@ -193,6 +193,21 @@ class TestDecode:
         decode(model, np.array([1, 2, 3, 4, 5]), 7)
         assert fed == [5, 1, 1, 1, 1, 1, 1]
 
+    def test_prompt_longer_than_a_chunk_decodes_as_fed_one_position_at_a_time(self):
+        # vocab 4096 makes 64-row chunks, so the 150-token prompt goes through in
+        # two whole chunks and a clipped third.
+        model = init_model(toy_cfg(aug_q_dim=48, d_k_head=2, vocab=4096), seed=12)
+        prompt = np.random.default_rng(12).integers(0, 4096, size=150)
+        assert _chunk_rows(model, 1) < len(prompt)
+        n_new = 6
+        caches = make_caches(model, batch=1, capacity=len(prompt) + n_new)
+        seq = list(prompt)
+        for pos in range(len(prompt) + n_new - 1):
+            logits = forward_incremental(model, np.array([[seq[pos]]]), caches, pos)
+            if pos >= len(prompt) - 1:
+                seq.append(int(np.argmax(logits[0, -1])))
+        assert_array_equal(decode(model, prompt, n_new), seq)
+
     @pytest.mark.parametrize("preset_name,half_k", [
         ("mha-32", False), ("mqa", False), ("gqa-16", False),
         ("sigma-1.5b", False), ("sigma-1.5b", True),
