@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diffqkv import bench
+from diffqkv.attention import init_attention_weights
 from diffqkv.bench import (
     BENCH_CSV_HEADER,
     BenchReport,
@@ -12,7 +13,6 @@ from diffqkv.bench import (
     run_bench,
     traffic_ratio,
 )
-from diffqkv.attention import init_attention_weights
 from diffqkv.config import PRESETS
 from diffqkv.costmodel import CostGrid
 from diffqkv.errors import UsageError
