@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .config import AttentionConfig, check_attention, check_int
+from .config import AttentionConfig, check_attention, check_int, check_real
 from .errors import ConfigError, DimensionError, EmptyInputError, PositionError, ShapeError, UsageError
 from .kvcache import DifferentialKVCache
 
@@ -171,7 +171,8 @@ def project_qkv(x, w: AttentionWeights, cfg: AttentionConfig, ops=NUMPY_OPS) -> 
 
 
 def rope_angles(positions: np.ndarray, dim: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin tables of shape [len(positions), dim // 2]."""
+    """cos/sin tables [len(positions), dim // 2]; ``ConfigError`` unless ``check_real`` takes theta."""
+    check_real("theta", theta)
     half = dim // 2
     inv_freq = theta ** (-np.arange(half, dtype=np.float64) * 2.0 / dim)
     angles = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
@@ -185,7 +186,7 @@ def apply_rope(q, k, positions, theta: float, ops=NUMPY_OPS) -> tuple:
     holds one entry per index of the sequence axis (``shape[-3]``) of q and
     of k, else ``ShapeError``; q and k may have different last dimensions and
     each uses its own frequency table (one table serves both when the
-    dimensions agree).
+    dimensions agree).  The base ``theta`` is checked as ``rope_angles`` checks it.
     """
     positions = np.asarray(positions)
     for name, t in (("q", q), ("k", k)):

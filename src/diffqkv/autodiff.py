@@ -51,14 +51,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -66,21 +60,8 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ShapeError(f"backward() expects a scalar loss, got shape {self.data.shape}")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in seen or not node.requires_grad:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                stack.append((parent, False))
-
+        # No ancestor of a node without requires_grad has it: filtering those out keeps the others' order.
+        topo = [node for node in _post_order(self) if node.requires_grad]
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._vjp is None or node.grad is None:
@@ -97,20 +78,25 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _post_order(out: Tensor) -> list[Tensor]:
+    """Every node ``out`` is computed from, constants included, each after all its parents."""
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack = [(out, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents)
+    return order
+
+
 def leaves(out: Tensor) -> list[Tensor]:
     """The parentless Tensors ``out`` is computed from, constants included."""
-    found: list[Tensor] = []
-    seen: set[int] = set()
-    stack = [out]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if not node._parents:
-            found.append(node)
-        stack.extend(node._parents)
-    return found
+    return [node for node in _post_order(out) if not node._parents]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

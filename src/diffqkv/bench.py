@@ -7,7 +7,8 @@ and counts the elements it moves:
 * ``kv_cache``     — append one position at s, then copy the full K and V
                      views out (a real copy, so the traffic is moved): s + 1
                      positions;
-* ``attention``    — one chunked attention step over the s cached positions;
+* ``attention``    — one kernel call over the s cached positions, in the key
+                     blocks a one-token decode step uses;
 * ``augmented_q``  — the gated Q block on a single token (configs with
                      aug_q_dim > 0 only), fastest of three back-to-back calls:
                      its three weights.
@@ -33,7 +34,8 @@ from functools import partial
 
 import numpy as np
 
-from .attention import AttentionWeights, attention_weight_shapes, augment_q, init_attention_weights
+from .attention import AttentionWeights, _tile_sizes, attention_weight_shapes, augment_q
+from .attention import init_attention_weights
 from .config import AttentionConfig, check_int
 from .costmodel import CostGrid, csv_text
 from .errors import UsageError
@@ -41,7 +43,6 @@ from .kernel import flexhead_attention
 from .kvcache import DifferentialKVCache
 
 BENCH_CSV_HEADER = "config,prefix,output,module,elapsed_s,repetitions,dispersion,elements"
-_ATTENTION_CHUNK = 256  # keys per block of the timed attention step
 _MODULE_ORDER = {"kv_cache": 0, "attention": 1, "augmented_q": 2}
 
 
@@ -98,6 +99,7 @@ class _ConfigFixture:
         self.k_buf = np.empty((1, max_s + 1, cfg.n_k_heads, cfg.d_k_head))
         self.v_buf = np.empty((1, max_s + 1, cfg.n_v_heads, cfg.d_head))
         self.q = rng.normal(size=(1, cfg.n_q_heads, cfg.d_head))
+        self.block = _tile_sizes(1, 1, cfg.n_q_heads, cfg.n_k_heads)[1]  # a one-token decode step's key block
         self.token = rng.normal(size=(1, cfg.d_model))
 
     def kv_cache_step(self, s: int) -> float:
@@ -112,7 +114,7 @@ class _ConfigFixture:
     def attention_step(self, s: int) -> float:
         self.cache.len = s
         start = time.perf_counter()
-        flexhead_attention(self.q, self.cache, _ATTENTION_CHUNK, self.weights)
+        flexhead_attention(self.q, self.cache, self.block, self.weights)
         return time.perf_counter() - start
 
     def augmented_q_step(self) -> float:

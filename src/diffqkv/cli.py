@@ -178,12 +178,12 @@ def _cmd_train_toy(args) -> int:
     rng = np.random.default_rng(seed)
 
     first_loss = None
-    loss = float("nan")
     for step in range(1, args.steps + 1):
         batch = copy_task_batch(rng, args.batch, args.seq_len, cfg.vocab_size)
-        loss = train_step(model, batch, args.lr)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"step {step}: loss is {loss}; no checkpoint written")
+        try:
+            loss = train_step(model, batch, args.lr)
+        except DivergenceError as err:
+            raise DivergenceError(f"step {step}: {err}; no checkpoint written") from None
         if first_loss is None:
             first_loss = loss
         if step == 1 or step % args.log_every == 0 or step == args.steps:

@@ -51,7 +51,7 @@ class PositionError(DiffQKVError, ValueError):
 
 
 class DivergenceError(DiffQKVError, ArithmeticError):
-    """Training produced a non-finite loss."""
+    """A training step produced a non-finite loss, gradient or updated weight."""
 
 
 class ConfigFileError(ConfigError):

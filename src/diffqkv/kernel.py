@@ -25,13 +25,15 @@ def flexhead_attention(
 ) -> np.ndarray:
     """Attention of queries q [b, n_q, d_head] over cached keys [0, causal_limit) -> [b, n_q, d_head].
 
+    q must have the head count and head dim of ``cache.cfg`` (else ``ShapeError``).
     The query is prepared by ``_scored_query`` under ``cache.cfg`` (half-K needs
     ``w.w_k_expand``), then scored against the stored keys.  Keys are cut into chunks
     of ``chunk`` positions (the last one clipped); the integer limit defaults to ``cache.len``.
     """
-    if q.ndim != 3:
-        raise ShapeError(f"expected q of shape [b, n_q, d], got {q.shape}")
-    q = _scored_query(q, w, cache.cfg)
+    cfg = cache.cfg
+    if q.ndim != 3 or q.shape[1:] != (cfg.n_q_heads, cfg.d_head):
+        raise ShapeError(f"the cache needs q of shape [b, {cfg.n_q_heads}, {cfg.d_head}], got {q.shape}")
+    q = _scored_query(q, w, cfg)
     limit = cache.len if causal_limit is None else causal_limit
     _check_causal_limit("causal_limit", limit, cache.len)
     if limit > cache.len:

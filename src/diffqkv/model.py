@@ -47,6 +47,7 @@ from .config import ModelConfig, check_int, check_real, format_config_text, pars
 from .errors import (
     CapacityExceededError,
     ConfigError,
+    DivergenceError,
     EmptyInputError,
     LengthError,
     PositionError,
@@ -339,19 +340,25 @@ def loss_graph(params: dict[str, ad.Tensor], cfg: ModelConfig, tokens) -> ad.Ten
 def train_step(model: ToyModel, batch, lr: float) -> float:
     """One cross-entropy next-token step with a plain gradient-descent update.
 
-    A refused ``lr`` (not a positive finite real, ``check_real``) or batch leaves every weight unchanged.
+    A refused ``lr`` (not a positive finite real, ``check_real``) or batch leaves every weight
+    unchanged, and so does a step whose loss or any updated weight (so any gradient) is not
+    finite: ``DivergenceError``.
     """
     check_real("lr", lr, error=UsageError)
     batch = _check_tokens(model, batch)
     if len(batch) == 0:
         raise EmptyInputError("train_step needs a batch of at least one row")
     params = as_parameter_tensors(model)
-    loss = loss_graph(params, model.config, batch)
-    loss.backward()
-    for tensor in params.values():
-        if tensor.grad is not None:
-            tensor.data -= lr * tensor.grad
-    return float(loss.data)
+    with np.errstate(all="ignore"):  # a step that overflows is refused below, not warned about
+        loss = loss_graph(params, model.config, batch)
+        loss.backward()
+        updated = [(tensor.data, tensor.data - lr * tensor.grad) for tensor in params.values()]
+    value = float(loss.data)
+    if not np.isfinite(value) or not all(np.isfinite(new).all() for _, new in updated):
+        raise DivergenceError(f"a non-finite step (loss {value}) was refused; no weight changed")
+    for weight, new in updated:
+        weight[...] = new
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Independent attention references for equivalence checking.
+"""The independent attention oracle for equivalence checking: head duplication.
 
 Deliberately separate code paths from :mod:`diffqkv.attention`: each scored
 query row is computed in one shot against every key, with an explicit causal
 mask, no group sharing and no shared softmax helper.  A caller that compares
 only some rows asks for those (``rows``); every row is computed as it would be
 in the full call.  Used by the kernel, degenerate-mode and grouped-mode
-equivalence suites.
+equivalence suites; on a degenerate config (equal head counts, full K dim, no
+augmented Q) the duplication is by 1, so it is plain multi-head attention.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from .attention import AttentionWeights
 from .config import AttentionConfig
-from .errors import ConfigError
 
 
 def _rotary(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarray:
@@ -45,23 +45,6 @@ def _one_shot_causal(
         weights = np.exp(scores, out=np.zeros_like(scores), where=causal)
         out[:, :, i] = weights @ v[:, :, i] / weights.sum(axis=-1, keepdims=True)
     return out.reshape(*q.shape[:2], -1)
-
-
-def vanilla_mha_attention(
-    x: np.ndarray, w: AttentionWeights, cfg: AttentionConfig
-) -> np.ndarray:
-    """Plain multi-head attention; ``ConfigError`` unless n_q = n_k = n_v, d_k = d_head and no AugQ."""
-    if not cfg.n_q_heads == cfg.n_k_heads == cfg.n_v_heads:
-        raise ConfigError(f"vanilla MHA needs equal head counts, got {cfg}")
-    if cfg.half_k or cfg.has_aug_q:
-        raise ConfigError(f"vanilla MHA needs d_k_head == d_head and no augmented Q, got {cfg}")
-    b, s, _ = x.shape
-    h, d = cfg.n_q_heads, cfg.d_head
-    positions = np.arange(s)
-    q = _rotary((x @ w.w_q).reshape(b, s, h, d), positions, cfg.rope_theta)
-    k = _rotary((x @ w.w_k).reshape(b, s, h, d), positions, cfg.rope_theta)
-    v = (x @ w.w_v).reshape(b, s, h, d)
-    return _one_shot_causal(q, k, v, cfg.d_head) @ w.w_o
 
 
 def grouped_attention_by_duplication(

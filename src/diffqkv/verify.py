@@ -43,7 +43,7 @@ from .costmodel import (
 from .errors import UsageError
 from .kvcache import DifferentialKVCache
 from .model import as_parameter_tensors, init_model, loss_graph, staged_forward
-from .reference import grouped_attention_by_duplication, vanilla_mha_attention
+from .reference import grouped_attention_by_duplication
 
 SUITES = ("equivalence", "gradients", "cache", "cost", "all")
 
@@ -92,6 +92,7 @@ _EQUIV_CONFIGS = [
     ("diffqkv+augq", (8, 2, 4), 8, None, 24),
     ("diffqkv+halfk+augq", (8, 2, 4), 8, 4, 24),
 ]
+_EQUIV_ATTENTION = [AttentionConfig(*heads, d, d_k, aug) for _, heads, d, d_k, aug in _EQUIV_CONFIGS]
 
 
 def check_flexhead_vs_naive(instances: int = 200, seed: int = 42) -> PropertyResult:
@@ -100,8 +101,7 @@ def check_flexhead_vs_naive(instances: int = 200, seed: int = 42) -> PropertyRes
     lengths = [1, 2, 3, 7, 16, 33, 64, 257]
     max_err = 0.0
     for i in range(instances):
-        label, heads, d_head, d_k_head, aug = _EQUIV_CONFIGS[i % len(_EQUIV_CONFIGS)]
-        cfg = AttentionConfig(*heads, d_head, d_k_head, aug)
+        cfg = _EQUIV_ATTENTION[i % len(_EQUIV_ATTENTION)]
         t = int(rng.choice(lengths))
         w = init_attention_weights(cfg, rng)
         x = rng.normal(size=(1, t, cfg.d_model))
@@ -127,40 +127,34 @@ def check_flexhead_vs_naive(instances: int = 200, seed: int = 42) -> PropertyRes
     )
 
 
-def check_degenerate_mha(instances: int = 50, seed: int = 7) -> PropertyResult:
-    """DiffQKV with equal heads, no AugQ, full K dim == vanilla MHA (<= 1e-12)."""
+def _naive_vs_oracle(name: str, configs, batch: int, longest: int, instances: int, seed: int):
+    """Whole-sequence attention equals the head-duplication reference (<= 1e-12).
+
+    Instance i runs ``configs[i % len(configs)]`` on fresh weights and a
+    [batch, s, d_model] input, s drawn from 1..longest.
+    """
     rng = np.random.default_rng(seed)
-    cfg = AttentionConfig(4, 4, 4, 8)
     max_err = 0.0
-    for _ in range(instances):
+    for i in range(instances):
+        cfg = configs[i % len(configs)]
         w = init_attention_weights(cfg, rng)
-        x = rng.normal(size=(2, int(rng.integers(1, 9)), 32))
-        err = float(
-            np.max(np.abs(naive_diffqkv_attention(x, w, cfg) - vanilla_mha_attention(x, w, cfg)))
-        )
+        x = rng.normal(size=(batch, int(rng.integers(1, longest + 1)), cfg.d_model))
+        got = naive_diffqkv_attention(x, w, cfg)
+        err = float(np.max(np.abs(got - grouped_attention_by_duplication(x, w, cfg))))
         max_err = max(max_err, err)
-    return PropertyResult("degenerate MHA equivalence", instances, max_err, max_err <= 1e-12)
+    return PropertyResult(name, instances, max_err, max_err <= 1e-12)
+
+
+def check_degenerate_mha(instances: int = 50, seed: int = 7) -> PropertyResult:
+    """DiffQKV with equal heads, no AugQ, full K dim == plain MHA, the reference duplicating by 1."""
+    mha = AttentionConfig(4, 4, 4, 8)
+    return _naive_vs_oracle("degenerate MHA equivalence", [mha], 2, 8, instances, seed)
 
 
 def check_grouped_duplication(instances: int = 50, seed: int = 11) -> PropertyResult:
     """Grouped attention equals a reference built by explicit head duplication."""
-    rng = np.random.default_rng(seed)
-    max_err = 0.0
-    for i in range(instances):
-        label, heads, d_head, d_k_head, aug = _EQUIV_CONFIGS[i % len(_EQUIV_CONFIGS)]
-        cfg = AttentionConfig(*heads, d_head, d_k_head, aug)
-        w = init_attention_weights(cfg, rng)
-        x = rng.normal(size=(1, int(rng.integers(1, 12)), cfg.d_model))
-        err = float(
-            np.max(
-                np.abs(
-                    naive_diffqkv_attention(x, w, cfg)
-                    - grouped_attention_by_duplication(x, w, cfg)
-                )
-            )
-        )
-        max_err = max(max_err, err)
-    return PropertyResult("grouped-attention duplication equivalence", instances, max_err, max_err <= 1e-12)
+    name = "grouped-attention duplication equivalence"
+    return _naive_vs_oracle(name, _EQUIV_ATTENTION, 1, 11, instances, seed)
 
 
 def check_selective_v(instances: int = 100, seed: int = 13) -> PropertyResult:

@@ -75,7 +75,7 @@ def test_criterion_03_kernel_simulator_equivalence():
 def test_criterion_04_degenerate_mha_equivalence():
     t0 = time.time()
     result = check_degenerate_mha(instances=50)
-    _report(4, "degenerate config == independent vanilla MHA", result.passed, t0,
+    _report(4, "degenerate config == head-duplication reference", result.passed, t0,
             f"max err {result.max_error:.2e} <= 1e-12 over {result.instances} instances")
 
 

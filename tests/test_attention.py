@@ -26,7 +26,7 @@ from diffqkv.attention import (
 from diffqkv.config import AttentionConfig, PRESETS
 from diffqkv.errors import ConfigError, DimensionError, EmptyInputError, PositionError, ShapeError, UsageError
 from diffqkv.kvcache import DifferentialKVCache
-from diffqkv.reference import grouped_attention_by_duplication, vanilla_mha_attention
+from diffqkv.reference import grouped_attention_by_duplication
 from diffqkv.verify import _EQUIV_CONFIGS
 
 from oracles import brute_force_diffqkv
@@ -116,6 +116,15 @@ class TestRope:
     def test_odd_dim_rejected(self):
         with pytest.raises(DimensionError):
             apply_rope(np.zeros((1, 1, 1, 3)), np.zeros((1, 1, 1, 4)), [0], 10.0)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -5.0, "x", True])
+    def test_bad_base_raises_config_error(self, theta):
+        # NaN used to give all-NaN q and k, 0.0 and -5.0 only a RuntimeWarning, "x" a raw TypeError.
+        q = np.ones((1, 2, 1, 4))
+        with pytest.raises(ConfigError, match="theta"):
+            apply_rope(q, q, [0, 1], theta)
+        with pytest.raises(ConfigError, match="theta"):
+            rope_angles(np.arange(2), 4, theta)
 
     @pytest.mark.parametrize(
         "q_len,k_len,positions",
@@ -345,24 +354,8 @@ class TestNaiveAttention:
         w = init_attention_weights(cfg, seed=6)
         x = np.random.default_rng(6).normal(size=(2, 5, 32))
         assert_allclose(
-            naive_diffqkv_attention(x, w, cfg), vanilla_mha_attention(x, w, cfg), atol=1e-12
+            naive_diffqkv_attention(x, w, cfg), grouped_attention_by_duplication(x, w, cfg), atol=1e-12
         )
-
-    @pytest.mark.parametrize(
-        "dims, reason",
-        [
-            ({"n_k": 2}, "equal head counts"),
-            ({"n_v": 2}, "equal head counts"),
-            ({"d_k_head": 4}, "d_k_head == d_head"),
-            ({"aug_q_dim": 16}, "no augmented Q"),
-        ],
-    )
-    def test_vanilla_reference_refuses_a_non_degenerate_config(self, dims, reason):
-        # Checked by assert, it used to raise a bare AssertionError, or nothing under -O.
-        cfg = make_cfg(**{"n_q": 4, "n_k": 4, "n_v": 4, "d_head": 8, **dims})
-        w = init_attention_weights(cfg, seed=6)
-        with pytest.raises(ConfigError, match=reason):
-            vanilla_mha_attention(np.zeros((1, 2, 32)), w, cfg)
 
     def test_single_token_is_projected_v(self):
         cfg = make_cfg()

@@ -10,7 +10,7 @@ import diffqkv.cli
 import diffqkv.verify
 from diffqkv.cli import main
 from diffqkv.config import format_config_text, toy_preset
-from diffqkv.errors import UsageError
+from diffqkv.errors import DivergenceError, UsageError
 from diffqkv.kvcache import DifferentialKVCache
 from diffqkv.model import init_model
 from diffqkv.tensorio import write_tensors
@@ -123,7 +123,9 @@ class TestTrainAndDecode:
 
         def diverging(model, batch, lr):
             steps.append(len(steps) + 1)
-            return float("nan") if len(steps) == 3 else real(model, batch, lr)
+            if len(steps) == 3:
+                raise DivergenceError("a non-finite step (loss nan) was refused; no weight changed")
+            return real(model, batch, lr)
 
         monkeypatch.setattr(diffqkv.cli, "train_step", diverging)
         ckpt = tmp_path / "toy.ckpt"

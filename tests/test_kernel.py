@@ -358,6 +358,15 @@ class TestFlexheadAttention:
             with pytest.raises(EmptyInputError):
                 flexhead_attention(q, cache, 4, causal_limit=limit)
 
+    @pytest.mark.parametrize("shape", [(1, 4, 8), (1, 16, 8), (1, 8, 2), (1, 8, 8), (8, 4)])
+    def test_query_must_fit_the_cache_config(self, shape):
+        # [1, 4, 8] and [1, 16, 8] against 8 query heads of dim 4 used to be grouped wrongly.
+        cfg = make_cfg()
+        rng = np.random.default_rng(22)
+        cache = fill_cache(cfg, rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
+        with pytest.raises(ShapeError, match=r"\[b, 8, 4\]"):
+            flexhead_attention(np.ones(shape), cache, 2)
+
     def test_causal_limit_must_be_an_integer(self):
         cfg = make_cfg()
         rng = np.random.default_rng(20)

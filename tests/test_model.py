@@ -13,6 +13,7 @@ from diffqkv.errors import (
     CapacityExceededError,
     ConfigError,
     DiffQKVError,
+    DivergenceError,
     EmptyInputError,
     LengthError,
     CapacityError,
@@ -400,6 +401,22 @@ class TestTraining:
             train_step(model, batch, lr)
         for name, arr in model.named_tensors().items():
             assert_array_equal(arr, before[name])
+
+    @pytest.mark.parametrize("poison", ["nan-weight", "huge-lr"])
+    def test_non_finite_step_is_refused_and_changes_no_weight(self, poison):
+        # A NaN weight used to turn every array NaN and return a NaN loss.  A step at
+        # lr 1e300 is finite, but the next step used to write NaN into the weights.
+        cfg = toy_preset("sigma-1.5b")
+        model = init_model(cfg, seed=8)
+        batch = copy_task_batch(np.random.default_rng(8), 4, 12, cfg.vocab_size)
+        if poison == "nan-weight":
+            model.head[3, 5] = np.nan
+        else:
+            assert np.isfinite(train_step(model, batch, 1e300))
+        before = {k: v.tobytes() for k, v in model.named_tensors().items()}
+        with pytest.raises(DivergenceError, match="no weight changed"):
+            train_step(model, batch, 0.2)
+        assert {k: v.tobytes() for k, v in model.named_tensors().items()} == before
 
     def test_single_position_batch_raises_length_error(self):
         model = init_model(toy_cfg(), seed=8)
