@@ -1,14 +1,14 @@
 """Small reverse-mode automatic differentiation over float64 numpy arrays.
 
-Just enough machinery for the toy causal LM: broadcast-aware add/mul, matmul
-by a weight, reshapes/transposes, gated SiLU, RMS normalization, rotary
-embedding, causal attention, embedding lookup and a fused shifted
-cross-entropy, reusing the numpy code of :mod:`diffqkv.attention`; no node
-holds a full score matrix, and gated SiLU keeps 1 + exp(-a) so that its VJP
-runs no exp.  Its ops share names and signatures with
-``attention.NUMPY_OPS``, so the model's stages are written once over either.
-Nodes form an implicit DAG; ``backward`` walks it once in reverse topological
-order and accumulates gradients on leaves.
+Just enough machinery for the toy causal LM: add/mul (only a constant operand
+broadcasts), matmul by a weight, reshapes/transposes, gated SiLU, RMS
+normalization, rotary embedding, causal attention, embedding lookup and a
+fused shifted cross-entropy, reusing the numpy code of
+:mod:`diffqkv.attention`; no node holds a full score matrix, and gated SiLU
+keeps 1 + exp(-a) so that its VJP runs no exp.  Its ops share names and
+signatures with ``attention.NUMPY_OPS``, so the model's stages are written
+once over either.  Nodes form an implicit DAG; ``backward`` walks it once in
+reverse topological order and accumulates gradients on leaves.
 
 Gradient ownership: a node adopts its first gradient contribution as-is, with
 no zero-filled buffer, and sums later ones out of place.  A VJP may therefore
@@ -99,38 +99,32 @@ def leaves(out: Tensor) -> list[Tensor]:
     return [node for node in _post_order(out) if not node._parents]
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcasted gradient back down to ``shape``."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+def _exact(out: np.ndarray, a: Tensor, b: Tensor) -> np.ndarray:
+    """``out``, unless an operand that requires grad does not have its shape: ``ShapeError``.
+
+    Only a constant broadcasts, so each gradient has its operand's shape as it is.
+    """
+    for x in (a, b):
+        if x.requires_grad and x.data.shape != out.shape:
+            raise ShapeError(f"{x.data.shape} requires grad, so it cannot broadcast to {out.shape}")
+    return out
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     return Tensor(
-        a.data + b.data,
+        _exact(a.data + b.data, a, b),
         parents=(a, b),
-        vjp=lambda g: (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
-        ),
+        vjp=lambda g: (g if a.requires_grad else None, g if b.requires_grad else None),
     )
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     return Tensor(
-        a.data * b.data,
+        _exact(a.data * b.data, a, b),
         parents=(a, b),
-        vjp=lambda g: (
-            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
-        ),
+        vjp=lambda g: (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None),
     )
 
 

@@ -7,9 +7,8 @@ Subcommands:
     train-toy  train the toy causal LM on the copy task
     decode     greedy decoding from a saved checkpoint
 
-Exit codes: 0 success, 1 property failure, 2 usage error.  The environment
-variable DIFFQKV_SEED overrides the default seed (42) wherever --seed is not
-given.  Config arguments accept a preset name or a config-file path.
+Exit codes: 0 success, 1 property failure, 2 usage error.  --seed defaults
+to 42.  Config arguments accept a preset name or a config-file path.
 """
 
 from __future__ import annotations
@@ -55,18 +54,6 @@ from .verify import run_verify
 DEFAULT_SEED = 42
 
 
-def _seed(args) -> int:
-    """--seed, else DIFFQKV_SEED, else DEFAULT_SEED; a seed is a non-negative integer."""
-    if args.seed is not None:
-        seed, source = args.seed, "--seed"
-    else:
-        seed, source = os.environ.get("DIFFQKV_SEED", DEFAULT_SEED), "DIFFQKV_SEED"
-    text = str(seed).strip()
-    if not text.isdecimal():
-        raise UsageError(f"{source} must be a non-negative integer, got {seed!r}")
-    return int(text)
-
-
 def _parse_grid(spec: str) -> CostGrid:
     if spec == "long":
         return LONG_CONTEXT_GRID
@@ -104,7 +91,7 @@ def _check_out(path) -> None:
 
 
 def _cmd_verify(args) -> int:
-    report = run_verify(args.suite, instances=args.instances)
+    report = run_verify(args.suite)
     print(report.format())
     return 0 if report.ok else 1
 
@@ -141,7 +128,8 @@ def _cmd_bench(args) -> int:
     sigma = attention_of(resolve_config(args.sigma))
     grid = _parse_grid(args.grid)
     _check_out(args.out)
-    report = run_bench(std, sigma, grid, reps=args.reps, seed=_seed(args))
+    check_int("--seed", args.seed, 0, UsageError)
+    report = run_bench(std, sigma, grid, reps=args.reps, seed=args.seed)
     _write(emit_csv, report.to_csv(), args.out)
     ratios = traffic_ratio(report, "kv_cache")
     spread, allowance, augq_ok = augq_prefix_independence(report)
@@ -155,13 +143,12 @@ def _cmd_bench(args) -> int:
 
 
 # Least accepted value of each integer train-toy argument: the loss needs two positions.
-_TRAIN_MINIMA = {"steps": 1, "batch": 1, "seq_len": 2, "log_every": 1}
+_TRAIN_MINIMA = {"steps": 1, "batch": 1, "seq_len": 2, "log_every": 1, "seed": 0}
 
 
 def _cmd_train_toy(args) -> int:
     for name, least in _TRAIN_MINIMA.items():
         check_int("--" + name.replace("_", "-"), getattr(args, name), least, UsageError)
-    seed = _seed(args)
     if args.config is None:
         cfg = toy_preset("sigma-1.5b")
     elif args.config in PRESETS:
@@ -174,8 +161,8 @@ def _cmd_train_toy(args) -> int:
         raise UsageError(f"--seq-len {args.seq_len} exceeds the model's max_seq_len {cfg.max_seq_len}")
     if args.out:
         _check_out(args.out)
-    model = init_model(cfg, seed=seed)
-    rng = np.random.default_rng(seed)
+    model = init_model(cfg, seed=args.seed)
+    rng = np.random.default_rng(args.seed)
 
     first_loss = None
     for step in range(1, args.steps + 1):
@@ -218,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--instances", type=int, default=200)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("cost", help="analytic cost sweep -> CSV")
@@ -237,14 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", default="sigma-1.5b")
     p.add_argument("--grid", default="scaled")
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("train-toy", help="train the toy LM on the copy task")
     p.add_argument("--config", default=None, help="config file or preset name (toy-scaled)")
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--lr", type=float, default=0.2)
     p.add_argument("--batch", type=int, default=16)
     p.add_argument("--seq-len", type=int, default=32)

@@ -24,7 +24,7 @@ class ShapeError(DiffQKVError, ValueError):
 
 
 class CapacityError(DiffQKVError, ValueError):
-    """Cache constructed with a non-positive capacity."""
+    """Cache constructed with a non-positive batch or capacity, or one too large for numpy."""
 
 
 class CapacityExceededError(DiffQKVError, RuntimeError):
@@ -51,7 +51,9 @@ class PositionError(DiffQKVError, ValueError):
 
 
 class DivergenceError(DiffQKVError, ArithmeticError):
-    """A training step produced a non-finite loss, gradient or updated weight."""
+    """A result is not finite: a training step's loss, gradient or updated
+    weight, a K or V appended to a cache (or one that is not real), or the
+    logits of a fed position."""
 
 
 class ConfigFileError(ConfigError):

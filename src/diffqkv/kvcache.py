@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import AttentionConfig, check_attention, check_int
-from .errors import CapacityError, CapacityExceededError, ShapeError
+from .errors import CapacityError, CapacityExceededError, DivergenceError, ShapeError
+from .tensorio import _finite
 
 
 class CacheFootprint(NamedTuple):
@@ -36,13 +37,17 @@ class DifferentialKVCache:
         self.batch = batch
         self.capacity = capacity
         self.len = 0
-        self._k = np.zeros((batch, capacity, cfg.n_k_heads, cfg.d_k_head))
-        self._v = np.zeros((batch, capacity, cfg.n_v_heads, cfg.d_head))
+        try:
+            self._k = np.zeros((batch, capacity, cfg.n_k_heads, cfg.d_k_head))
+            self._v = np.zeros((batch, capacity, cfg.n_v_heads, cfg.d_head))
+        except ValueError as exc:  # a size numpy refuses before it allocates
+            raise CapacityError(f"batch {batch} x capacity {capacity} is too large: {exc}") from None
 
     def append(self, k: np.ndarray, v: np.ndarray) -> None:
         """Store s positions at [len, len + s); k [b, s, n_k, d_k_head], v [b, s, n_v, d_head].
 
-        A rejected append (bad shapes, or past capacity) leaves the cache unchanged.
+        A rejected append (bad shapes, past capacity, or a K or V value that is not a finite
+        real: ``DivergenceError``) leaves the cache unchanged.
         """
         s = k.shape[1] if k.ndim == 4 else -1
         want_k = (self.batch, s, self.cfg.n_k_heads, self.cfg.d_k_head)
@@ -55,6 +60,9 @@ class DifferentialKVCache:
             raise CapacityExceededError(
                 f"appending {s} positions to {self.len} exceeds capacity {self.capacity}"
             )
+        for name, x in (("k", k), ("v", v)):
+            if not _finite(x):
+                raise DivergenceError(f"{name} holds a value that is not a finite real; nothing was appended")
         self._k[:, self.len : self.len + s] = k
         self._v[:, self.len : self.len + s] = v
         self.len += s

@@ -56,7 +56,7 @@ from .errors import (
     UsageError,
 )
 from .kvcache import DifferentialKVCache
-from .tensorio import ContainerFormatError, read_tensors, write_tensors
+from .tensorio import ContainerFormatError, _finite, read_tensors, write_tensors
 
 
 @dataclass
@@ -188,13 +188,25 @@ def _chunk_rows(model: ToyModel, b: int) -> int:
 def _feed(
     model: ToyModel, tokens: np.ndarray, caches: list[DifferentialKVCache], rows: int
 ) -> np.ndarray:
-    """Tokens [b, s] at the caches' next positions -> logits [b, s, vocab], ``rows`` at a time."""
+    """Tokens [b, s] at the caches' next positions -> logits [b, s, vocab], ``rows`` at a time.
+
+    Non-finite logits raise ``DivergenceError``; a refused feed puts every cache's length back.
+    """
     b, s = tokens.shape
     attentions = [partial(cached_attention, cache=c) for c in caches]
     stages = forward_stages(model, NUMPY_OPS, attentions)
     logits = np.empty((b, s, model.config.vocab_size))
-    for i in range(0, s, rows):
-        logits[:, i : i + rows] = _run(stages, tokens[:, i : i + rows])
+    held = [cache.len for cache in caches]
+    try:
+        with np.errstate(all="ignore"):  # a feed that overflows is refused below, not warned about
+            for i in range(0, s, rows):
+                logits[:, i : i + rows] = _run(stages, tokens[:, i : i + rows])
+        if not _finite(logits):
+            raise DivergenceError("the model's logits are not finite")
+    except DivergenceError:
+        for cache, n in zip(caches, held):
+            cache.len = n
+        raise
     return logits
 
 
@@ -240,8 +252,9 @@ def forward_incremental(
     Each position appends exactly one (k_t, v_t) pair to every layer's cache;
     there must be one cache per layer, each of the model's attention config and
     batch b, holding exactly ``start_pos`` positions and with room for s more.
-    A rejected call leaves every cache unchanged.  Returns logits for the
-    supplied positions only.
+    A rejected call leaves every cache unchanged, and a feed refused with
+    ``DivergenceError`` (a K, V or logit that is not finite) puts every cache's
+    length back to ``start_pos``.  Returns logits for the supplied positions only.
     """
     tokens = _check_tokens(model, tokens)
     _check_caches(model, caches, tokens.shape[0])
@@ -346,8 +359,8 @@ def train_step(model: ToyModel, batch, lr: float) -> float:
     """
     check_real("lr", lr, error=UsageError)
     batch = _check_tokens(model, batch)
-    if len(batch) == 0:
-        raise EmptyInputError("train_step needs a batch of at least one row")
+    if batch.size == 0:
+        raise EmptyInputError(f"train_step needs a batch with at least one position, got {batch.shape}")
     params = as_parameter_tensors(model)
     with np.errstate(all="ignore"):  # a step that overflows is refused below, not warned about
         loss = loss_graph(params, model.config, batch)
@@ -371,14 +384,20 @@ def copy_task_batch(rng: np.random.Generator, batch: int, seq_len: int, vocab: i
     token before last, so the task is exactly 'predict the previous token'."""
     check_int("seq_len", seq_len, 1, UsageError)
     pair = random_token_batch(rng, batch, 2, vocab)
-    return np.tile(pair, (1, (seq_len + 1) // 2))[:, :seq_len]
+    try:
+        return np.tile(pair, (1, (seq_len + 1) // 2))[:, :seq_len]
+    except (OverflowError, ValueError) as exc:  # a size numpy refuses before it allocates
+        raise UsageError(f"seq_len {seq_len} is too large: {exc}") from None
 
 
 def random_token_batch(rng: np.random.Generator, batch: int, seq_len: int, vocab: int) -> np.ndarray:
     """Uniform token ids [batch, seq_len] below ``vocab``; each size must be a positive integer."""
     for name, value in (("batch", batch), ("seq_len", seq_len), ("vocab", vocab)):
         check_int(name, value, 1, UsageError)
-    return rng.integers(0, vocab, size=(batch, seq_len))
+    try:
+        return rng.integers(0, vocab, size=(batch, seq_len))
+    except ValueError as exc:  # a size numpy refuses before it allocates
+        raise UsageError(f"a batch of {batch} x {seq_len} tokens is too large: {exc}") from None
 
 
 def save_checkpoint(model: ToyModel, path) -> None:

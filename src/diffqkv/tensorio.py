@@ -52,8 +52,10 @@ def _finite_block(block: np.ndarray) -> bool:
 
 
 def _finite(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is of a real dtype (bool, integer or floating point) and holds no NaN or infinity."""
     flat = arr.reshape(-1)
-    return all(_finite_block(flat[i : i + BLOCK]) for i in range(0, flat.size, BLOCK))
+    real = arr.dtype.kind in "biuf"
+    return real and all(_finite_block(flat[i : i + BLOCK]) for i in range(0, flat.size, BLOCK))
 
 
 def _utf8(what: str, text, length_fmt: str) -> bytes:

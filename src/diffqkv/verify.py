@@ -1,19 +1,22 @@
 """Property suites behind `diffqkv verify` and the acceptance tests.
 
 Each suite runs a bundle of randomized, seeded checks and reports per-property
-instance counts and the maximum observed error.  Suites: ``equivalence``
-(kernel simulator vs naive reference, degenerate modes, selective V),
-``gradients`` (analytic vs central finite differences: only the first graph
-stage that reads a perturbed tensor runs once per perturbation, and the later
-stages run once over that tensor's stacked perturbations), ``cache``
-(footprint accounting and incremental consistency), ``cost`` (exact reduction
-rates and cost-curve structure), and ``all``.
+instance counts and the maximum observed error.  ``SUITES`` maps each suite
+name to its properties, in order: ``equivalence`` (kernel simulator vs naive
+reference, degenerate modes, selective V), ``gradients`` (analytic vs central
+finite differences: only the first graph stage that reads a perturbed tensor
+runs once per perturbation, and the later stages run once over that tensor's
+stacked perturbations), ``cache`` (footprint accounting and incremental
+consistency), ``cost`` (exact reduction rates and cost-curve structure), and
+``all``, their ordered union.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -44,8 +47,6 @@ from .errors import UsageError
 from .kvcache import DifferentialKVCache
 from .model import as_parameter_tensors, init_model, loss_graph, staged_forward
 from .reference import grouped_attention_by_duplication
-
-SUITES = ("equivalence", "gradients", "cache", "cost", "all")
 
 
 @dataclass
@@ -187,15 +188,6 @@ def check_selective_v(instances: int = 100, seed: int = 13) -> PropertyResult:
     return PropertyResult(name, instances, max(max_excess, 0.0), max_excess <= 1e-12)
 
 
-def equivalence_suite(instances: int = 200) -> list[PropertyResult]:
-    return [
-        check_flexhead_vs_naive(instances),
-        check_degenerate_mha(),
-        check_grouped_duplication(),
-        check_selective_v(),
-    ]
-
-
 # -- gradients ---------------------------------------------------------------
 
 GRADCHECK_SAMPLES = 4  # elements perturbed per tensor
@@ -278,20 +270,11 @@ def gradient_check(
     return errors
 
 
-def gradients_suite() -> list[PropertyResult]:
-    results = []
-    for label, (heads, d_k, aug) in GRADCHECK_VARIANTS.items():
-        errors = gradient_check(_gradcheck_model_config(heads, d_k, aug))
-        worst = max(errors.values())
-        results.append(
-            PropertyResult(
-                f"gradient check [{label}]",
-                len(errors) * GRADCHECK_SAMPLES,
-                worst,
-                worst < 1e-4,
-            )
-        )
-    return results
+def _gradients(label: str) -> PropertyResult:
+    """``gradient_check`` of one ``GRADCHECK_VARIANTS`` model: every relative error below 1e-4."""
+    errors = gradient_check(_gradcheck_model_config(*GRADCHECK_VARIANTS[label]))
+    worst = max(errors.values())
+    return PropertyResult(f"gradient check [{label}]", len(errors) * GRADCHECK_SAMPLES, worst, worst < 1e-4)
 
 
 # -- cache -------------------------------------------------------------------
@@ -347,9 +330,6 @@ def check_incremental_matches_direct(instances: int = 20, seed: int = 29) -> Pro
     return PropertyResult(
         "cache-view attention bit-identical to direct", instances, max_err, max_err == 0.0
     )
-
-
-CACHE_CHECKS = (check_footprint_accounting, check_cache_ratio, check_incremental_matches_direct)
 
 
 # -- cost --------------------------------------------------------------------
@@ -413,28 +393,29 @@ def check_cost_affine() -> PropertyResult:
     return PropertyResult("kv_cache_cost affine in s", 3, worst, worst <= 1e-12)
 
 
-COST_CHECKS = (
-    check_reduction_rate_exact,
-    check_cache_ratio,
-    check_cost_curve_structure,
-    check_crossover_monotone,
-    check_cost_affine,
-)
+SUITES = {
+    "equivalence": (
+        check_flexhead_vs_naive,
+        check_degenerate_mha,
+        check_grouped_duplication,
+        check_selective_v,
+    ),
+    "gradients": tuple(partial(_gradients, label) for label in GRADCHECK_VARIANTS),
+    "cache": (check_footprint_accounting, check_cache_ratio, check_incremental_matches_direct),
+    "cost": (
+        check_reduction_rate_exact,
+        check_cache_ratio,
+        check_cost_curve_structure,
+        check_crossover_monotone,
+        check_cost_affine,
+    ),
+}
+# check_cache_ratio is in two suites; "all" runs it once, in its cache position.
+SUITES["all"] = tuple(dict.fromkeys(chain(*SUITES.values())))
 
 
-def run_verify(suite: str, instances: int = 200) -> VerifyReport:
-    """Run one named property suite; raises UsageError for a bad name or instances below 1."""
+def run_verify(suite: str) -> VerifyReport:
+    """Run one named property suite; raises UsageError for a bad name."""
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    config.check_int("instances", instances, 1, UsageError)
-    results: list[PropertyResult] = []
-    if suite in ("equivalence", "all"):
-        results += equivalence_suite(instances)
-    if suite in ("gradients", "all"):
-        results += gradients_suite()
-    checks = (CACHE_CHECKS if suite in ("cache", "all") else ()) + (
-        COST_CHECKS if suite in ("cost", "all") else ()
-    )
-    # check_cache_ratio is in both suites; "all" runs it once, in its cache position.
-    results += [check() for check in dict.fromkeys(checks)]
-    return VerifyReport(suite=suite, results=results)
+    return VerifyReport(suite=suite, results=[check() for check in SUITES[suite]])

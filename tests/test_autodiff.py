@@ -39,12 +39,26 @@ def fd_check(build, arrays, step=1e-6, rtol=1e-6, atol=1e-8):
 RNG = np.random.default_rng(42)
 
 
-def test_add_broadcast():
-    fd_check(ad.add, [RNG.normal(size=(3, 4)), RNG.normal(size=(4,))])
+def test_add():
+    fd_check(ad.add, [RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4))])
 
 
-def test_mul_broadcast():
-    fd_check(ad.mul, [RNG.normal(size=(2, 3, 4)), RNG.normal(size=(1, 4))])
+def test_mul():
+    fd_check(ad.mul, [RNG.normal(size=(2, 3, 4)), RNG.normal(size=(2, 3, 4))])
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.mul])
+@pytest.mark.parametrize("shapes", [[(4,), (3, 4)], [(1, 4), (2, 3, 4)], [(3, 1), (3, 4)]])
+def test_add_and_mul_refuse_to_broadcast_an_operand_that_requires_grad(op, shapes):
+    small, large = (ad.Tensor(RNG.normal(size=shape), requires_grad=True) for shape in shapes)
+    with pytest.raises(ShapeError, match="requires grad"):
+        op(small, large)
+    with pytest.raises(ShapeError, match="requires grad"):
+        op(large, small)
+    # A constant still broadcasts, and its partner's gradient keeps its own shape.
+    for out in (op(large, small.data), op(small.data, large)):
+        assert out.shape == large.shape
+        assert all(g is None or g.shape == large.shape for g in out._vjp(np.ones(large.shape)))
 
 
 def test_matmul_2d():
@@ -258,6 +272,8 @@ def test_fan_out_shared_gradient_is_not_mutated():
 ])
 @pytest.mark.parametrize("const_at", [0, 1])
 def test_constant_operand_gets_no_gradient(op, shapes, const_at):
+    if op is not ad.matmul and const_at == 0:
+        shapes = shapes[::-1]  # only the constant may broadcast
     tensors = [ad.Tensor(RNG.normal(size=shape), requires_grad=True) for shape in shapes]
     tensors[const_at] = ad.Tensor(tensors[const_at].data)
     out = op(*tensors)

@@ -10,9 +10,9 @@ import diffqkv.cli
 import diffqkv.verify
 from diffqkv.cli import main
 from diffqkv.config import format_config_text, toy_preset
-from diffqkv.errors import DivergenceError, UsageError
+from diffqkv.errors import DivergenceError
 from diffqkv.kvcache import DifferentialKVCache
-from diffqkv.model import init_model
+from diffqkv.model import init_model, save_checkpoint
 from diffqkv.tensorio import write_tensors
 from diffqkv.verify import run_verify
 
@@ -28,17 +28,26 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "bogus"]) == 2
         assert "unknown suite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("instances", [0, -1, 2.5])
-    def test_run_verify_refuses_instances_below_one(self, instances):
-        # instances=0 used to return a vacuous PASS over no instance.
-        with pytest.raises(UsageError, match="instances"):
-            run_verify("equivalence", instances=instances)
+    def test_instances_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--suite", "cost", "--instances", "8"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --instances 8" in capsys.readouterr().err
 
     def test_all_suite_runs_each_property_once(self):
         shared = "sigma/gqa-16 footprint ratio == 0.625"  # in both the cache and cost suites
         for suite in ("cache", "cost", "all"):
-            names = [r.name for r in run_verify(suite, instances=8).results]
+            names = [r.name for r in run_verify(suite).results]
             assert shared in names and len(names) == len(set(names)), suite
+
+    def test_every_check_sits_once_in_the_all_suite(self):
+        # Every check_* is a property the benchmark runs; the table must run it too.
+        checks = [fn for name, fn in vars(diffqkv.verify).items() if name.startswith("check_")]
+        suites = diffqkv.verify.SUITES
+        named = [check for suite, table in suites.items() if suite != "all" for check in table]
+        assert suites["all"] == tuple(dict.fromkeys(named))
+        for check in checks:
+            assert suites["all"].count(check) == 1 and check in named, check.__name__
 
     def test_corrupted_head_map_fails_equivalence(self, monkeypatch, capsys):
         real = diffqkv.attention._query_groups
@@ -48,7 +57,7 @@ class TestVerifyCommand:
             return np.roll(real(rows, n_src), 1, axis=1)
 
         monkeypatch.setattr(diffqkv.attention, "_query_groups", corrupted)
-        assert main(["verify", "--suite", "equivalence", "--instances", "8"]) == 1
+        assert main(["verify", "--suite", "equivalence"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] grouped-attention duplication equivalence" in out
 
@@ -190,27 +199,26 @@ class TestTrainAndDecode:
         err = capsys.readouterr().err
         assert err.startswith("error: ") if code else err == ""
 
-    def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
-        def run():
-            main(["train-toy", "--steps", "2", "--batch", "2", "--seq-len", "6"])
+    def test_decode_refuses_non_finite_logits(self, tmp_path, capsys):
+        # Every weight is finite, but a head of 1e308 overflows the logits.
+        model = init_model(toy_preset("gqa-4"))
+        model.head[...] = 1e308
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(model, ckpt)
+        saved = ckpt.read_bytes()
+        assert main(["decode", "--checkpoint", str(ckpt), "--prompt", "1 2", "--n", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: the model's logits are not finite\n"
+        assert ckpt.read_bytes() == saved
+
+    def test_seed_comes_from_the_flag_alone(self, capsys, monkeypatch):
+        def run(*seed):
+            assert main(["train-toy", "--steps", "2", "--batch", "2", "--seq-len", "6", *seed]) == 0
             return capsys.readouterr().out
 
-        monkeypatch.setenv("DIFFQKV_SEED", "7")
-        with_env = run()
-        monkeypatch.setenv("DIFFQKV_SEED", "8")
-        other_env = run()
-        monkeypatch.setenv("DIFFQKV_SEED", "7")
-        assert run() == with_env
-        assert with_env != other_env
-
-    @pytest.mark.parametrize("command", ["bench", "train-toy"])
-    def test_env_seed_not_an_integer_exit_2(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setenv("DIFFQKV_SEED", "abc")
-        args = {"bench": ["--grid", "8:8", "--reps", "3", "--out", str(tmp_path / "b.csv")],
-                "train-toy": ["--steps", "1", "--batch", "2", "--seq-len", "6"]}[command]
-        assert main([command, *args]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err == "error: DIFFQKV_SEED must be a non-negative integer, got 'abc'\n"
+        monkeypatch.setenv("DIFFQKV_SEED", "abc")  # once read as the default seed, and refused
+        default = run()
+        assert default == run("--seed", "42") != run("--seed", "7")
 
 
 @pytest.mark.parametrize(
@@ -235,8 +243,6 @@ class TestTrainAndDecode:
          ["bench", "--grid", "8:8", "--reps", "3", "--out", "/nonexistent/x.csv"], 2),
         ("train unwritable out", ["train-toy", "--steps", "1", "--batch", "2", "--seq-len", "6",
                                   "--out", "/nonexistent/x.ckpt"], 2),
-        ("verify instances 0", ["verify", "--suite", "cache", "--instances", "0"], 2),
-        ("verify instances -1", ["verify", "--suite", "cache", "--instances", "-1"], 2),
         ("cost beta nan", ["cost", "--grid", "8:8", "--beta", "nan"], 2),
         ("cost alpha inf", ["cost", "--grid", "8:8", "--alpha", "inf"], 2),
         ("cost attn-alpha inf", ["cost", "--grid", "8:8", "--attn-alpha", "inf"], 2),

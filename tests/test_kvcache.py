@@ -6,7 +6,7 @@ from numpy.testing import assert_array_equal
 
 from diffqkv.attention import attention_scores, weighted_value_sum
 from diffqkv.config import AttentionConfig, PRESETS
-from diffqkv.errors import CapacityError, CapacityExceededError, ConfigError, ShapeError
+from diffqkv.errors import CapacityError, CapacityExceededError, ConfigError, DivergenceError, ShapeError
 from diffqkv.kvcache import cache_new
 
 SIGMA = PRESETS["sigma-1.5b"].attention
@@ -40,6 +40,13 @@ class TestCacheBasics:
             cache_new(SIGMA, batch=bad, capacity=4)
         with pytest.raises(CapacityError, match="capacity"):
             cache_new(SIGMA, batch=1, capacity=bad)
+
+    @pytest.mark.parametrize("batch, capacity", [(1, 2**70), (2**40, 2**40)])
+    def test_sizes_numpy_refuses_raise_capacity_error(self, batch, capacity):
+        # Both used to raise numpy's ValueError, which numpy raises before it allocates
+        # anything.  Smaller sizes that numpy would try to allocate are left untested.
+        with pytest.raises(CapacityError, match="too large"):
+            cache_new(SIGMA, batch=batch, capacity=capacity)
 
     @pytest.mark.parametrize("cfg", ["x", None, PRESETS["sigma-1.5b"]], ids=["str", "none", "model"])
     def test_cfg_must_be_an_attention_config(self, cfg):
@@ -142,6 +149,27 @@ class TestMultiPositionAppend:
         with pytest.raises(CapacityExceededError):
             cache.append(rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
         assert cache.len == 3
+        assert_array_equal(cache._k, k_before)
+        assert_array_equal(cache._v, v_before)
+
+    @pytest.mark.parametrize("poison", ["nan-v", "inf-k", "complex-k"])
+    def test_values_that_are_not_finite_reals_leave_cache_unchanged(self, poison):
+        # A NaN V used to be stored silently, and a complex K lost its imaginary part.
+        cfg = toy_cfg()
+        rng = np.random.default_rng(9)
+        cache = cache_new(cfg, batch=1, capacity=5)
+        cache.append(rng.normal(size=(1, 2, 2, 4)), rng.normal(size=(1, 2, 4, 4)))
+        k_before, v_before = cache._k.copy(), cache._v.copy()
+        k, v = rng.normal(size=(1, 2, 2, 4)), rng.normal(size=(1, 2, 4, 4))
+        if poison == "nan-v":
+            v[0, 1, 2, 3] = np.nan
+        elif poison == "inf-k":
+            k[0, 0, 1, 0] = -np.inf
+        else:
+            k = k + 1j
+        with pytest.raises(DivergenceError, match="finite real"):
+            cache.append(k, v)
+        assert cache.len == 2
         assert_array_equal(cache._k, k_before)
         assert_array_equal(cache._v, v_before)
 

@@ -271,6 +271,26 @@ class TestDecode:
             forward_incremental(model, np.arange(12 - start_pos)[None, :], caches, start_pos)
         assert all(c.len == start_pos for c in caches)
 
+    @pytest.mark.parametrize("poison", ["head", "w_v"])
+    def test_non_finite_feed_is_refused_and_rewinds_the_caches(self, poison):
+        # Every weight is finite, but one of 1e308 overflows: the logits (head) or a V
+        # appended by the last layer (w_v), after the first layer has appended.
+        model = init_model(toy_cfg(), seed=4)
+        caches = make_caches(model, batch=1, capacity=10)
+        forward_incremental(model, np.array([[1, 2, 3]]), caches, start_pos=0)
+        before = [tuple(view.copy() for view in c.view()) for c in caches]
+        weight = model.head if poison == "head" else model.blocks[-1].attn.w_v
+        weight[...] = 1e308
+        with pytest.raises(DivergenceError):
+            forward_incremental(model, np.array([[4, 5]]), caches, start_pos=3)
+        assert [c.len for c in caches] == [3, 3]
+        for cache, (k, v) in zip(caches, before):
+            assert_array_equal(cache.view()[0], k)
+            assert_array_equal(cache.view()[1], v)
+        for run in (lambda: forward(model, [[1, 2]]), lambda: decode(model, [1, 2], 3)):
+            with pytest.raises(DivergenceError):  # used to return inf/NaN logits, or [1 2 0 0 0]
+                run()
+
     def test_empty_prompt_raises(self):
         model = init_model(toy_cfg(), seed=4)
         for n_new in (0, 3):
@@ -418,6 +438,15 @@ class TestTraining:
             train_step(model, batch, 0.2)
         assert {k: v.tobytes() for k, v in model.named_tensors().items()} == before
 
+    @pytest.mark.parametrize("batch", [[[]], np.zeros((3, 0), dtype=int)])
+    def test_batch_with_no_position_is_refused(self, batch):
+        # [[]] used to raise numpy's IndexError from inside the graph.
+        model = init_model(toy_cfg(), seed=8)
+        before = {k: v.tobytes() for k, v in model.named_tensors().items()}
+        with pytest.raises(EmptyInputError, match="at least one position"):
+            train_step(model, batch, 0.1)
+        assert {k: v.tobytes() for k, v in model.named_tensors().items()} == before
+
     def test_single_position_batch_raises_length_error(self):
         model = init_model(toy_cfg(), seed=8)
         with pytest.raises(LengthError, match="2 positions"):
@@ -495,6 +524,20 @@ class TestTraining:
     )
     def test_batch_sizes_must_be_positive_integers(self, make, name, args):
         with pytest.raises(UsageError, match=f"{name} must be a positive integer"):
+            make(np.random.default_rng(0), *args)
+
+    @pytest.mark.parametrize(
+        "make, args",
+        [
+            (copy_task_batch, (2, 2**70, 8)),  # used to raise a raw OverflowError
+            (copy_task_batch, (2**70, 2, 8)),  # used to raise a raw ValueError
+            (random_token_batch, (2**70, 2, 8)),
+        ],
+    )
+    def test_sizes_numpy_refuses_raise_usage_error(self, make, args):
+        # numpy refuses these before it allocates anything.  Smaller sizes that numpy
+        # would try to allocate are left untested: the attempt could exhaust the host.
+        with pytest.raises(UsageError, match="too large"):
             make(np.random.default_rng(0), *args)
 
 
