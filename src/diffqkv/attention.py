@@ -15,11 +15,16 @@ positions, prepares the query in ``_scored_query`` (the one place the half-K
 expansion is absorbed into it and the 1/sqrt(d_head) scale applied) and
 hands q, k, v to the caller's ``attend``: ``cached_attention`` appends them to
 the cache whose config it runs and runs ``_causal``, training runs
-``autodiff.causal_attention`` (the same ``_causal`` with a VJP).  Apart from
-the cache a caller passes in, every function is free of side effects.
+``autodiff.causal_attention`` (the same ``_causal`` with a VJP).  Every op of
+``NUMPY_OPS`` is written here once and is also the forward of its autodiff
+twin: ``_matmul`` (one 2-D GEMM over the flattened leading axes),
+``_rotate`` (multiplication by the unit complex rotations of ``rope_angles``),
+``_silu_gate`` and ``_inverse_rms``, so both namespaces give bit-equal
+results at every batch.  Apart from the cache a caller passes in, every
+function is free of side effects.
 
 Shapes follow the convention ``[batch, seq, heads, dim]``; weights are plain
-2-D matrices applied on the right (``x @ w``), bias-free throughout.
+2-D matrices applied on the right (``ops.matmul(x, w)``), bias-free throughout.
 """
 
 from __future__ import annotations
@@ -37,11 +42,6 @@ from .kvcache import DifferentialKVCache
 RMS_NORM_EPS = 1e-6
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    """Sigmoid-weighted linear unit, x * sigmoid(x)."""
-    return x / (1.0 + np.exp(-x))
-
-
 def _inverse_rms(x: np.ndarray) -> np.ndarray:
     """1 / sqrt(mean(x^2) + eps) over the last axis: the RMS norm of both op namespaces.
 
@@ -54,23 +54,35 @@ def _inverse_rms(x: np.ndarray) -> np.ndarray:
     return 1.0 / np.hypot(rms, math.sqrt(RMS_NORM_EPS))
 
 
-def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    # x: [..., s, n, d]; cos/sin: [s, d/2]. Each pair (x0, x1), as x0 + i*x1, is multiplied
-    # by cos + i*sin, giving (x0*cos - x1*sin, x0*sin + x1*cos).
+def _rotate(x: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    # x: [..., s, n, d]; rot: [s, d/2] unit complex numbers. Each pair (x0, x1), as x0 + i*x1,
+    # is multiplied by its rotation cos + i*sin, giving (x0*cos - x1*sin, x0*sin + x1*cos).
     x = np.asarray(x, dtype=np.float64)
     if x.strides[-1] != x.itemsize:  # pairs must be adjacent to view them as complex
         x = x.copy()
-    return (x.view(np.complex128) * (cos + 1j * sin)[:, None, :]).view(np.float64)
+    return (x.view(np.complex128) * rot[:, None, :]).view(np.float64)
+
+
+def _matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x [..., d] by a weight w [d, n] -> [..., n], as one 2-D GEMM over the flattened leading axes."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
+
+
+def _silu_gate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(silu(a) * b, den): the gated product of the FFN and the augmented-Q block, den = 1 + exp(-a)."""
+    den = 1.0 + np.exp(-a)
+    return a / den * b, den
 
 
 # The array ops ``attention_layer`` and the model's stages are written over, for
 # inference.  :mod:`diffqkv.autodiff` has the same names and signatures over
-# Tensors; ``@`` and ``+`` stay operators in both.
+# Tensors, and runs these forwards; ``+`` and ``*`` stay operators in both.
 NUMPY_OPS = SimpleNamespace(
+    matmul=_matmul,
     reshape=np.reshape,
     transpose=np.transpose,
     rope=_rotate,
-    silu_gate=lambda a, b: silu(a) * b,
+    silu_gate=lambda a, b: _silu_gate(a, b)[0],
     rms_norm=lambda x, scale: x * _inverse_rms(x) * scale,
     embedding=lambda table, ids: table[ids],
 )
@@ -147,7 +159,8 @@ def augment_q(q_base, w: AttentionWeights, ops=NUMPY_OPS):
     """
     if w.w_q_gate is None or w.w_q_up is None or w.w_q_down is None:
         raise ConfigError("augment_q called but the augmented-Q weights are absent")
-    return ops.silu_gate(q_base @ w.w_q_gate, q_base @ w.w_q_up) @ w.w_q_down
+    gated = ops.silu_gate(ops.matmul(q_base, w.w_q_gate), ops.matmul(q_base, w.w_q_up))
+    return ops.matmul(gated, w.w_q_down)
 
 
 def project_qkv(x, w: AttentionWeights, cfg: AttentionConfig, ops=NUMPY_OPS) -> tuple:
@@ -161,22 +174,22 @@ def project_qkv(x, w: AttentionWeights, cfg: AttentionConfig, ops=NUMPY_OPS) -> 
     if len(x.shape) != 3 or x.shape[-1] != w.w_q.shape[0]:
         raise ShapeError(f"expected x of shape [b, s, {w.w_q.shape[0]}], got {x.shape}")
     b, s, _ = x.shape
-    q_flat = x @ w.w_q
+    q_flat = ops.matmul(x, w.w_q)
     if cfg.has_aug_q:
         q_flat = augment_q(q_flat, w, ops)
     q = ops.reshape(q_flat, (b, s, cfg.n_q_heads, cfg.d_head))
-    k = ops.reshape(x @ w.w_k, (b, s, cfg.n_k_heads, cfg.d_k_head))
-    v = ops.reshape(x @ w.w_v, (b, s, cfg.n_v_heads, cfg.d_head))
+    k = ops.reshape(ops.matmul(x, w.w_k), (b, s, cfg.n_k_heads, cfg.d_k_head))
+    v = ops.reshape(ops.matmul(x, w.w_v), (b, s, cfg.n_v_heads, cfg.d_head))
     return q, k, v
 
 
-def rope_angles(positions: np.ndarray, dim: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin tables [len(positions), dim // 2]; ``ConfigError`` unless ``check_real`` takes theta."""
+def rope_angles(positions: np.ndarray, dim: int, theta: float) -> np.ndarray:
+    """Rotations cos + i*sin [len(positions), dim // 2]; ``ConfigError`` unless ``check_real`` takes theta."""
     check_real("theta", theta)
     half = dim // 2
     inv_freq = theta ** (-np.arange(half, dtype=np.float64) * 2.0 / dim)
     angles = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
-    return np.cos(angles), np.sin(angles)
+    return np.cos(angles) + 1j * np.sin(angles)
 
 
 def apply_rope(q, k, positions, theta: float, ops=NUMPY_OPS) -> tuple:
@@ -195,7 +208,7 @@ def apply_rope(q, k, positions, theta: float, ops=NUMPY_OPS) -> tuple:
         if positions.shape != tuple(t.shape[-3:-2]):
             raise ShapeError(f"positions {positions.shape} do not fit the sequence axis of {name} {t.shape}")
     tables = {d: rope_angles(positions, d, theta) for d in {q.shape[-1], k.shape[-1]}}
-    return ops.rope(q, *tables[q.shape[-1]]), ops.rope(k, *tables[k.shape[-1]])
+    return ops.rope(q, tables[q.shape[-1]]), ops.rope(k, tables[k.shape[-1]])
 
 
 def _query_groups(rows: np.ndarray, n_src: int) -> np.ndarray:
@@ -303,7 +316,7 @@ def weighted_value_sum(alpha: np.ndarray, v: np.ndarray) -> np.ndarray:
 def attention_output(alpha: np.ndarray, v: np.ndarray, w_o: np.ndarray) -> np.ndarray:
     """alpha [b, n_q, (T,) t] -> [b, (T,) d_model]: weighted V sums, heads in index order, @ w_o."""
     o = np.moveaxis(weighted_value_sum(alpha, v), 1, -2)
-    return o.reshape(*o.shape[:-2], w_o.shape[0]) @ w_o
+    return _matmul(o.reshape(*o.shape[:-2], w_o.shape[0]), w_o)
 
 
 # Elements of one [b, n_q, T, B] block of scores.  Larger blocks mean fewer
@@ -380,7 +393,7 @@ def _scored_query(q, w: AttentionWeights | None, cfg: AttentionConfig, ops=NUMPY
     if cfg.half_k:
         if w is None or w.w_k_expand is None:
             raise ConfigError("half-K config needs weights with w_k_expand to score the cache")
-        q = q @ ops.transpose(w.w_k_expand, (1, 0))
+        q = ops.matmul(q, ops.transpose(w.w_k_expand, (1, 0)))
     return q * (1.0 / math.sqrt(cfg.d_head))
 
 
@@ -398,7 +411,7 @@ def attention_layer(
     b, s = q.shape[:2]
     q, k = apply_rope(q, k, np.arange(start, start + s), cfg.rope_theta, ops)
     heads = attend(ops.transpose(_scored_query(q, w, cfg, ops), (0, 2, 1, 3)), k, v)
-    return ops.reshape(ops.transpose(heads, (0, 2, 1, 3)), (b, s, w.w_o.shape[0])) @ w.w_o
+    return ops.matmul(ops.reshape(ops.transpose(heads, (0, 2, 1, 3)), (b, s, w.w_o.shape[0])), w.w_o)
 
 
 def cached_attention(x: np.ndarray, w: AttentionWeights, cache: DifferentialKVCache) -> np.ndarray:

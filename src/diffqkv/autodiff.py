@@ -3,12 +3,15 @@
 Just enough machinery for the toy causal LM: add/mul (only a constant operand
 broadcasts), matmul by a weight, reshapes/transposes, gated SiLU, RMS
 normalization, rotary embedding, causal attention, embedding lookup and a
-fused shifted cross-entropy, reusing the numpy code of
-:mod:`diffqkv.attention`; no node holds a full score matrix, and gated SiLU
-keeps 1 + exp(-a) so that its VJP runs no exp.  Its ops share names and
-signatures with ``attention.NUMPY_OPS``, so the model's stages are written
-once over either.  Nodes form an implicit DAG; ``backward`` walks it once in
-reverse topological order and accumulates gradients on leaves.
+fused shifted cross-entropy.  Its ops share names and signatures with
+``attention.NUMPY_OPS``, so the model's stages are written once over either,
+and each op's forward is the numpy code of :mod:`diffqkv.attention` (the flat
+weight GEMM, the complex rotation, the gated SiLU, the RMS norm, the blocked
+causal pass): an op adds only its reverse pass, and the two namespaces agree
+bit for bit.  No node holds a full score matrix, and gated SiLU keeps
+1 + exp(-a) so that its VJP runs no exp.  Nodes form an implicit DAG;
+``backward`` walks it once in reverse topological order and accumulates
+gradients on leaves.
 
 Gradient ownership: a node adopts its first gradient contribution as-is, with
 no zero-filled buffer, and sums later ones out of place.  A VJP may therefore
@@ -24,8 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import _causal, _inverse_rms, _masked_logits, _query_groups, _rotate
-from .attention import _spans, _tile_sizes, attention_logits, weighted_value_sum
+from .attention import _causal, _inverse_rms, _masked_logits, _matmul, _query_groups, _rotate
+from .attention import _silu_gate, _spans, _tile_sizes, attention_logits, weighted_value_sum
 from .errors import LengthError, ShapeError
 
 
@@ -53,9 +56,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self):
         if self.data.size != 1:
@@ -129,22 +129,21 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """[..., d] @ [d, n] by a 2-D weight, run as flat 2-D GEMMs."""
+    """[..., d] @ [d, n] by a 2-D weight: ``attention._matmul``, with flat 2-D GEMMs in the VJP too.
+
+    The leading axes fold into rows, so the weight gradient is one GEMM
+    instead of a batched product summed over the batch.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if b.data.ndim != 2:
         raise ShapeError(f"matmul needs a 2-D right operand, got shape {b.data.shape}")
-    # Fold the leading axes into rows, so the weight gradient is one GEMM
-    # instead of a batched product summed over the batch.
-    rows = a.data.reshape(-1, a.data.shape[-1])
-    out = (rows @ b.data).reshape(*a.data.shape[:-1], b.data.shape[1])
 
     def vjp(g):
-        g_rows = g.reshape(-1, g.shape[-1])
-        ga = (g_rows @ b.data.T).reshape(a.data.shape) if a.requires_grad else None
-        gb = rows.T @ g_rows if b.requires_grad else None
+        ga = _matmul(g, b.data.T) if a.requires_grad else None
+        gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if b.requires_grad else None
         return ga, gb
 
-    return Tensor(out, parents=(a, b), vjp=vjp)
+    return Tensor(_matmul(a.data, b.data), parents=(a, b), vjp=vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -167,10 +166,9 @@ def transpose(a: Tensor, axes) -> Tensor:
 def silu_gate(a: Tensor, b: Tensor) -> Tensor:
     """silu(a) * b, the gated product of the FFN and the augmented-Q block.
 
-    The forward divides by den = 1 + exp(-a), as ``attention.silu`` does, and keeps den: the VJP runs no exp.
+    The forward is ``attention._silu_gate``, whose den = 1 + exp(-a) the node keeps: the VJP runs no exp.
     """
-    den = 1.0 + np.exp(-a.data)
-    out = a.data / den * b.data
+    out, den = _silu_gate(a.data, b.data)
 
     def vjp(g):
         sig = 1.0 / den
@@ -241,14 +239,12 @@ def _grouped_t(p: np.ndarray, rows: np.ndarray, n_src: int) -> np.ndarray:
     return np.matmul(_query_groups(p, n_src).swapaxes(-1, -2), _query_groups(rows, n_src))
 
 
-def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotary embedding of [..., s, n, d] given [s, d/2] angle tables.
+def rope(x: Tensor, rot: np.ndarray) -> Tensor:
+    """Rotary embedding of [..., s, n, d] by [s, d/2] unit complex rotations.
 
-    The VJP is the transposed rotation, i.e. the rotation by -angle.
+    The VJP is the transposed rotation, i.e. the rotation by the conjugate.
     """
-    return Tensor(
-        _rotate(x.data, cos, sin), parents=(x,), vjp=lambda g: (_rotate(g, cos, -sin),)
-    )
+    return Tensor(_rotate(x.data, rot), parents=(x,), vjp=lambda g: (_rotate(g, rot.conj()),))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

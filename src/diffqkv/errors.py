@@ -51,9 +51,9 @@ class PositionError(DiffQKVError, ValueError):
 
 
 class DivergenceError(DiffQKVError, ArithmeticError):
-    """A result is not finite: a training step's loss, gradient or updated
-    weight, a K or V appended to a cache (or one that is not real), or the
-    logits of a fed position."""
+    """A value is not finite: a training step's loss, gradient or updated
+    weight, a K or V appended to a cache or a query given to the kernel (or
+    one that is not real), or the logits of a fed position."""
 
 
 class ConfigFileError(ConfigError):

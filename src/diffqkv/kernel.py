@@ -12,8 +12,9 @@ import numpy as np
 
 from .attention import AttentionWeights, _attend, _check_causal_limit, _scored_query
 from .config import check_int
-from .errors import PositionError, ShapeError
+from .errors import DivergenceError, PositionError, ShapeError
 from .kvcache import DifferentialKVCache
+from .tensorio import _finite
 
 
 def flexhead_attention(
@@ -25,7 +26,8 @@ def flexhead_attention(
 ) -> np.ndarray:
     """Attention of queries q [b, n_q, d_head] over cached keys [0, causal_limit) -> [b, n_q, d_head].
 
-    q must have the head count and head dim of ``cache.cfg`` (else ``ShapeError``).
+    q must have the head count and head dim of ``cache.cfg`` (else ``ShapeError``) and be
+    finite and real (else ``DivergenceError``, before the cache is read).
     The query is prepared by ``_scored_query`` under ``cache.cfg`` (half-K needs
     ``w.w_k_expand``), then scored against the stored keys.  Keys are cut into chunks
     of ``chunk`` positions (the last one clipped); the integer limit defaults to ``cache.len``.
@@ -33,6 +35,8 @@ def flexhead_attention(
     cfg = cache.cfg
     if q.ndim != 3 or q.shape[1:] != (cfg.n_q_heads, cfg.d_head):
         raise ShapeError(f"the cache needs q of shape [b, {cfg.n_q_heads}, {cfg.d_head}], got {q.shape}")
+    if not _finite(q):
+        raise DivergenceError("the query holds a value that is not a finite real")
     q = _scored_query(q, w, cfg)
     limit = cache.len if causal_limit is None else causal_limit
     _check_causal_limit("causal_limit", limit, cache.len)

@@ -40,7 +40,7 @@ class DifferentialKVCache:
         try:
             self._k = np.zeros((batch, capacity, cfg.n_k_heads, cfg.d_k_head))
             self._v = np.zeros((batch, capacity, cfg.n_v_heads, cfg.d_head))
-        except ValueError as exc:  # a size numpy refuses before it allocates
+        except (ValueError, MemoryError) as exc:  # a size numpy refuses, or memory it cannot get
             raise CapacityError(f"batch {batch} x capacity {capacity} is too large: {exc}") from None
 
     def append(self, k: np.ndarray, v: np.ndarray) -> None:

@@ -156,14 +156,15 @@ def forward_stages(model: ToyModel, ops, attentions: list) -> list:
     def ffn_half(blk: TransformerBlock):
         def run(x):
             h = ops.rms_norm(x, blk.norm_ffn)
-            return x + ops.silu_gate(h @ blk.w_ffn_gate, h @ blk.w_ffn_up) @ blk.w_ffn_down
+            gated = ops.silu_gate(ops.matmul(h, blk.w_ffn_gate), ops.matmul(h, blk.w_ffn_up))
+            return x + ops.matmul(gated, blk.w_ffn_down)
 
         return run
 
     stages = [lambda ids: ops.embedding(model.embedding, ids)]
     for blk, attention in zip(model.blocks, attentions):
         stages += [attention_half(blk, attention), ffn_half(blk)]
-    stages.append(lambda x: ops.rms_norm(x, model.norm_final) @ model.head)
+    stages.append(lambda x: ops.matmul(ops.rms_norm(x, model.norm_final), model.head))
     return stages
 
 
@@ -367,7 +368,7 @@ def train_step(model: ToyModel, batch, lr: float) -> float:
         loss.backward()
         updated = [(tensor.data, tensor.data - lr * tensor.grad) for tensor in params.values()]
     value = float(loss.data)
-    if not np.isfinite(value) or not all(np.isfinite(new).all() for _, new in updated):
+    if not _finite(loss.data) or not all(_finite(new) for _, new in updated):
         raise DivergenceError(f"a non-finite step (loss {value}) was refused; no weight changed")
     for weight, new in updated:
         weight[...] = new

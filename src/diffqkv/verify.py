@@ -152,17 +152,17 @@ def check_degenerate_mha(instances: int = 50, seed: int = 7) -> PropertyResult:
     return _naive_vs_oracle("degenerate MHA equivalence", [mha], 2, 8, instances, seed)
 
 
-def check_grouped_duplication(instances: int = 50, seed: int = 11) -> PropertyResult:
+def check_grouped_duplication(seed: int = 11) -> PropertyResult:
     """Grouped attention equals a reference built by explicit head duplication."""
     name = "grouped-attention duplication equivalence"
-    return _naive_vs_oracle(name, _EQUIV_ATTENTION, 1, 11, instances, seed)
+    return _naive_vs_oracle(name, _EQUIV_ATTENTION, 1, 11, 50, seed)
 
 
-def check_selective_v(instances: int = 100, seed: int = 13) -> PropertyResult:
+def check_selective_v(seed: int = 13) -> PropertyResult:
     """k_top >= t is bit-identical; k_top < t obeys the dropped-mass bound."""
     name = "selective-V exactness and error bound"
     rng = np.random.default_rng(seed)
-    max_excess = 0.0
+    max_excess, instances = 0.0, 100
     for i in range(instances):
         b, n_q, t, d = 1, 4, int(rng.integers(2, 30)), 6
         v_shared = rng.normal(size=(b, t, n_q, d))
@@ -279,8 +279,9 @@ def _gradients(label: str) -> PropertyResult:
 
 # -- cache -------------------------------------------------------------------
 
-def check_footprint_accounting(instances: int = 50, seed: int = 23) -> PropertyResult:
+def check_footprint_accounting(seed: int = 23) -> PropertyResult:
     rng = np.random.default_rng(seed)
+    instances = 50
     cfg = PRESETS["sigma-1.5b"].attention
     for i in range(instances):
         b = int(rng.integers(1, 4))
@@ -306,11 +307,11 @@ def check_cache_ratio() -> PropertyResult:
     )
 
 
-def check_incremental_matches_direct(instances: int = 20, seed: int = 29) -> PropertyResult:
+def check_incremental_matches_direct(seed: int = 29) -> PropertyResult:
     """Attention on cache views is bit-identical to the same full tensors."""
     rng = np.random.default_rng(seed)
     cfg = AttentionConfig(8, 2, 4, 8)
-    max_err = 0.0
+    max_err, instances = 0.0, 20
     for _ in range(instances):
         b, t = 2, int(rng.integers(1, 20))
         k = rng.normal(size=(b, t, cfg.n_k_heads, cfg.d_k_head))

@@ -152,24 +152,23 @@ class TestRope:
         # multiply-add), by at most 2 ulp of the pair's norm.
         rng = np.random.default_rng(sum(shape))
         x = rng.normal(size=shape)
-        cos, sin = rope_angles(np.arange(shape[-3]) * 37 + 5, shape[-1], 10_000.0)
-        got = attention._rotate(x, cos, sin)
-        even, odd, c, s = x[..., 0::2], x[..., 1::2], cos[:, None], sin[:, None]
+        rot = rope_angles(np.arange(shape[-3]) * 37 + 5, shape[-1], 10_000.0)
+        got = attention._rotate(x, rot)
+        even, odd, c, s = x[..., 0::2], x[..., 1::2], rot.real[:, None], rot.imag[:, None]
         want = np.stack([even * c - odd * s, even * s + odd * c], axis=-1).reshape(shape)
         norm = np.repeat(np.hypot(even, odd), 2, axis=-1)
         assert np.all(np.abs(got - want) <= 2 * np.spacing(norm))
         after = np.hypot(got[..., 0::2], got[..., 1::2])
         assert_allclose(after, norm[..., 0::2], rtol=4 * np.finfo(np.float64).eps, atol=0)
-        zero_cos, zero_sin = rope_angles(np.zeros(shape[-3]), shape[-1], 10_000.0)
-        assert_array_equal(attention._rotate(x, zero_cos, zero_sin), x)
+        assert_array_equal(attention._rotate(x, rope_angles(np.zeros(shape[-3]), shape[-1], 10_000.0)), x)
 
     def test_rotate_reads_strided_views(self):
         x = np.random.default_rng(4).normal(size=(2, 3, 5, 8))
-        cos, sin = rope_angles(np.arange(5), 4, 50_000.0)
+        rot = rope_angles(np.arange(5), 4, 50_000.0)
         transposed = x[..., :4].transpose(0, 2, 1, 3)  # [b, s, n, d]; each pair still adjacent
         every_other = x.transpose(0, 2, 1, 3)[..., ::2]  # pairs not adjacent: rotated from a copy
         for view in (transposed, every_other):
-            assert_array_equal(attention._rotate(view, cos, sin), attention._rotate(view.copy(), cos, sin))
+            assert_array_equal(attention._rotate(view, rot), attention._rotate(view.copy(), rot))
 
 
 class TestGroupedCore:

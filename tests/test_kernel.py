@@ -17,7 +17,7 @@ from diffqkv.attention import (
     weighted_value_sum,
 )
 from diffqkv.config import AttentionConfig
-from diffqkv.errors import ConfigError, EmptyInputError, PositionError, ShapeError
+from diffqkv.errors import ConfigError, DivergenceError, EmptyInputError, PositionError, ShapeError
 from diffqkv.kernel import flexhead_attention
 from diffqkv.kvcache import cache_new
 
@@ -393,6 +393,18 @@ class TestFlexheadAttention:
         for chunk in (0, -1, 1.5, True):  # a float or bool used to raise a raw TypeError
             with pytest.raises(ConfigError, match="chunk"):
                 flexhead_attention(np.zeros((1, 8, 4)), cache, chunk)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_raises_before_the_cache_is_read(self, monkeypatch, bad):
+        # A NaN query used to give NaN heads with no error, an infinite one only a RuntimeWarning.
+        cfg = make_cfg()
+        rng = np.random.default_rng(23)
+        cache = fill_cache(cfg, rng.normal(size=(1, 2, 2, 4)), rng.normal(size=(1, 2, 4, 4)))
+        q = np.zeros((1, 8, 4))
+        q[0, 3, 1] = bad
+        monkeypatch.setattr(cache, "view", lambda: pytest.fail("the cache was read"))
+        with pytest.raises(DivergenceError, match="query"):
+            flexhead_attention(q, cache, 2)
 
     def test_query_without_batch_axis_raises(self):
         cfg = make_cfg()

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from diffqkv import kvcache
 from diffqkv.attention import attention_scores, weighted_value_sum
 from diffqkv.config import AttentionConfig, PRESETS
 from diffqkv.errors import CapacityError, CapacityExceededError, ConfigError, DivergenceError, ShapeError
@@ -47,6 +49,15 @@ class TestCacheBasics:
         # anything.  Smaller sizes that numpy would try to allocate are left untested.
         with pytest.raises(CapacityError, match="too large"):
             cache_new(SIGMA, batch=batch, capacity=capacity)
+
+    def test_an_allocation_numpy_cannot_make_raises_capacity_error(self, monkeypatch):
+        # numpy's MemoryError used to escape; the allocation is stubbed, so no memory is requested.
+        def refuse(shape):
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        monkeypatch.setattr(kvcache, "np", SimpleNamespace(zeros=refuse))
+        with pytest.raises(CapacityError, match="batch 2 x capacity 3 is too large: Unable to allocate"):
+            cache_new(SIGMA, batch=2, capacity=3)
 
     @pytest.mark.parametrize("cfg", ["x", None, PRESETS["sigma-1.5b"]], ids=["str", "none", "model"])
     def test_cfg_must_be_an_attention_config(self, cfg):
