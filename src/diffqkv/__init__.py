@@ -2,9 +2,10 @@
 
 Differential rescaling of Q, K and V head counts and dimensions, the
 differential KV cache it implies, one blocked causal softmax (per-block
-partials merged by log-sum-exp) behind the forward pass, decode and a
-chunked-attention kernel simulator, an analytic inference-cost model, and a
-tiny trainable causal LM that exercises all of it end to end.
+partials merged by log-sum-exp) behind the FlexHead kernel, the pass every
+cached attention call of the forward pass and decode runs, an analytic
+inference-cost model, and a tiny trainable causal LM that exercises all of it
+end to end.
 
 Importing the package sets glibc's malloc thresholds for the whole process
 (see ``_reuse_freed_memory``), so freed numpy temporaries are reused from the
@@ -24,6 +25,7 @@ from .attention import (
     init_attention_weights,
     naive_diffqkv_attention,
     project_qkv,
+    scored_query,
     selective_v_attention,
 )
 from .config import (
@@ -104,6 +106,7 @@ __all__ = [
     "naive_diffqkv_attention",
     "project_qkv",
     "reduction_rate",
+    "scored_query",
     "selective_v_attention",
     "total_cost_curve",
     "toy_preset",

@@ -11,10 +11,11 @@ each row's log-sum-exp; nothing else in the numpy path exponentiates logits.
 ``_causal`` runs it over tiles of queries; the core scores unscaled q·kᵀ.
 ``attention_layer`` is a layer's one composition, over ``NUMPY_OPS`` or the
 same-named ops of :mod:`diffqkv.autodiff`: it projects and rotates new
-positions, prepares the query in ``_scored_query`` (the one place the half-K
+positions, prepares the query in ``scored_query`` (the one place the half-K
 expansion is absorbed into it and the 1/sqrt(d_head) scale applied) and
 hands q, k, v to the caller's ``attend``: ``cached_attention`` appends them to
-the cache whose config it runs and runs ``_causal``, training runs
+the cache whose config it runs and reads it through the FlexHead kernel,
+``kernel.flexhead_attention`` (``_causal`` behind its checks), training runs
 ``autodiff.causal_attention`` (the same ``_causal`` with a VJP).  Every op of
 ``NUMPY_OPS`` is written here once and is also the forward of its autodiff
 twin: ``_matmul`` (one 2-D GEMM over the flattened leading axes),
@@ -35,6 +36,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import kernel  # it imports this module back; each reads the other only at call time
 from .config import AttentionConfig, check_attention, check_int, check_real
 from .errors import ConfigError, DimensionError, EmptyInputError, PositionError, ShapeError, UsageError
 from .kvcache import DifferentialKVCache
@@ -168,11 +170,17 @@ def project_qkv(x, w: AttentionWeights, cfg: AttentionConfig, ops=NUMPY_OPS) -> 
 
     Args:
         x: [b, s, d_model] hidden states.
+        w: of exactly the shapes ``attention_weight_shapes(cfg)`` lists (else ``ConfigError``).
     Returns:
         q [b, s, n_q, d_head], k [b, s, n_k, d_k_head], v [b, s, n_v, d_head].
     """
     if len(x.shape) != 3 or x.shape[-1] != w.w_q.shape[0]:
         raise ShapeError(f"expected x of shape [b, s, {w.w_q.shape[0]}], got {x.shape}")
+    got, want = {n: tuple(t.shape) for n, t in w.named_tensors().items()}, attention_weight_shapes(cfg)
+    if got != want:
+        wrong = [f"{n} {got.get(n)}, not {want.get(n)}" for n in sorted(got | want)
+                 if got.get(n) != want.get(n)]
+        raise ConfigError(f"the weights do not fit the config: {'; '.join(wrong)}")
     b, s, _ = x.shape
     q_flat = ops.matmul(x, w.w_q)
     if cfg.has_aug_q:
@@ -287,14 +295,15 @@ def attention_scores(q: np.ndarray, k: np.ndarray, causal_mask_len: int) -> np.n
 
     Args:
         q: [b, n_q, d] query vectors, or [b, n_q, T, d] for a tile of T
-            consecutive positions, as ``_scored_query`` prepares them.
+            consecutive positions, as ``scored_query`` prepares them.
         k: [b, t, n_k, d] keys at their stored head count, n_k dividing n_q.
         causal_mask_len: positions >= this index (+ r in tile row r) get weight exactly 0;
             an integer of at least 1 (``PositionError`` for a non-integer,
             ``EmptyInputError`` below 1 or for a k with no positions).  A limit
             past k's last position is accepted and masks nothing there: the
             limit only masks, unlike ``kernel.flexhead_attention``, whose
-            ``causal_limit`` names cached positions and is refused past the cache.
+            ``causal_limit`` names cached positions and is refused when a
+            tile row would run past the cache.
     Returns:
         alpha: [b, n_q, t] or [b, n_q, T, t], softmax(q·kᵀ); each row sums to 1.
     """
@@ -369,27 +378,30 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, first: int, width: int)
     return _merge(parts)
 
 
-def _causal(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int) -> tuple:
+def _causal(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int, block: int | None = None) -> tuple:
     """Causal attention of queries q [b, n_q, s, d] at positions start.. over K/V [b, t, n, d].
 
     Returns (heads [b, n_q, s, d_v], lse [b, n_q, s]): ``_attend`` over tiles of
-    T queries in key chunks of width B, both from ``_tile_sizes``.
+    T queries in key chunks of width ``block``, T and the default block from ``_tile_sizes``.
     """
     b, n_q, s = q.shape[:3]
-    tile, block = _tile_sizes(b, s, n_q, k.shape[2])
+    tile, default = _tile_sizes(b, s, n_q, k.shape[2])
     heads, lse = np.empty((b, n_q, s, v.shape[-1])), np.empty((b, n_q, s))
     for i in range(0, s, tile):
         rows = slice(i, i + tile)
-        heads[:, :, rows], lse[:, :, rows] = _attend(q[:, :, rows], k, v, start + i + 1, block)
+        heads[:, :, rows], lse[:, :, rows] = _attend(q[:, :, rows], k, v, start + i + 1, block or default)
     return heads, lse
 
 
-def _scored_query(q, w: AttentionWeights | None, cfg: AttentionConfig, ops=NUMPY_OPS):
+def scored_query(q, w: AttentionWeights | None, cfg: AttentionConfig, ops=NUMPY_OPS):
     """A rotated query [..., d_head] as the core scores it: q·k with a stored key is the logit.
 
     Half-K maps it by ``q @ w_k_expand.T`` (exact: rotary acts on K before
     expansion; ``ConfigError`` without w_k_expand), then it is scaled by 1/sqrt(d_head).
+    A last dim other than ``cfg.d_head`` raises ``ShapeError``.
     """
+    if q.shape[-1] != cfg.d_head:
+        raise ShapeError(f"a query of {cfg.d_head} dims is scored, got shape {q.shape}")
     if cfg.half_k:
         if w is None or w.w_k_expand is None:
             raise ConfigError("half-K config needs weights with w_k_expand to score the cache")
@@ -402,7 +414,7 @@ def attention_layer(
 ):
     """Causal DiffQKV attention of s positions start.., x [b, s, d_model] -> [b, s, d_model].
 
-    Project -> augmented Q -> rotary -> ``_scored_query`` ->
+    Project -> augmented Q -> rotary -> ``scored_query`` ->
     ``attend(q [b, n_q, s, d], k, v)``, which returns the heads
     [b, n_q, s, d_v] -> output projection, all in ``ops``: ``NUMPY_OPS`` or
     :mod:`diffqkv.autodiff`.
@@ -410,7 +422,7 @@ def attention_layer(
     q, k, v = project_qkv(x, w, cfg, ops)
     b, s = q.shape[:2]
     q, k = apply_rope(q, k, np.arange(start, start + s), cfg.rope_theta, ops)
-    heads = attend(ops.transpose(_scored_query(q, w, cfg, ops), (0, 2, 1, 3)), k, v)
+    heads = attend(ops.transpose(scored_query(q, w, cfg, ops), (0, 2, 1, 3)), k, v)
     return ops.matmul(ops.reshape(ops.transpose(heads, (0, 2, 1, 3)), (b, s, w.w_o.shape[0])), w.w_o)
 
 
@@ -418,15 +430,14 @@ def cached_attention(x: np.ndarray, w: AttentionWeights, cache: DifferentialKVCa
     """``attention_layer`` of s new positions at ``cache.len``.., x [b, s, d_model] -> [b, s, d_model].
 
     It runs ``cache.cfg``, so all keys in a cache share one layout and rotary base, and attends
-    by one append of all s K/V rows to ``cache`` and ``_causal`` over the cache.
+    by one append of all s K/V rows to ``cache`` and one FlexHead kernel call over the cache.
     """
-    start = cache.len
 
     def attend(q, k, v):
         cache.append(k, v)
-        return _causal(q, *cache.view(), start)[0]
+        return kernel.flexhead_attention(q, cache)
 
-    return attention_layer(x, w, cache.cfg, start, attend)
+    return attention_layer(x, w, cache.cfg, cache.len, attend)
 
 
 def naive_diffqkv_attention(x: np.ndarray, w: AttentionWeights, cfg: AttentionConfig) -> np.ndarray:

@@ -199,7 +199,7 @@ def rms_norm(x: Tensor, scale: Tensor) -> Tensor:
 def causal_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Causal attention of q [b, n_q, s, d] over k [b, s, n_k, d] and v [b, s, n_v, d_v] -> [b, n_q, s, d_v].
 
-    softmax(q·kᵀ)·v, q as ``attention._scored_query`` scales it (a ``mul`` node).
+    softmax(q·kᵀ)·v, q as ``attention.scored_query`` scales it (a ``mul`` node).
     K and V stay at their native head counts.  The forward is the numpy path's
     blocked pass, ``attention._causal``; the node keeps q, k, v, the output and
     each row's log-sum-exp, never the scores.  The VJP walks the same query

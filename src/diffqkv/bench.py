@@ -7,8 +7,8 @@ and counts the elements it moves:
 * ``kv_cache``     — append one position at s, then copy the full K and V
                      views out (a real copy, so the traffic is moved): s + 1
                      positions;
-* ``attention``    — one kernel call over the s cached positions, in the key
-                     blocks a one-token decode step uses;
+* ``attention``    — one kernel call over the s cached positions, the call a
+                     one-token decode step makes;
 * ``augmented_q``  — the gated Q block on a single token (configs with
                      aug_q_dim > 0 only), fastest of three back-to-back calls:
                      its three weights.
@@ -34,8 +34,8 @@ from functools import partial
 
 import numpy as np
 
-from .attention import AttentionWeights, _tile_sizes, attention_weight_shapes, augment_q
-from .attention import init_attention_weights
+from .attention import AttentionWeights, attention_weight_shapes, augment_q
+from .attention import init_attention_weights, scored_query
 from .config import AttentionConfig, check_int
 from .costmodel import CostGrid, csv_text
 from .errors import UsageError
@@ -98,8 +98,7 @@ class _ConfigFixture:
         self.cache.append(np.repeat(self.k_t, max_s, axis=1), np.repeat(self.v_t, max_s, axis=1))
         self.k_buf = np.empty((1, max_s + 1, cfg.n_k_heads, cfg.d_k_head))
         self.v_buf = np.empty((1, max_s + 1, cfg.n_v_heads, cfg.d_head))
-        self.q = rng.normal(size=(1, cfg.n_q_heads, cfg.d_head))
-        self.block = _tile_sizes(1, 1, cfg.n_q_heads, cfg.n_k_heads)[1]  # a one-token decode step's key block
+        self.q = scored_query(rng.normal(size=(1, cfg.n_q_heads, 1, cfg.d_head)), self.weights, cfg)
         self.token = rng.normal(size=(1, cfg.d_model))
 
     def kv_cache_step(self, s: int) -> float:
@@ -114,7 +113,7 @@ class _ConfigFixture:
     def attention_step(self, s: int) -> float:
         self.cache.len = s
         start = time.perf_counter()
-        flexhead_attention(self.q, self.cache, self.block, self.weights)
+        flexhead_attention(self.q, self.cache)
         return time.perf_counter() - start
 
     def augmented_q_step(self) -> float:

@@ -59,7 +59,7 @@ class AttentionConfig:
     ``d_k_head`` is the dimension K is stored and cached in.  When
     ``d_k_head < d_head`` (half-K mode) a linear expansion layer maps cached K
     vectors up to ``d_head``; attention applies it to the query instead
-    (``q @ w_k_expand.T``) and scales it by 1/sqrt(d_head) in ``_scored_query``,
+    (``q @ w_k_expand.T``) and scales it by 1/sqrt(d_head) in ``attention.scored_query``,
     so the cache is scored without being expanded.
     ``aug_q_dim`` is the total intermediate dimension of the gated augmented-Q
     block; 0 disables it.  Construction raises ``ConfigError`` for a

@@ -32,9 +32,9 @@ class CapacityExceededError(DiffQKVError, RuntimeError):
 
 
 class EmptyInputError(DiffQKVError, ValueError):
-    """An operation was given nothing to work on: a kernel call with no cached
-    key below its causal limit, decode with an empty prompt, or a training
-    step with an empty batch."""
+    """An operation was given nothing to work on: a kernel tile whose first row
+    has no cached key below its causal limit, decode with an empty prompt, or
+    a training step with an empty batch."""
 
 
 class TokenRangeError(DiffQKVError, ValueError):
@@ -47,13 +47,15 @@ class LengthError(DiffQKVError, ValueError):
 
 class PositionError(DiffQKVError, ValueError):
     """An incremental pass was given a start position other than the number of
-    positions its caches already hold, or a causal limit past them."""
+    positions its caches already hold, or a kernel call a causal limit that is
+    not an integer or that lets a tile row run past them."""
 
 
 class DivergenceError(DiffQKVError, ArithmeticError):
     """A value is not finite: a training step's loss, gradient or updated
-    weight, a K or V appended to a cache or a query given to the kernel (or
-    one that is not real), or the logits of a fed position."""
+    weight, the logits of a fed position, or a K or V appended to a cache or a
+    scored query given to the kernel, which every cached attention call runs
+    (these two also when not real)."""
 
 
 class ConfigFileError(ConfigError):

@@ -2,7 +2,7 @@
 
 Each suite runs a bundle of randomized, seeded checks and reports per-property
 instance counts and the maximum observed error.  ``SUITES`` maps each suite
-name to its properties, in order: ``equivalence`` (kernel simulator vs naive
+name to its properties, in order: ``equivalence`` (FlexHead kernel vs naive
 reference, degenerate modes, selective V), ``gradients`` (analytic vs central
 finite differences: only the first graph stage that reads a perturbed tensor
 runs once per perturbation, and the later stages run once over that tensor's
@@ -29,6 +29,7 @@ from .attention import (
     init_attention_weights,
     naive_diffqkv_attention,
     project_qkv,
+    scored_query,
     select_top_k,
     weighted_value_sum,
 )
@@ -119,7 +120,8 @@ def check_flexhead_vs_naive(instances: int = 200, seed: int = 42) -> PropertyRes
 
         for chunk_size, pos_drawn in zip(chunk_sizes, drawn):
             for pos in {t - 1, pos_drawn}:
-                heads_out = kernel.flexhead_attention(q[:, pos], cache, chunk_size, w, causal_limit=pos + 1)
+                tile = scored_query(q[:, pos], w, cfg)[:, :, None]
+                heads_out = kernel.flexhead_attention(tile, cache, chunk_size, causal_limit=pos + 1)
                 got = heads_out.reshape(1, -1) @ w.w_o
                 err = float(np.max(np.abs(got[0] - expected[pos])))
                 max_err = max(max_err, err)

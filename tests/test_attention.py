@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from diffqkv import attention
+from diffqkv import autodiff as ad
 from diffqkv.attention import (
     AttentionWeights,
     SelectivePolicy,
@@ -19,6 +20,7 @@ from diffqkv.attention import (
     naive_diffqkv_attention,
     project_qkv,
     rope_angles,
+    scored_query,
     select_top_k,
     selective_v_attention,
     weighted_value_sum,
@@ -64,6 +66,27 @@ class TestProjectQKV:
         w = init_attention_weights(cfg, seed=0)
         with pytest.raises(ShapeError):
             project_qkv(np.zeros((1, 2, 33)), w, cfg)
+
+    @pytest.mark.parametrize(
+        "weights_cfg,cfg,wrong",
+        [
+            (make_cfg(8, 4, 4, 4), make_cfg(8, 2, 4, 4), r"w_k \(32, 16\), not \(32, 8\)$"),
+            (make_cfg(), make_cfg(d_k_head=2), r"w_k \(32, 8\), not \(32, 4\); w_k_expand None, not \(2, 4\)$"),
+            (make_cfg(aug_q_dim=24), make_cfg(), r"w_q_down \(24, 32\), not None; w_q_gate .*; w_q_up"),
+        ],
+        ids=["other-k-heads", "half-k-without-expansion", "extra-augq"],
+    )
+    def test_weights_of_another_config_raise_config_error(self, weights_cfg, cfg, wrong):
+        # Used to raise numpy's raw ValueError ("cannot reshape array ...") or pass unnoticed.
+        w = init_attention_weights(weights_cfg, seed=0)
+        x = np.zeros((1, 3, 32))
+        with pytest.raises(ConfigError, match=wrong):
+            cached_attention(x, w, DifferentialKVCache(cfg, 1, 3))
+        with pytest.raises(ConfigError, match=wrong):
+            naive_diffqkv_attention(x, w, cfg)
+        tensors = AttentionWeights(**{n: ad.Tensor(a) for n, a in w.named_tensors().items()})
+        with pytest.raises(ConfigError, match=wrong):
+            project_qkv(ad.Tensor(x), tensors, cfg, ad)
 
 
 class TestAugmentQ:
@@ -234,6 +257,15 @@ class TestHalfKQueryAbsorption:
         assert w.w_k_expand is None
         x = np.random.default_rng(0).normal(size=(1, 3, 32))
         assert np.isfinite(naive_diffqkv_attention(x, w, cfg)).all()
+
+    @pytest.mark.parametrize("kwargs", [dict(), dict(d_k_head=2)], ids=["full-k", "half-k"])
+    def test_scored_query_refuses_another_head_dim(self, kwargs):
+        cfg = make_cfg(**kwargs)
+        w = init_attention_weights(cfg, seed=0)
+        assert scored_query(np.ones((1, 8, 4)), w, cfg).shape == (1, 8, cfg.d_k_head)
+        for shape in ((1, 8, 2), (1, 8, 8)):
+            with pytest.raises(ShapeError, match="4 dims"):
+                scored_query(np.ones(shape), w, cfg)
 
 
 class TestGroupedHeadAddressing:
@@ -486,7 +518,7 @@ class TestCachedAttention:
         x = rng.normal(size=(1, s, 128))
         q, k, _ = project_qkv(x, w, cfg)
         q, k = apply_rope(q, k, np.arange(s), cfg.rope_theta)
-        q = attention._scored_query(q, w, cfg)
+        q = attention.scored_query(q, w, cfg)
         real, calls = attention.attention_logits, []
 
         def spy(q_tile, k_block):

@@ -183,7 +183,7 @@ def test_causal_attention_forward_is_the_numpy_core():
     x = rng.normal(size=(2, 7, 32))
     q, k, v = project_qkv(x, w, cfg)
     q, k = apply_rope(q, k, np.arange(7), cfg.rope_theta)
-    q = ad.Tensor(attention._scored_query(q, w, cfg).transpose(0, 2, 1, 3))
+    q = ad.Tensor(attention.scored_query(q, w, cfg).transpose(0, 2, 1, 3))
     heads = ad.causal_attention(q, ad.Tensor(k), ad.Tensor(v)).data
     out = heads.transpose(0, 2, 1, 3).reshape(2, 7, 32) @ w.w_o
     assert_allclose(out, naive_diffqkv_attention(x, w, cfg), rtol=0, atol=1e-12)

@@ -14,6 +14,7 @@ from diffqkv.attention import (
     attention_scores,
     init_attention_weights,
     project_qkv,
+    scored_query,
     weighted_value_sum,
 )
 from diffqkv.config import AttentionConfig
@@ -30,6 +31,11 @@ def fill_cache(cfg, k, v):
     cache = cache_new(cfg, batch=1, capacity=k.shape[1])
     cache.append(k, v)
     return cache
+
+
+def tile(q, cfg, w=None):
+    """One query per batch row, [b, n_q, d_head], scored as the layer scores it: a [b, n_q, 1, d] tile."""
+    return scored_query(q, w, cfg)[:, :, None]
 
 
 def partial(q, k, v, limit):
@@ -136,8 +142,8 @@ class TestSoftmaxPartialMerge:
         doubled = merge([partial(scored, k, v, t), partial(scored, k, v, t)])
         assert_allclose(doubled, single, atol=1e-12)
         cache = fill_cache(cfg, *(np.concatenate([a, a])[None] for a in (k, v)))
-        chunked = flexhead_attention(q[None], cache, t)
-        assert_allclose(chunked[0], single, atol=1e-12)
+        chunked = flexhead_attention(tile(q[None], cfg), cache, t)
+        assert_allclose(chunked[0, :, 0], single, atol=1e-12)
 
     def test_shift_invariance(self):
         # Shifting every chunk's logits by +1000 must not change the output.
@@ -162,7 +168,7 @@ class TestSoftmaxPartialMerge:
         cache = fill_cache(cfg, k, v)
         want = naive_heads(q, k, v, cfg, t)
         for chunk_size in (1, 3, t):
-            got = flexhead_attention(q[None], cache, chunk_size)[0]
+            got = flexhead_attention(tile(q[None], cfg), cache, chunk_size)[0, :, 0]
             assert np.isfinite(got).all()
             assert_allclose(got, want, rtol=0, atol=1e-9)
 
@@ -172,7 +178,7 @@ class TestSoftmaxPartialMerge:
         q = rng.normal(size=(8, 4))
         cache = fill_cache(cfg, rng.normal(size=(1, 4, 2, 4)), rng.normal(size=(1, 4, 4, 4)))
         with pytest.raises(EmptyInputError):
-            flexhead_attention(q[None], cache, 2, causal_limit=0)
+            flexhead_attention(tile(q[None], cfg), cache, 2, causal_limit=0)
 
     def test_order_and_grouping_invariance(self):
         rng = np.random.default_rng(5)
@@ -226,9 +232,9 @@ class TestFlexheadAttention:
         cache = fill_cache(cfg, k, v)
         for chunk_size in (1, 3, 64, t):
             for pos in (0, t // 2, t - 1):
-                got = flexhead_attention(q[:, pos], cache, chunk_size, w, causal_limit=pos + 1)
+                got = flexhead_attention(tile(q[:, pos], cfg, w), cache, chunk_size, causal_limit=pos + 1)
                 want = naive_heads(q[0, pos], k[:, : pos + 1], v[:, : pos + 1], cfg, pos + 1, w)
-                assert_allclose(got[0], want, atol=1e-9)
+                assert_allclose(got[0, :, 0], want, atol=1e-9)
 
     @pytest.mark.parametrize("kwargs", [dict(), dict(d_k_head=2), dict(n_q=32, n_k=4, n_v=16)])
     def test_chunks_cut_at_causal_limit(self, kwargs):
@@ -245,9 +251,9 @@ class TestFlexheadAttention:
         # width 8 the keys past the limit are never scored and the first chunk is cut.
         for chunk_size in (1, 3, 7, 8):
             for limit in (1, 2, 5, 9, 10, 12, 14, 16, 23):
-                got = flexhead_attention(q[:, limit - 1], cache, chunk_size, w, causal_limit=limit)
+                got = flexhead_attention(tile(q[:, limit - 1], cfg, w), cache, chunk_size, causal_limit=limit)
                 want = naive_heads(q[0, limit - 1], k[:, :limit], v[:, :limit], cfg, limit, w)
-                assert_allclose(got[0], want, atol=1e-9)
+                assert_allclose(got[0, :, 0], want, atol=1e-9)
 
     def test_attends_every_batch_row(self):
         cfg = make_cfg()
@@ -258,10 +264,10 @@ class TestFlexheadAttention:
         v = rng.normal(size=(2, t, 4, 4))
         cache = cache_new(cfg, batch=2, capacity=t)
         cache.append(k, v)
-        got = flexhead_attention(q, cache, 3)  # spans of three chunks copy V: b > 1
+        got = flexhead_attention(tile(q, cfg), cache, 3)  # spans of three chunks copy V: b > 1
         for row in (0, 1):
             want = naive_heads(q[row], k[row : row + 1], v[row : row + 1], cfg, t)
-            assert_allclose(got[row], want, atol=1e-9)
+            assert_allclose(got[row, :, 0], want, atol=1e-9)
 
     def test_spans_hold_whole_chunks_then_the_clipped_last(self, monkeypatch):
         # Ten keys in chunks of 4: [0, 4), [4, 8) and the clipped [8, 10).  A budget
@@ -269,7 +275,7 @@ class TestFlexheadAttention:
         cfg = make_cfg()
         rng = np.random.default_rng(16)
         t = 10
-        q = rng.normal(size=(1, 8, 4))
+        q = tile(rng.normal(size=(1, 8, 4)), cfg)
         cache = fill_cache(cfg, rng.normal(size=(1, t, 2, 4)), rng.normal(size=(1, t, 4, 4)))
         want = flexhead_attention(q, cache, 4)
         real, grids = attention._partial, []
@@ -285,41 +291,54 @@ class TestFlexheadAttention:
             assert_allclose(flexhead_attention(q, cache, 4), want, atol=1e-12)
             assert grids == shapes
 
-    @pytest.mark.parametrize(
-        "extras", [{}, {"d_k_head": 2, "aug_q_dim": 24}], ids=["plain", "halfk-augq"]
-    )
-    def test_equals_a_decode_step_of_the_cached_pass(self, monkeypatch, extras):
-        # A 2**10 budget at 32/4/16 heads and b = 2: a decode step's key block is
-        # 16 keys, so 50 cached positions are three whole blocks and a clipped one.
-        monkeypatch.setattr(attention, "_SCORE_BUDGET", 1 << 10)
-        cfg = make_cfg(32, 4, 16, **extras)
-        rng = np.random.default_rng(15)
-        d_model = 32 * cfg.d_head
+    @pytest.mark.parametrize("kwargs", [dict(), dict(d_k_head=2)], ids=["full-k", "half-k"])
+    def test_default_tile_is_the_last_cached_positions(self, kwargs):
+        # Row r of a T-row tile attends [0, cache.len - T + 1 + r), in the pass's own key block.
+        cfg = make_cfg(**kwargs)
+        rng = np.random.default_rng(24)
         w = init_attention_weights(cfg, rng)
-        t = 50
-        x = rng.normal(size=(2, t, d_model))
-        cache = cache_new(cfg, batch=2, capacity=t)
-        attention.cached_attention(x[:, :-1], w, cache)
-        real, merged = attention._causal, []
+        t, rows = 12, 4
+        cache = fill_cache(cfg, rng.normal(size=(1, t, 2, cfg.d_k_head)), rng.normal(size=(1, t, 4, 4)))
+        q = scored_query(rng.normal(size=(1, 8, rows, 4)), w, cfg)
+        got = flexhead_attention(q, cache)
+        block = attention._tile_sizes(1, rows, 8, 2)[1]
+        assert_array_equal(got, flexhead_attention(q, cache, block, causal_limit=t - rows + 1))
+        for r in range(rows):
+            one = flexhead_attention(q[:, :, r : r + 1], cache, causal_limit=t - rows + 1 + r)
+            assert_allclose(got[:, :, r : r + 1], one, rtol=0, atol=1e-12)
 
-        def spy(*args):
-            heads, lse = real(*args)
-            merged.append(heads)
-            return heads, lse
+    def test_empty_tile_gives_empty_heads(self):
+        # As cached attention of no new position does, on an empty cache too; heads are d_head wide.
+        cfg = make_cfg(d_k_head=2)
+        rng = np.random.default_rng(25)
+        q = np.zeros((1, 8, 0, 2))
+        assert flexhead_attention(q, cache_new(cfg, batch=1, capacity=2)).shape == (1, 8, 0, 4)
+        cache = fill_cache(cfg, rng.normal(size=(1, 2, 2, 2)), rng.normal(size=(1, 2, 4, 4)))
+        assert flexhead_attention(q, cache, 3).shape == (1, 8, 0, 4)
 
-        monkeypatch.setattr(attention, "_causal", spy)
-        attention.cached_attention(x[:, -1:], w, cache)
-        q, k, _ = project_qkv(x[:, -1:], w, cfg)
-        q, _ = apply_rope(q, k, [t - 1], cfg.rope_theta)
-        block = attention._tile_sizes(2, 1, 32, 4)[1]
-        assert block == 16
-        assert_array_equal(flexhead_attention(q[:, 0], cache, block, w), merged[0][:, :, 0])
+    def test_tile_rows_past_the_cache_raise_position_error(self):
+        cfg = make_cfg()
+        rng = np.random.default_rng(26)
+        cache = fill_cache(cfg, rng.normal(size=(1, 5, 2, 4)), rng.normal(size=(1, 5, 4, 4)))
+        q = np.ones((1, 8, 3, 4))
+        assert flexhead_attention(q, cache, causal_limit=3).shape == (1, 8, 3, 4)  # rows end at 5
+        for limit in (4, 5):
+            with pytest.raises(PositionError, match="past the 5 cached positions"):
+                flexhead_attention(q, cache, causal_limit=limit)
+
+    def test_nested_list_query_is_taken_as_an_array(self):
+        # Used to raise a raw AttributeError ("'list' object has no attribute 'ndim'").
+        cfg = make_cfg()
+        rng = np.random.default_rng(27)
+        cache = fill_cache(cfg, rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
+        q = rng.normal(size=(1, 8, 1, 4))
+        assert_array_equal(flexhead_attention(q.tolist(), cache), flexhead_attention(q, cache))
 
     def test_chunking_invariance_all_sizes(self):
         cfg = make_cfg()
         rng = np.random.default_rng(7)
         t = 11
-        q = rng.normal(size=(1, 8, 4))
+        q = tile(rng.normal(size=(1, 8, 4)), cfg)
         k = rng.normal(size=(1, t, 2, 4))
         v = rng.normal(size=(1, t, 4, 4))
         cache = fill_cache(cfg, k, v)
@@ -332,7 +351,7 @@ class TestFlexheadAttention:
         cfg = make_cfg()
         rng = np.random.default_rng(8)
         t = 6
-        q = rng.normal(size=(1, 8, 4))
+        q = tile(rng.normal(size=(1, 8, 4)), cfg)
         k = rng.normal(size=(1, t, 2, 4))
         v = rng.normal(size=(1, t, 4, 4))
         cache = fill_cache(cfg, k, v)
@@ -350,21 +369,25 @@ class TestFlexheadAttention:
         cache = fill_cache(cfg, k, v)
         for limit in (1, t):
             want = naive_heads(q[0], k[:, :limit], v[:, :limit], cfg, limit)
-            assert_allclose(flexhead_attention(q, cache, 4, causal_limit=limit)[0], want, atol=1e-9)
+            got = flexhead_attention(tile(q, cfg), cache, 4, causal_limit=limit)
+            assert_allclose(got[0, :, 0], want, atol=1e-9)
         for limit in (t + 1, 60):
             with pytest.raises(PositionError):
-                flexhead_attention(q, cache, 4, causal_limit=limit)
+                flexhead_attention(tile(q, cfg), cache, 4, causal_limit=limit)
         for limit in (0, -1):
             with pytest.raises(EmptyInputError):
-                flexhead_attention(q, cache, 4, causal_limit=limit)
+                flexhead_attention(tile(q, cfg), cache, 4, causal_limit=limit)
 
-    @pytest.mark.parametrize("shape", [(1, 4, 8), (1, 16, 8), (1, 8, 2), (1, 8, 8), (8, 4)])
+    @pytest.mark.parametrize(
+        "shape", [(1, 4, 1, 8), (1, 16, 1, 8), (1, 8, 1, 2), (1, 8, 1, 8), (2, 8, 1, 4), (8, 1, 4)]
+    )
     def test_query_must_fit_the_cache_config(self, shape):
-        # [1, 4, 8] and [1, 16, 8] against 8 query heads of dim 4 used to be grouped wrongly.
+        # [1, 4, 1, 8] and [1, 16, 1, 8] against 8 query heads of dim 4 used to be grouped wrongly;
+        # [2, 8, 1, 4] has a batch the cache does not hold.
         cfg = make_cfg()
         rng = np.random.default_rng(22)
         cache = fill_cache(cfg, rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
-        with pytest.raises(ShapeError, match=r"\[b, 8, 4\]"):
+        with pytest.raises(ShapeError, match=r"\[1, 8, T, 4\]"):
             flexhead_attention(np.ones(shape), cache, 2)
 
     def test_causal_limit_must_be_an_integer(self):
@@ -373,9 +396,9 @@ class TestFlexheadAttention:
         cache = fill_cache(cfg, rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
         for limit in (True, 1.5, 2.0):  # True used to be taken as 1, a float to raise a raw TypeError
             with pytest.raises(PositionError, match="causal_limit"):
-                flexhead_attention(np.zeros((1, 8, 4)), cache, 2, causal_limit=limit)
-        got = flexhead_attention(np.ones((1, 8, 4)), cache, 2, causal_limit=np.int64(2))
-        assert_array_equal(got, flexhead_attention(np.ones((1, 8, 4)), cache, 2, causal_limit=2))
+                flexhead_attention(np.zeros((1, 8, 1, 4)), cache, 2, causal_limit=limit)
+        got = flexhead_attention(np.ones((1, 8, 1, 4)), cache, 2, causal_limit=np.int64(2))
+        assert_array_equal(got, flexhead_attention(np.ones((1, 8, 1, 4)), cache, 2, causal_limit=2))
 
     def test_causal_limit_of_another_type_raises_position_error(self):
         # A string or list used to raise a raw TypeError, and 0.5 an EmptyInputError.
@@ -384,7 +407,7 @@ class TestFlexheadAttention:
         cache = fill_cache(cfg, rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
         for limit in ("2", [2], 0.5, -0.5):
             with pytest.raises(PositionError, match="causal_limit"):
-                flexhead_attention(np.zeros((1, 8, 4)), cache, 2, causal_limit=limit)
+                flexhead_attention(np.zeros((1, 8, 1, 4)), cache, 2, causal_limit=limit)
 
     def test_chunk_below_one_raises(self):
         cfg = make_cfg()
@@ -392,7 +415,7 @@ class TestFlexheadAttention:
         cache = fill_cache(cfg, rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
         for chunk in (0, -1, 1.5, True):  # a float or bool used to raise a raw TypeError
             with pytest.raises(ConfigError, match="chunk"):
-                flexhead_attention(np.zeros((1, 8, 4)), cache, chunk)
+                flexhead_attention(np.zeros((1, 8, 1, 4)), cache, chunk)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_query_raises_before_the_cache_is_read(self, monkeypatch, bad):
@@ -400,8 +423,8 @@ class TestFlexheadAttention:
         cfg = make_cfg()
         rng = np.random.default_rng(23)
         cache = fill_cache(cfg, rng.normal(size=(1, 2, 2, 4)), rng.normal(size=(1, 2, 4, 4)))
-        q = np.zeros((1, 8, 4))
-        q[0, 3, 1] = bad
+        q = np.zeros((1, 8, 1, 4))
+        q[0, 3, 0, 1] = bad
         monkeypatch.setattr(cache, "view", lambda: pytest.fail("the cache was read"))
         with pytest.raises(DivergenceError, match="query"):
             flexhead_attention(q, cache, 2)
@@ -410,7 +433,7 @@ class TestFlexheadAttention:
         cfg = make_cfg()
         rng = np.random.default_rng(19)
         cache = fill_cache(cfg, rng.normal(size=(1, 3, 2, 4)), rng.normal(size=(1, 3, 4, 4)))
-        for shape in ((8, 4), (1, 8, 1, 4)):  # one query without b, a tile of queries
+        for shape in ((8, 4), (1, 8, 4)):  # one query without b or T, one without T
             with pytest.raises(ShapeError):
                 flexhead_attention(np.zeros(shape), cache, 2)
 
@@ -418,16 +441,12 @@ class TestFlexheadAttention:
         cfg = make_cfg()
         cache = cache_new(cfg, batch=1, capacity=4)
         with pytest.raises(EmptyInputError):
-            flexhead_attention(np.zeros((1, 8, 4)), cache, 2)
+            flexhead_attention(np.zeros((1, 8, 1, 4)), cache, 2)
 
     def test_half_k_requires_expansion_weights(self):
-        cfg = make_cfg(d_k_head=2)
-        rng = np.random.default_rng(10)
-        k = rng.normal(size=(1, 3, 2, 2))
-        v = rng.normal(size=(1, 3, 4, 4))
-        cache = fill_cache(cfg, k, v)
+        # The kernel takes scored queries; scoring a half-K query needs w_k_expand.
         with pytest.raises(ConfigError):
-            flexhead_attention(np.zeros((1, 8, 4)), cache, 2)
+            scored_query(np.zeros((1, 8, 4)), None, make_cfg(d_k_head=2))
 
     def test_sigma_heads_long_sequence(self):
         # full head pattern (32, 4, 16) at t = 257 with chunk size 64
@@ -438,6 +457,6 @@ class TestFlexheadAttention:
         v = rng.normal(size=(1, t, 16, 16))
         q = rng.normal(size=(32, 16))
         cache = fill_cache(cfg, k, v)
-        got = flexhead_attention(q[None], cache, 64)[0]
+        got = flexhead_attention(tile(q[None], cfg), cache, 64)[0, :, 0]
         want = naive_heads(q, k, v, cfg, t)
         assert_allclose(got, want, atol=1e-9)

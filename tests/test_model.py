@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from diffqkv import attention
+from diffqkv import attention, kernel
 from diffqkv import model as model_module
 from diffqkv.config import AttentionConfig, ModelConfig, toy_preset
 from diffqkv.errors import (
@@ -157,6 +157,24 @@ class TestForward:
         monkeypatch.setattr(attention, "project_qkv", lambda *a: calls.append(a) or real(*a))
         forward_incremental(model, np.ones((1, s), dtype=int), make_caches(model, 1, s), 0)
         assert len(calls) == 3 * s
+
+    def test_every_fed_chunk_and_decode_step_runs_the_kernel_once_per_layer(self, monkeypatch):
+        # The traced benchmark run times the FlexHead kernel by wrapping
+        # diffqkv.kernel.flexhead_attention, the binding cached attention calls.
+        model = init_model(toy_cfg(vocab=4096), seed=5)  # 2 layers; 64-row chunks at b = 1
+        real, tiles = kernel.flexhead_attention, []
+
+        def counting(q, cache, *args, **kwargs):
+            tiles.append(q.shape[2])
+            return real(q, cache, *args, **kwargs)
+
+        monkeypatch.setattr(kernel, "flexhead_attention", counting)
+        s, rows = 150, _chunk_rows(model, 1)
+        forward(model, np.random.default_rng(5).integers(0, 4096, size=(1, s)))
+        assert tiles == [64, 64, 64, 64, 22, 22] and rows == 64
+        tiles.clear()
+        decode(model, np.array([1, 2, 3, 4, 5]), 7)
+        assert tiles == [5, 5] + [1, 1] * 6  # the prompt, then 6 one-token fed steps
 
     @pytest.mark.parametrize("tokens", [[[1.0, 2.0]], [[True, False]]], ids=["float", "bool"])
     def test_non_integer_token_ids_rejected(self, tokens):
