@@ -30,6 +30,7 @@ Shapes follow the convention ``[batch, seq, heads, dim]``; weights are plain
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
@@ -42,6 +43,7 @@ from .errors import ConfigError, DimensionError, EmptyInputError, PositionError,
 from .kvcache import DifferentialKVCache
 
 RMS_NORM_EPS = 1e-6
+_FLOAT_MIN = np.finfo(np.float64).min  # the most negative finite float64
 
 
 def _inverse_rms(x: np.ndarray) -> np.ndarray:
@@ -142,6 +144,13 @@ def attention_weight_shapes(cfg: AttentionConfig) -> dict[str, tuple[int, int]]:
     return shapes
 
 
+@functools.lru_cache(maxsize=64)  # bounded: a process sweeping configs keeps only recent ones
+def _field_shapes(cfg: AttentionConfig) -> tuple[tuple[str, tuple[int, int] | None], ...]:
+    """(name, shape) of every ``AttentionWeights`` field under ``cfg``; None where the field is absent."""
+    shapes = attention_weight_shapes(cfg)
+    return tuple((f.name, shapes.get(f.name)) for f in fields(AttentionWeights))
+
+
 def init_attention_weights(cfg: AttentionConfig, seed: int | np.random.Generator = 0) -> AttentionWeights:
     """Seeded N(0, 0.02) initialization of every projection ``attention_weight_shapes`` lists."""
     check_attention(cfg=cfg)
@@ -176,8 +185,8 @@ def project_qkv(x, w: AttentionWeights, cfg: AttentionConfig, ops=NUMPY_OPS) -> 
     """
     if len(x.shape) != 3 or x.shape[-1] != w.w_q.shape[0]:
         raise ShapeError(f"expected x of shape [b, s, {w.w_q.shape[0]}], got {x.shape}")
-    got, want = {n: tuple(t.shape) for n, t in w.named_tensors().items()}, attention_weight_shapes(cfg)
-    if got != want:
+    if any((None if (t := getattr(w, n)) is None else t.shape) != want for n, want in _field_shapes(cfg)):
+        got, want = {n: tuple(t.shape) for n, t in w.named_tensors().items()}, attention_weight_shapes(cfg)
         wrong = [f"{n} {got.get(n)}, not {want.get(n)}" for n in sorted(got | want)
                  if got.get(n) != want.get(n)]
         raise ConfigError(f"the weights do not fit the config: {'; '.join(wrong)}")
@@ -263,7 +272,7 @@ def _partial(logits: np.ndarray, v: np.ndarray | None) -> tuple[np.ndarray, np.n
     to a merge.
     """
     row_max = logits.max(axis=-1, keepdims=True, initial=-np.inf)  # with an identity, fast on short rows
-    shift = np.maximum(row_max, np.finfo(np.float64).min)  # finite, so -inf - shift is -inf
+    shift = np.maximum(row_max, _FLOAT_MIN)  # finite, so -inf - shift is -inf
     p = np.exp(np.subtract(logits, shift, out=logits), out=logits)
     out = p if v is None else weighted_value_sum(p, v)
     return out, row_max[..., 0], p.sum(axis=-1)
@@ -275,8 +284,6 @@ def _merge(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.n
     Each stack holds V sums [n, ..., d] with row maxes and sum-exps [n, ...].
     """
     out, row_max, row_sumexp = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    if len(out) == 1:  # a single partial only needs normalising
-        return out[0] / row_sumexp[0][..., None], row_max[0] + np.log(row_sumexp[0])
     peak = row_max.max(axis=0)
     scale = np.exp(row_max - peak)
     total = (row_sumexp * scale).sum(axis=0)
@@ -364,11 +371,17 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, first: int, width: int)
     [0, first + r), in the ``_spans`` of chunks of ``width`` keys.  Each span
     is scored in one call, masked only where it crosses the diagonal, and
     viewed chunk-major, so one ``_partial`` call gives all its chunk partials;
-    every partial then goes into one ``_merge``.
+    every partial then goes into one ``_merge``.  Keys that fit one chunk
+    make one partial, which is only normalised: no grid and no merge.
     """
     b, n_q, rows = q.shape[:3]
+    spans = _spans(b, n_q, rows, first, width)
+    if len(spans) == 1 and spans[0][1] == spans[0][2]:  # keys [0, c), one chunk
+        c = spans[0][2]
+        out, row_max, row_sumexp = _partial(_masked_logits(q, k[:, :c], first), v[:, :c])
+        return out / row_sumexp[..., None], row_max + np.log(row_sumexp)
     parts = []
-    for a, z, c in _spans(b, n_q, rows, first, width):
+    for a, z, c in spans:
         n = (z - a) // c
         logits = _masked_logits(q, k[:, a:z], first - a).reshape(b, n_q, rows, n, c)
         # [n*b, ...] grids, chunk-major: V stays a view when b == 1 or n == 1.
@@ -383,9 +396,12 @@ def _causal(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int, block: int 
 
     Returns (heads [b, n_q, s, d_v], lse [b, n_q, s]): ``_attend`` over tiles of
     T queries in key chunks of width ``block``, T and the default block from ``_tile_sizes``.
+    A single tile returns ``_attend``'s own arrays; several fill one buffer each.
     """
     b, n_q, s = q.shape[:3]
     tile, default = _tile_sizes(b, s, n_q, k.shape[2])
+    if tile == s:  # one tile (an empty s still gets its empty buffers)
+        return _attend(q, k, v, start + 1, block or default)
     heads, lse = np.empty((b, n_q, s, v.shape[-1])), np.empty((b, n_q, s))
     for i in range(0, s, tile):
         rows = slice(i, i + tile)

@@ -259,26 +259,36 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor(out, parents=(table,), vjp=vjp)
 
 
-def cross_entropy_next_token(logits: Tensor, tokens: np.ndarray) -> Tensor:
-    """Mean next-token cross-entropy: logits [b, s, V] predict tokens[:, 1:]."""
-    tokens = np.asarray(tokens)
-    b, s, _ = logits.data.shape
+def _next_token_nll(logits: np.ndarray, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean next-token cross-entropy, log-probs [b, s - 1, V]) of logits [b, s, V] predicting tokens[:, 1:].
+
+    The forward of ``cross_entropy_next_token``, over plain arrays.
+    """
+    b, s, _ = logits.shape
     if s < 2:
         raise LengthError(f"next-token loss needs at least 2 positions, got {s}")
-    pred = logits.data[:, :-1]
-    targets = tokens[:, 1:]
+    pred = logits[:, :-1]
     shifted = pred - pred.max(axis=-1, keepdims=True, initial=-np.inf)
-    logz = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    logprobs = shifted - logz
-    count = b * (s - 1)
-    rows = np.arange(b)[:, None], np.arange(s - 1)[None, :]
-    loss = -logprobs[rows[0], rows[1], targets].sum() / count
+    logprobs = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    return -logprobs[_target_index(logprobs, tokens)].sum() / (b * (s - 1)), logprobs
+
+
+def _target_index(logprobs: np.ndarray, tokens: np.ndarray) -> tuple:
+    """Index of each predicting row's next token in log-probs [b, s - 1, V]."""
+    b, rows = logprobs.shape[:2]
+    return np.arange(b)[:, None], np.arange(rows)[None, :], tokens[:, 1:]
+
+
+def cross_entropy_next_token(logits: Tensor, tokens: np.ndarray) -> Tensor:
+    """Mean next-token cross-entropy: logits [b, s, V] predict tokens[:, 1:], by ``_next_token_nll``."""
+    tokens = np.asarray(tokens)
+    loss, logprobs = _next_token_nll(logits.data, tokens)
 
     def vjp(g):
         dpred = np.exp(logprobs)
-        dpred[rows[0], rows[1], targets] -= 1.0
+        dpred[_target_index(logprobs, tokens)] -= 1.0
         dlogits = np.zeros_like(logits.data)
-        dlogits[:, :-1] = dpred * (float(g) / count)
+        dlogits[:, :-1] = dpred * (float(g) / (dpred.shape[0] * dpred.shape[1]))
         return (dlogits,)
 
     return Tensor(loss, parents=(logits,), vjp=vjp)

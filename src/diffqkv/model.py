@@ -20,9 +20,12 @@ K/V stay at their stored head counts and the half-K expansion is absorbed
 into the query, so the cache is never duplicated or expanded.  Training
 (``graph_stages``) runs the same stages over :mod:`diffqkv.autodiff`,
 attending from position 0 through ``autodiff.causal_attention``;
-``train_step`` applies a plain gradient-descent update, and a gradient check
-reruns a perturbed loss from the first stage that reads the perturbed
-tensor, so it differentiates the code ``forward`` and ``decode`` run.
+``train_step`` applies a plain gradient-descent update.  A gradient check
+takes its analytic gradients from that graph and its finite differences
+from ``forward_stages`` over ``NUMPY_OPS``, every layer attending from
+position 0 through ``attention._causal`` (the autodiff op's forward), rerun
+from the first stage that reads the perturbed tensor, so it builds no graph
+per perturbation and differentiates the code ``forward`` and ``decode`` run.
 
 ``forward``/``decode`` make their own caches and are pure given the model;
 ``train_step`` mutates the model in place and is single-threaded per model.

@@ -4,9 +4,10 @@ Each suite runs a bundle of randomized, seeded checks and reports per-property
 instance counts and the maximum observed error.  ``SUITES`` maps each suite
 name to its properties, in order: ``equivalence`` (FlexHead kernel vs naive
 reference, degenerate modes, selective V), ``gradients`` (analytic vs central
-finite differences: only the first graph stage that reads a perturbed tensor
-runs once per perturbation, and the later stages run once over that tensor's
-stacked perturbations), ``cache`` (footprint accounting and incremental
+finite differences through the numpy forward stages, which build no graph:
+only the first stage that reads a perturbed tensor runs once per
+perturbation, and the later stages run once over that tensor's stacked
+perturbations), ``cache`` (footprint accounting and incremental
 consistency), ``cost`` (exact reduction rates and cost-curve structure), and
 ``all``, their ordered union.
 """
@@ -23,8 +24,11 @@ import numpy as np
 # config.check_int is not imported by name: every check_* here is a property the benchmark runs.
 from . import autodiff as ad, config, kernel
 from .attention import (
+    NUMPY_OPS,
     SelectivePolicy,
+    _causal,
     apply_rope,
+    attention_layer,
     attention_scores,
     init_attention_weights,
     naive_diffqkv_attention,
@@ -46,7 +50,7 @@ from .costmodel import (
 )
 from .errors import UsageError
 from .kvcache import DifferentialKVCache
-from .model import as_parameter_tensors, init_model, loss_graph, staged_forward
+from .model import as_parameter_tensors, forward_stages, init_model, loss_graph, staged_forward
 from .reference import grouped_attention_by_duplication
 
 
@@ -219,16 +223,21 @@ def gradient_check(
     noise: a floored ratio below the 1e-4 threshold means the absolute
     disagreement is under 1e-8.
 
-    Only the first graph stage that reads the perturbed tensor sees the
-    perturbation: it runs once per perturbed value, on its saved input, and
-    the element is restored after each run.  The stages before it see
+    The analytic gradients come from one ``loss_graph``.  Every perturbed
+    loss runs the same stages over ``NUMPY_OPS``, each layer attending from
+    position 0 through ``_causal`` (the forward of
+    ``autodiff.causal_attention``), so it builds no graph.  Only the first
+    stage that reads the perturbed tensor (``staged_forward``'s reads) sees
+    the perturbation: it runs once per perturbed value, on its saved input,
+    and the element is restored after each run.  The stages before it see
     unchanged inputs and weights; the stages after it read no perturbed
     weight (each parameter is read by one stage), so they run once over the
     tensor's 2n outputs stacked on the batch axis, and each perturbation's
     loss is taken on its own block of 2 rows.  Every operation on the
-    stack works row by row, and at these shapes the attention pass picks the
-    same tiles for the stack as for one batch, so the losses are those of a
-    whole forward pass, bit for bit.
+    stack works row by row, at these shapes the attention pass picks the
+    same tiles for the stack as for one batch, and each autodiff op's
+    forward is its numpy op, so the losses are those of a whole
+    ``loss_graph``, bit for bit.
     """
     config.check_int("samples_per_tensor", samples_per_tensor, 1, UsageError)
     model = init_model(cfg, seed)
@@ -241,7 +250,10 @@ def gradient_check(
     loss.backward()
     analytic = {name: t.grad for name, t in params.items()}
 
-    stages, inputs, reads = staged_forward(model, tokens)
+    _, inputs, reads = staged_forward(model, tokens)
+    inputs = [tokens] + [x.data for x in inputs[1:]]
+    attend = partial(attention_layer, cfg=cfg.attention, start=0, attend=lambda q, k, v: _causal(q, k, v, 0)[0])
+    stages = forward_stages(model, NUMPY_OPS, [attend] * cfg.n_layers)
 
     errors: dict[str, float] = {}
     arrays = model.named_tensors()
@@ -255,13 +267,13 @@ def gradient_check(
             original = flat[idx]
             for value in (original + step, original - step):
                 flat[idx] = value
-                outs.append(stages[start](inputs[start]).data)
+                outs.append(stages[start](inputs[start]))
                 flat[idx] = original
-        x = ad.Tensor(np.concatenate(outs))
+        x = np.concatenate(outs)
         for stage in stages[start + 1:]:
             x = stage(x)
-        blocks = x.data.reshape(len(outs), len(tokens), *x.shape[1:])
-        losses = [float(ad.cross_entropy_next_token(ad.Tensor(blk), tokens).data) for blk in blocks]
+        blocks = x.reshape(len(outs), len(tokens), *x.shape[1:])
+        losses = [float(ad._next_token_nll(blk, tokens)[0]) for blk in blocks]
         worst = 0.0
         grad_flat = analytic[name].ravel() if analytic[name] is not None else np.zeros(flat.size)
         for idx, f_plus, f_minus in zip(idxs, losses[0::2], losses[1::2]):

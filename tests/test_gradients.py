@@ -124,6 +124,24 @@ def test_staged_gradient_check_equals_full_forward_oracle(label, seed, samples_p
     )
 
 
+def test_finite_differences_build_no_graph(monkeypatch):
+    # Perturbed losses run the numpy stages: the Tensors a check makes do not grow with its samples.
+    made, init = [], ad.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting)
+    cfg = _gradcheck_model_config(*GRADCHECK_VARIANTS["diffqkv+augq"])
+    counts = []
+    for samples_per_tensor in (1, 3):
+        made.clear()
+        gradient_check(cfg, samples_per_tensor=samples_per_tensor)
+        counts.append(len(made))
+    assert counts[0] > 0 and counts[0] == counts[1]
+
+
 @pytest.mark.parametrize("args", [dict(seed=-1), dict(seed=0.5), dict(samples_per_tensor=0)])
 def test_gradient_check_refuses_bad_seed_and_sample_count(args):
     with pytest.raises(UsageError):

@@ -212,6 +212,34 @@ class TestSoftmaxPartialMerge:
         assert_allclose(out, np.einsum("ht,thd->hd", expw, v_rep), rtol=0, atol=1e-12)
 
 
+class TestOneChunkReturn:
+    """Keys that fit one chunk: ``_attend`` only normalises its one partial, and ``_causal``
+    returns ``_attend``'s arrays for a single tile."""
+
+    @pytest.mark.parametrize(
+        "b,s,start,t",
+        [(1, 1, 12, 13), (1, 6, 4, 10), (2, 1, 8, 9), (2, 5, 3, 8)],
+        ids=["decode-step", "prefill-tile", "decode-step-batch2", "prefill-tile-batch2"],
+    )
+    def test_equals_several_chunks(self, b, s, start, t, monkeypatch):
+        cfg = make_cfg()
+        rng = np.random.default_rng(100 * b + s)
+        q = rng.normal(size=(b, cfg.n_q_heads, s, cfg.d_k_head))
+        k = rng.normal(size=(b, t, cfg.n_k_heads, cfg.d_k_head))
+        v = rng.normal(size=(b, t, cfg.n_v_heads, cfg.d_head))
+        several = attention._causal(q, k, v, start, block=2)
+
+        def no_merge(parts):
+            raise AssertionError("one chunk of keys needs no merge")
+
+        monkeypatch.setattr(attention, "_merge", no_merge)
+        one = attention._causal(q, k, v, start)
+        shapes = ((b, cfg.n_q_heads, s, cfg.d_head), (b, cfg.n_q_heads, s))
+        for got, want, shape in zip(one, several, shapes):
+            assert got.shape == shape and got.flags.c_contiguous
+            assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
 class TestFlexheadAttention:
     @pytest.mark.parametrize("kwargs,t", [
         (dict(), 17),
